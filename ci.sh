@@ -57,13 +57,6 @@ echo "== bench regression guard (committed BENCH_htmldiff.json vs budget)"
 cargo run -q --release -p aide-bench --bin bench_guard -- \
     BENCH_htmldiff.json crates/bench/benches/htmldiff_budget.json
 
-echo "== capacity curve determinism (same seed => byte-identical curves)"
-cargo run -q --release -p aide-bench --bin exp_capacity -- \
-    --out target/capacity_a.json
-cargo run -q --release -p aide-bench --bin exp_capacity -- \
-    --out target/capacity_b.json
-cmp target/capacity_a.json target/capacity_b.json
-
 echo "== scheduler experiment (adaptive must beat threshold; byte-identical)"
 cargo run -q --release -p aide-bench --bin exp_scheduler -- \
     --out target/sched_a.json
@@ -79,11 +72,7 @@ AIDE_SERVE_DUMP="$PWD/target/serve_transcript_b.txt" \
     cargo test -q -p aide-serve --test memento >/dev/null
 cmp target/serve_transcript_a.txt target/serve_transcript_b.txt
 
-echo "== serve capacity determinism (same seed => byte-identical curves)"
-cargo run -q --release -p aide-bench --bin exp_capacity -- --serve \
-    --out target/serve_a.json
-cargo run -q --release -p aide-bench --bin exp_capacity -- --serve \
-    --out target/serve_b.json
-cmp target/serve_a.json target/serve_b.json
+echo "== end-to-end benchmark self-test (real TCP, every answer checked)"
+python3 aidebench/run.py --selftest
 
 echo "CI green."

@@ -73,6 +73,11 @@ struct UserState {
 /// Number of buckets in the user table.
 const USER_SHARDS: usize = 16;
 
+/// Byte budget of the snapshot service's page cache: about 900 rendered
+/// pages of 9 KB (a diff or view of an 8 KB page), near the page bytes
+/// the separate render and diff caches it replaced held together.
+const PAGE_CACHE_BYTES: usize = 8 << 20;
+
 /// Registered users in a sharded map. Each user's mutable state sits
 /// behind its own mutex, so trackers for different users run fully in
 /// parallel; the shard guard only protects the map and is never held
@@ -157,7 +162,7 @@ impl<R: Repository> AideEngine<R> {
         AideEngine {
             web,
             proxy: None,
-            snapshot: Arc::new(SnapshotService::new(repo, clock, 256, Duration::hours(8))),
+            snapshot: Arc::new(SnapshotService::new(repo, clock, PAGE_CACHE_BYTES)),
             users: UserTable::new(),
             robustness: Mutex::new(None),
         }

@@ -174,12 +174,7 @@ mod tests {
             Timestamp(100),
         )
         .unwrap();
-        let snapshot = Arc::new(SnapshotService::new(
-            MemRepository::new(),
-            clock,
-            64,
-            Duration::hours(4),
-        ));
+        let snapshot = Arc::new(SnapshotService::new(MemRepository::new(), clock, 1 << 20));
         let c = FixedCollection::new("Project Docs", web.clone(), snapshot);
         c.add("The Guide", "http://docs/guide.html");
         c.add("The FAQ", "http://docs/faq.html");

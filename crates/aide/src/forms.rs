@@ -248,14 +248,8 @@ mod tests {
         // The §8.4 end state: POST output stored under RCS and diffable.
         use aide_rcs::repo::MemRepository;
         use aide_snapshot::service::{SnapshotService, UserId};
-        use aide_util::time::Duration;
         let (web, reg) = setup();
-        let service = SnapshotService::new(
-            MemRepository::new(),
-            web.clock().clone(),
-            8,
-            Duration::hours(1),
-        );
+        let service = SnapshotService::new(MemRepository::new(), web.clock().clone(), 1 << 20);
         let user = UserId::new("u@x");
         reg.register("s", "http://search.example/cgi-bin/query", "q=web");
         let (_, body) = reg.poll("s").unwrap();

@@ -193,12 +193,7 @@ mod tests {
             Timestamp(100),
         )
         .unwrap();
-        let snapshot = Arc::new(SnapshotService::new(
-            MemRepository::new(),
-            clock,
-            64,
-            Duration::hours(4),
-        ));
+        let snapshot = Arc::new(SnapshotService::new(MemRepository::new(), clock, 1 << 20));
         (
             web.clone(),
             RecursiveDiffer::new(web, snapshot),

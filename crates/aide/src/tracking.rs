@@ -200,7 +200,7 @@ impl<R: Repository> ServerTracker<R> {
 mod tests {
     use super::*;
     use aide_snapshot::service::UserId;
-    use aide_util::time::{Clock, Duration, Timestamp};
+    use aide_util::time::{Clock, Timestamp};
 
     fn setup() -> (Web, ServerTracker) {
         let clock = Clock::starting_at(Timestamp::from_ymd_hms(1995, 10, 1, 0, 0, 0));
@@ -209,12 +209,7 @@ mod tests {
             .unwrap();
         web.set_page("http://a/2.html", "<HTML>two</HTML>", Timestamp(100))
             .unwrap();
-        let snapshot = Arc::new(SnapshotService::new(
-            MemRepository::new(),
-            clock,
-            64,
-            Duration::hours(4),
-        ));
+        let snapshot = Arc::new(SnapshotService::new(MemRepository::new(), clock, 1 << 20));
         let tracker = ServerTracker::new(web.clone(), snapshot);
         (web, tracker)
     }

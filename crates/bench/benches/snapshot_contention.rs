@@ -20,7 +20,7 @@ use aide_rcs::archive::RevId;
 use aide_rcs::repo::MemRepository;
 use aide_snapshot::service::{SnapshotService, UserId};
 use aide_util::sync::Mutex;
-use aide_util::time::{Clock, Duration, Timestamp};
+use aide_util::time::{Clock, Timestamp};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -31,8 +31,7 @@ fn fresh_service() -> SnapshotService<MemRepository> {
     SnapshotService::new(
         MemRepository::new(),
         Clock::starting_at(Timestamp(1_000_000)),
-        1024,
-        Duration::hours(8),
+        1 << 20,
     )
 }
 

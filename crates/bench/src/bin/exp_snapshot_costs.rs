@@ -24,7 +24,7 @@ use aide_workloads::rng::Rng;
 
 fn storage_for_model(name: &str, model: EditModel) {
     let clock = Clock::starting_at(Timestamp(1_000_000));
-    let service = SnapshotService::new(MemRepository::new(), clock.clone(), 4, Duration::hours(1));
+    let service = SnapshotService::new(MemRepository::new(), clock.clone(), 1 << 20);
     let user = UserId::new("u@x");
     let mut rng = Rng::new(11);
     let mut page = Page::generate(&mut rng, 10_000);
@@ -53,14 +53,9 @@ fn diff_cache_sweep() {
         let mut results = Vec::new();
         for cached in [false, true] {
             let clock = Clock::starting_at(Timestamp(1_000_000));
-            // A cache with 0 effective slots simulates "no cache" by using
-            // a TTL of zero.
-            let ttl = if cached {
-                Duration::hours(8)
-            } else {
-                Duration::ZERO
-            };
-            let service = SnapshotService::new(MemRepository::new(), clock.clone(), 64, ttl);
+            // A zero byte budget is "no cache".
+            let budget = if cached { 1 << 20 } else { 0 };
+            let service = SnapshotService::new(MemRepository::new(), clock.clone(), budget);
             let seed_user = UserId::new("seeder@x");
             let url = "http://h/shared.html";
             let mut rng = Rng::new(3);
@@ -87,7 +82,7 @@ fn diff_cache_sweep() {
 fn checkout_depth_cost() {
     println!("\n=== reverse-delta trade-off: checkout cost vs revision age ===\n");
     let clock = Clock::starting_at(Timestamp(1_000_000));
-    let service = SnapshotService::new(MemRepository::new(), clock.clone(), 4, Duration::hours(1));
+    let service = SnapshotService::new(MemRepository::new(), clock.clone(), 1 << 20);
     let user = UserId::new("u@x");
     let url = "http://h/deep.html";
     let mut rng = Rng::new(5);

@@ -53,7 +53,7 @@ fn run_section7<R: Repository>(repo: R) -> Outcome {
         churner_bytes: 10_000,
     };
     let mut pages = population(&web, 1995, &cfg);
-    let service = SnapshotService::new(repo, clock.clone(), 16, Duration::hours(1));
+    let service = SnapshotService::new(repo, clock.clone(), 1 << 20);
     let daemon = UserId::new("archive@daemon");
 
     let mut full_copy_bytes: usize = 0;

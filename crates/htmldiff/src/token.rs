@@ -231,8 +231,7 @@ pub fn token_class_hash(token: &DiffToken) -> u64 {
 /// Unlike [`token_class_hash`], break attributes are hashed in source
 /// order: rendered output prints tags verbatim, so streams that differ
 /// only in attribute order must hash differently. Equal hashes identify
-/// streams that render identically under the same options — the snapshot
-/// service's content-addressed diff-cache key.
+/// streams that render identically under the same options.
 pub fn token_stream_hash(tokens: &[DiffToken]) -> u64 {
     let mut h = Fnv1a::new();
     h.update(&(tokens.len() as u64).to_le_bytes());

@@ -13,19 +13,17 @@
 //!   [`aide_simweb::wire`], shared with the simulated net, so both the
 //!   simulation and the real server exercise identical protocol code.
 //! - **Deterministic core, IO edge.** The server speaks to the
-//!   [`conn::Connection`] trait, not to sockets. Tests and the capacity
-//!   harness drive it with scripted in-process connections on the
-//!   virtual clock — byte-identical across runs; the thin real-TCP
+//!   [`conn::Connection`] trait, not to sockets. Tests drive it with
+//!   scripted in-process connections on the virtual clock — byte-identical across runs; the thin real-TCP
 //!   adapter lives in `examples/serve_tcp.rs`.
 //! - **Render once.** Pages whose bytes are functions of immutable
 //!   archive state carry content-derived ETags; `If-None-Match` answers
-//!   304 with zero diff recomputation, and the [`cache::RenderCache`]
-//!   replays bodies across users and backends.
+//!   304 with zero diff recomputation, and every such page's body comes
+//!   out of the snapshot service's one [`aide_snapshot::PageCache`],
+//!   shared across users and routes.
 
-pub mod cache;
 pub mod conn;
 pub mod server;
 
-pub use cache::{CacheStats, CachedPage, RenderCache};
 pub use conn::{ConnError, Connection, ScriptedConn};
 pub use server::{AideServer, ConnOutcome, ServeConfig, ServeStats};

@@ -16,22 +16,26 @@
 //!
 //! Every page whose bytes are a pure function of immutable archive
 //! state carries a content-derived ETag (see `DESIGN.md` §4j for the
-//! scheme), so `If-None-Match` answers 304 without touching HtmlDiff,
-//! and the [`RenderCache`] replays full bodies without re-rendering.
+//! scheme), so `If-None-Match` answers 304 without touching HtmlDiff
+//! or the archive. Every such page's body comes out of the snapshot
+//! service's [`PageCache`]: diffs and archived revisions under their identifiers
+//! (so `/view` and `/memento` share entries), history and TimeMap pages
+//! under their ETags.
 //! POST is refused with 501, honouring §8.4 ("the input to the services
 //! is not stored").
 
-use crate::cache::{CachedPage, RenderCache};
 use crate::conn::{ConnError, Connection};
 use aide::cgi::parse_query;
 use aide::engine::AideEngine;
 use aide_htmldiff::Options as DiffOptions;
 use aide_htmlkit::entity::encode_entities;
-use aide_rcs::archive::RevId;
+use aide_rcs::archive::{RevId, RevisionMeta};
 use aide_rcs::repo::{MemRepository, Repository};
 use aide_simweb::wire::{error_response, Limits, RequestParser, WireRequest, WireResponse};
+use aide_snapshot::{CacheStats, PageCache};
 use aide_util::checksum::fnv1a64;
 use aide_util::time::Timestamp;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -40,8 +44,6 @@ use std::sync::Arc;
 pub struct ServeConfig {
     /// Parser limits applied per connection.
     pub limits: Limits,
-    /// Total pages held by the render cache.
-    pub cache_pages: usize,
     /// Mementos listed per TimeMap page.
     pub timemap_page: usize,
     /// Requests served on one connection before the server closes it
@@ -53,7 +55,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             limits: Limits::default(),
-            cache_pages: 512,
             timemap_page: 50,
             max_keepalive: 100,
         }
@@ -111,7 +112,6 @@ pub struct ConnOutcome {
 pub struct AideServer<R: Repository = MemRepository> {
     engine: Arc<AideEngine<R>>,
     cfg: ServeConfig,
-    cache: RenderCache,
     stats: ServeStats,
 }
 
@@ -125,7 +125,6 @@ impl<R: Repository> AideServer<R> {
     pub fn with_config(engine: Arc<AideEngine<R>>, cfg: ServeConfig) -> AideServer<R> {
         AideServer {
             engine,
-            cache: RenderCache::new(cfg.cache_pages),
             cfg,
             stats: ServeStats::default(),
         }
@@ -141,9 +140,14 @@ impl<R: Repository> AideServer<R> {
         &self.stats
     }
 
-    /// Render-cache counters.
-    pub fn cache_stats(&self) -> &crate::cache::CacheStats {
-        self.cache.stats()
+    /// Counters of the snapshot service's page cache, which holds every
+    /// body this server renders.
+    pub fn cache_stats(&self) -> &CacheStats {
+        self.pages().stats()
+    }
+
+    fn pages(&self) -> &PageCache {
+        self.engine.snapshot().page_cache()
     }
 
     /// Serves `conn` to completion: reads requests (however the
@@ -251,7 +255,6 @@ impl<R: Repository> AideServer<R> {
         aide_obs::gauge("serve.total.parse_errors", self.stats.parse_errors());
         aide_obs::gauge("serve.total.connections", self.stats.connections());
         aide_obs::gauge("serve.total.bytes_out", self.stats.bytes_out());
-        aide_obs::gauge("serve.render_cache.pages", self.cache.len() as u64);
         self.engine.publish_obs();
     }
 
@@ -361,9 +364,10 @@ impl<R: Repository> AideServer<R> {
         html_page(body)
     }
 
-    /// Serves a cacheable page: answer 304 on an ETag match without
-    /// rendering, otherwise replay from the render cache or render once
-    /// and remember. `render` runs only on a cold cache.
+    /// Serves a cacheable page: answers 304 on an ETag match without
+    /// rendering or reading the archive, otherwise a 200 carrying the
+    /// body `render` produces. Every route's `render` reads through the
+    /// page cache, so it renders only on a cold cache.
     fn cached(
         &self,
         req: &WireRequest,
@@ -376,25 +380,24 @@ impl<R: Repository> AideServer<R> {
             aide_obs::counter("serve.not_modified", 1);
             return WireResponse::new(304).header("ETag", &format!("\"{etag}\""));
         }
-        let page = match self.cache.get(etag) {
-            Some(page) => page,
-            None => {
-                let body = match render() {
-                    Ok(b) => b,
-                    Err(resp) => return resp,
-                };
-                let page = CachedPage {
-                    content_type: content_type.to_string(),
-                    body: Arc::new(body),
-                };
-                self.cache.put(etag, page.clone());
-                page
-            }
-        };
-        WireResponse::new(200)
-            .header("Content-Type", &page.content_type)
-            .header("ETag", &format!("\"{etag}\""))
-            .body(page.body.as_bytes().to_vec())
+        match render() {
+            Ok(body) => WireResponse::new(200)
+                .header("Content-Type", content_type)
+                .header("ETag", &format!("\"{etag}\""))
+                .body(body),
+            Err(resp) => resp,
+        }
+    }
+
+    /// A page this layer renders itself, cached under its ETag.
+    fn page(&self, etag: &str, render: impl FnOnce() -> String) -> String {
+        match self
+            .pages()
+            .get_or_render(etag, || Ok::<_, Infallible>(render()))
+        {
+            Ok((page, _)) => page.to_string(),
+            Err(never) => match never {},
+        }
     }
 
     fn history(
@@ -417,31 +420,8 @@ impl<R: Repository> AideServer<R> {
             key.push_str(&format!("|{}@{}:{}", meta.id, meta.date.0, seen));
         }
         let etag = format!("h-{:016x}", fnv1a64(key.as_bytes()));
-        self.cached(req, &etag, "text/html", move || {
-            let mut body = format!(
-                "<HTML><HEAD><TITLE>History of {url}</TITLE></HEAD><BODY>\
-                 <H1>Versions of {url}</H1>\n<UL>\n",
-                url = encode_entities(url)
-            );
-            for (meta, seen) in &revs {
-                body.push_str(&format!(
-                    "<LI>[<A HREF=\"/view?url={url}&rev={rev}\">{rev}</A>] {date} by {author}{seen}",
-                    rev = meta.id,
-                    date = meta.date.to_http_date(),
-                    author = encode_entities(&meta.author),
-                    seen = if *seen { " (seen)" } else { "" },
-                ));
-                if meta.id.0 > 1 {
-                    body.push_str(&format!(
-                        " [<A HREF=\"/diff?url={url}&from=1.{prev}&to={rev}\">diff to previous</A>]",
-                        prev = meta.id.0 - 1,
-                        rev = meta.id,
-                    ));
-                }
-                body.push('\n');
-            }
-            body.push_str("</UL>\n</BODY></HTML>\n");
-            Ok(body)
+        self.cached(req, &etag, "text/html", || {
+            Ok(self.page(&etag, || history_page(url, &revs)))
         })
     }
 
@@ -514,7 +494,7 @@ impl<R: Repository> AideServer<R> {
             },
             None => self.engine.clock().now(),
         };
-        let (_, rev_date, _) = match self.engine.snapshot().memento_of(url, when) {
+        let (_, rev_date) = match self.engine.snapshot().closest_revision(url, when) {
             Ok(hit) => hit,
             Err(e) => return error_response(404, &e.to_string()),
         };
@@ -548,7 +528,8 @@ impl<R: Repository> AideServer<R> {
         if url.is_empty() {
             return error_response(400, "missing url in /memento/<rcs-date>/<url>");
         }
-        let (rev, rev_date, body) = match self.engine.snapshot().memento_of(url, when) {
+        let snapshot = self.engine.snapshot();
+        let (rev, rev_date) = match snapshot.closest_revision(url, when) {
             Ok(hit) => hit,
             Err(e) => return error_response(404, &e.to_string()),
         };
@@ -567,9 +548,13 @@ impl<R: Repository> AideServer<R> {
              </timegate/{url}>; rel=\"timegate\", \
              </timemap/{url}>; rel=\"timemap\"; type=\"application/link-format\"",
         );
-        self.cached(req, &etag, "text/html", move || Ok(body))
-            .header("Memento-Datetime", &rev_date.to_http_date())
-            .header("Link", &link)
+        self.cached(req, &etag, "text/html", || {
+            snapshot
+                .view(url, rev)
+                .map_err(|e| error_response(404, &e.to_string()))
+        })
+        .header("Memento-Datetime", &rev_date.to_http_date())
+        .header("Link", &link)
     }
 
     /// RFC 7089 §5 TimeMap in `application/link-format`, paginated as
@@ -604,53 +589,8 @@ impl<R: Repository> AideServer<R> {
             "t-{:016x}",
             fnv1a64(format!("t|{url}|{page}|{per}|{}", metas.len()).as_bytes())
         );
-        let self_path = if page == 0 {
-            format!("/timemap/{url}")
-        } else {
-            format!("/timemap/{page}/{url}")
-        };
-        self.cached(req, &etag, "application/link-format", move || {
-            let mut body = format!(
-                "<{url}>;rel=\"original\",\n\
-                 </timegate/{url}>;rel=\"timegate\",\n\
-                 <{self_path}>;rel=\"self\";type=\"application/link-format\",\n"
-            );
-            if page > 0 {
-                let prev = if page == 1 {
-                    format!("/timemap/{url}")
-                } else {
-                    format!("/timemap/{}/{url}", page - 1)
-                };
-                body.push_str(&format!(
-                    "<{prev}>;rel=\"prev\";type=\"application/link-format\",\n"
-                ));
-            }
-            if page + 1 < pages {
-                body.push_str(&format!(
-                    "</timemap/{}/{url}>;rel=\"next\";type=\"application/link-format\",\n",
-                    page + 1
-                ));
-            }
-            let last_index = metas.len() - 1;
-            for (i, meta) in metas.iter().enumerate().skip(page * per).take(per) {
-                let rel = if i == 0 && i == last_index {
-                    "first last memento"
-                } else if i == 0 {
-                    "first memento"
-                } else if i == last_index {
-                    "last memento"
-                } else {
-                    "memento"
-                };
-                body.push_str(&format!(
-                    "</memento/{stamp}/{url}>;rel=\"{rel}\";datetime=\"{dt}\",\n",
-                    stamp = meta.date.to_rcs_date(),
-                    dt = meta.date.to_http_date(),
-                ));
-            }
-            // link-format lists end without a trailing comma.
-            let trimmed = body.trim_end_matches(",\n").to_string() + "\n";
-            Ok(trimmed)
+        self.cached(req, &etag, "application/link-format", || {
+            Ok(self.page(&etag, || timemap_page(url, page, pages, per, &metas)))
         })
     }
 }
@@ -671,4 +611,89 @@ fn html_page(body: String) -> WireResponse {
     WireResponse::new(200)
         .header("Content-Type", "text/html")
         .body(body)
+}
+
+/// The `/history` page: one line per revision, newest first, with view
+/// and diff links and the user's seen flags.
+fn history_page(url: &str, revs: &[(RevisionMeta, bool)]) -> String {
+    let mut body = format!(
+        "<HTML><HEAD><TITLE>History of {url}</TITLE></HEAD><BODY>\
+         <H1>Versions of {url}</H1>\n<UL>\n",
+        url = encode_entities(url)
+    );
+    for (meta, seen) in revs {
+        body.push_str(&format!(
+            "<LI>[<A HREF=\"/view?url={url}&rev={rev}\">{rev}</A>] {date} by {author}{seen}",
+            rev = meta.id,
+            date = meta.date.to_http_date(),
+            author = encode_entities(&meta.author),
+            seen = if *seen { " (seen)" } else { "" },
+        ));
+        if meta.id.0 > 1 {
+            body.push_str(&format!(
+                " [<A HREF=\"/diff?url={url}&from=1.{prev}&to={rev}\">diff to previous</A>]",
+                prev = meta.id.0 - 1,
+                rev = meta.id,
+            ));
+        }
+        body.push('\n');
+    }
+    body.push_str("</UL>\n</BODY></HTML>\n");
+    body
+}
+
+/// Page `page` of `pages` of the TimeMap of `url`, `per` mementos each,
+/// in `application/link-format`.
+fn timemap_page(
+    url: &str,
+    page: usize,
+    pages: usize,
+    per: usize,
+    metas: &[RevisionMeta],
+) -> String {
+    let self_path = if page == 0 {
+        format!("/timemap/{url}")
+    } else {
+        format!("/timemap/{page}/{url}")
+    };
+    let mut body = format!(
+        "<{url}>;rel=\"original\",\n\
+         </timegate/{url}>;rel=\"timegate\",\n\
+         <{self_path}>;rel=\"self\";type=\"application/link-format\",\n"
+    );
+    if page > 0 {
+        let prev = if page == 1 {
+            format!("/timemap/{url}")
+        } else {
+            format!("/timemap/{}/{url}", page - 1)
+        };
+        body.push_str(&format!(
+            "<{prev}>;rel=\"prev\";type=\"application/link-format\",\n"
+        ));
+    }
+    if page + 1 < pages {
+        body.push_str(&format!(
+            "</timemap/{}/{url}>;rel=\"next\";type=\"application/link-format\",\n",
+            page + 1
+        ));
+    }
+    let last_index = metas.len() - 1;
+    for (i, meta) in metas.iter().enumerate().skip(page * per).take(per) {
+        let rel = if i == 0 && i == last_index {
+            "first last memento"
+        } else if i == 0 {
+            "first memento"
+        } else if i == last_index {
+            "last memento"
+        } else {
+            "memento"
+        };
+        body.push_str(&format!(
+            "</memento/{stamp}/{url}>;rel=\"{rel}\";datetime=\"{dt}\",\n",
+            stamp = meta.date.to_rcs_date(),
+            dt = meta.date.to_http_date(),
+        ));
+    }
+    // link-format lists end without a trailing comma.
+    body.trim_end_matches(",\n").to_string() + "\n"
 }

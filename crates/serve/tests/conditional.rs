@@ -1,13 +1,13 @@
-//! Conditional GET and render-cache correctness.
+//! Conditional GET and page-cache correctness.
 //!
 //! The ETag scheme is content-derived (FNV over immutable archive
 //! identifiers — see DESIGN.md §4j), which makes three strong promises
 //! testable: the same page has the same ETag on the in-memory and disk
 //! backends, ETags survive a full storage restart, and `If-None-Match`
-//! answers 304 without invoking HtmlDiff or even probing the render
-//! cache. Counters (`serve.render_cache.{hit,miss}` mirrors plus the
-//! snapshot service's `htmldiff_invocations`) prove the zero-work
-//! claims rather than trusting the status code.
+//! answers 304 without invoking HtmlDiff or even probing the page
+//! cache. Counters (the page cache's hits and misses plus the snapshot
+//! service's `htmldiff_invocations`) prove the zero-work claims rather
+//! than trusting the status code.
 
 mod common;
 
@@ -124,7 +124,7 @@ fn if_none_match_answers_304_with_zero_recomputation() {
         stats.htmldiff_invocations, rendered,
         "304 path must not touch HtmlDiff"
     );
-    assert_eq!(s.cache_stats().misses(), misses, "no render-cache miss");
+    assert_eq!(s.cache_stats().misses(), misses, "no page-cache miss");
     assert_eq!(s.cache_stats().hits(), hits, "not even a cache probe");
     assert_eq!(s.stats().not_modified(), 5);
 
@@ -146,7 +146,7 @@ fn render_cache_replays_without_rerendering() {
     assert_eq!(
         s.engine().snapshot().snapshot_stats().htmldiff_invocations,
         after_first,
-        "second request came from the render cache"
+        "second request came from the page cache"
     );
 }
 

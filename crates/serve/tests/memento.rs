@@ -275,7 +275,7 @@ fn deterministic_transcript() {
         format!("/timemap/{URL}"),
         format!("/memento/{}/{URL}", t1.to_rcs_date()),
         format!("/memento/{}/{URL}", t2.to_rcs_date()),
-        format!("/diff?url={URL}&from=1.1&to=1.2"), // render-cache replay
+        format!("/diff?url={URL}&from=1.1&to=1.2"), // page-cache replay
         "/nowhere".to_string(),
     ];
     let run = || {

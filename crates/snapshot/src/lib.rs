@@ -17,22 +17,23 @@
 //!   original kept beside the RCS area).
 //! - [`locks`]: the per-URL + per-user lock table, with the queued-wait
 //!   duplicate-work suppression §4.2 wishes for.
-//! - [`diffcache`]: the HtmlDiff output cache ("many users who have seen
-//!   versions N and N+1 of a page could retrieve HtmlDiff(pageN, pageN+1)
-//!   with a single invocation").
+//! - [`cache`]: the [`PageCache`], one byte-bounded cache of every
+//!   rendered page — HtmlDiff output ("many users who have seen versions N
+//!   and N+1 of a page could retrieve HtmlDiff(pageN, pageN+1) with a
+//!   single invocation"), archived views, and the serving layer's pages.
 //! - [`keepalive`]: the CGI timeout/heartbeat dance (the forked child
 //!   emitting spaces).
 //! - [`security`]: the open-vs-authenticated identity models and what
 //!   each exposes.
 
+pub mod cache;
 pub mod control;
-pub mod diffcache;
 pub mod keepalive;
 pub mod locks;
 pub mod security;
 pub mod service;
 
+pub use cache::{CacheStats, PageCache};
 pub use control::{ControlFile, UserControl};
-pub use diffcache::{DiffCache, ShardedDiffCache};
 pub use locks::LockTable;
 pub use service::{DiffOutcome, RememberOutcome, ServiceError, SnapshotService, UserId};

@@ -28,8 +28,8 @@
 //!   named lock in the [`LockTable`]; control-file updates by the user's
 //!   named lock, acquired *after* the URL lock per the ordering invariant
 //!   documented in [`crate::locks`].
-//! - Control files live in a sharded user map; the diff cache is a
-//!   [`ShardedDiffCache`]. Shard guards are held only for map access.
+//! - Control files live in a sharded user map; rendered pages live in
+//!   the sharded [`PageCache`]. Shard guards are held only for map access.
 //! - Counters are atomics ([`SnapshotService::snapshot_stats`] reads
 //!   them without taking any lock), and admission control is a
 //!   compare-and-swap gate rather than a mutex-protected option.
@@ -37,19 +37,19 @@
 //! The result: two operations on different URLs by different users share
 //! no exclusive lock at all.
 
+use crate::cache::{CacheStats, PageCache};
 use crate::control::ControlFile;
-use crate::diffcache::ShardedDiffCache;
 use crate::locks::LockTable;
 use aide_htmldiff::present::diff_tokens;
-use aide_htmldiff::{token_stream_hash, tokenize, Options as DiffOptions};
+use aide_htmldiff::{tokenize, Options as DiffOptions};
 use aide_htmlkit::lexer::{lex, serialize};
 use aide_htmlkit::links::rewrite_base;
 use aide_htmlkit::url::Url;
 use aide_rcs::archive::{Archive, ArchiveError, CheckinOutcome, RevId, RevisionMeta};
 use aide_rcs::repo::{RepoError, Repository, StorageStats};
-use aide_util::checksum::{fnv1a64, Fnv1a};
+use aide_util::checksum::fnv1a64;
 use aide_util::sync::RwLock;
-use aide_util::time::{Clock, Duration, Timestamp};
+use aide_util::time::{Clock, Timestamp};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -147,7 +147,7 @@ pub struct DiffOutcome {
     pub from: RevId,
     /// The newer revision compared.
     pub to: RevId,
-    /// Whether the rendered output came from the diff cache.
+    /// Whether the rendered output came from the page cache.
     pub from_cache: bool,
 }
 
@@ -230,7 +230,7 @@ pub struct SnapshotService<R: Repository> {
     repo: R,
     controls: UserControls,
     locks: LockTable,
-    diff_cache: ShardedDiffCache,
+    pages: PageCache,
     clock: Clock,
     stats: StatCells,
     /// Admission control (§4.2: "the facility could also impose a limit
@@ -240,14 +240,14 @@ pub struct SnapshotService<R: Repository> {
 }
 
 impl<R: Repository> SnapshotService<R> {
-    /// Creates a service over `repo`, with a diff cache of `cache_slots`
-    /// entries held for `cache_ttl`.
-    pub fn new(repo: R, clock: Clock, cache_slots: usize, cache_ttl: Duration) -> Self {
+    /// Creates a service over `repo`, with a [`PageCache`] of at most
+    /// `cache_bytes` of rendered pages (zero disables caching).
+    pub fn new(repo: R, clock: Clock, cache_bytes: usize) -> Self {
         SnapshotService {
             repo,
             controls: UserControls::new(),
             locks: LockTable::new(),
-            diff_cache: ShardedDiffCache::new(cache_slots, cache_ttl),
+            pages: PageCache::new(cache_bytes),
             clock,
             stats: StatCells::default(),
             max_concurrent: AtomicUsize::new(UNLIMITED),
@@ -419,7 +419,9 @@ impl<R: Repository> SnapshotService<R> {
         self.diff_versions(url, from, to, opts)
     }
 
-    /// Diff between two stored revisions, via the output cache.
+    /// Diff between two stored revisions, via the page cache. Stored
+    /// revisions never change, so `(url, from, to, options)` names the
+    /// rendering for good.
     pub fn diff_versions(
         &self,
         url: &str,
@@ -428,18 +430,36 @@ impl<R: Repository> SnapshotService<R> {
         opts: &DiffOptions,
     ) -> Result<DiffOutcome, ServiceError> {
         let _slot = self.admit()?;
-        let now = self.clock.now();
         aide_obs::counter("snapshot.diff", 1);
-        let fp = ShardedDiffCache::options_fingerprint(&format!("{opts:?}"));
-        if let Some(html) = self.diff_cache.get(url, from, to, fp, now) {
-            aide_obs::counter("snapshot.diff.cache_hit.primary", 1);
-            return Ok(DiffOutcome {
-                html,
-                from,
-                to,
-                from_cache: true,
-            });
-        }
+        let key = diff_key(url, from, to, opts);
+        let (html, from_cache) = self
+            .pages
+            .get_or_render(&key, || self.render_diff(url, from, to, opts))?;
+        aide_obs::counter(
+            if from_cache {
+                "snapshot.diff.cache_hit.primary"
+            } else {
+                "snapshot.diff.cache_miss"
+            },
+            1,
+        );
+        Ok(DiffOutcome {
+            html: html.to_string(),
+            from,
+            to,
+            from_cache,
+        })
+    }
+
+    /// Checks out, tokenizes and diffs two revisions: the work a page
+    /// cache miss in [`SnapshotService::diff_versions`] pays for.
+    fn render_diff(
+        &self,
+        url: &str,
+        from: RevId,
+        to: RevId,
+        opts: &DiffOptions,
+    ) -> Result<String, ServiceError> {
         let archive = self
             .load_degraded(url)?
             .ok_or_else(|| ServiceError::NeverArchived(url.to_string()))?;
@@ -458,42 +478,12 @@ impl<R: Repository> SnapshotService<R> {
         let mut labeled = opts.clone();
         labeled.old_label = from.to_string();
         labeled.new_label = to.to_string();
-        // Second, content-keyed cache probe: the rendering depends only on
-        // the two token streams, the revision labels baked into the banner,
-        // and the options — not on the URL. Two URLs (mirrors, re-archived
-        // copies) with identical bodies share one HtmlDiff run. Tokenizing
-        // is linear and cheap next to alignment, so a hit still wins big;
-        // on a miss the tokens feed straight into `diff_tokens` and are
-        // not re-lexed.
         let old_tokens = tokenize(&old);
         let new_tokens = tokenize(&new);
-        let content_key = {
-            let mut h = Fnv1a::new();
-            h.update(&token_stream_hash(&old_tokens).to_le_bytes())
-                .update(&token_stream_hash(&new_tokens).to_le_bytes())
-                .update(labeled.old_label.as_bytes())
-                .update(&[0xFF])
-                .update(labeled.new_label.as_bytes())
-                .update(&[0xFF])
-                .update(&fp.to_le_bytes());
-            h.finish()
-        };
         aide_obs::observe(
             "snapshot.diff.tokens",
             (old_tokens.len() + new_tokens.len()) as u64,
         );
-        if let Some(html) = self.diff_cache.get_by_content(content_key, now) {
-            aide_obs::counter("snapshot.diff.cache_hit.content", 1);
-            // Promote under the primary key so the next probe for this
-            // exact (url, from, to) pair hits on the first lookup.
-            self.diff_cache.put(url, from, to, fp, html.clone(), now);
-            return Ok(DiffOutcome {
-                html,
-                from,
-                to,
-                from_cache: true,
-            });
-        }
         // `diff_tokens` draws its DP tables and token arenas from the
         // per-thread `aide_diffcore::scratch` pools, so a service thread
         // serving many diff requests reuses one set of buffers across
@@ -502,17 +492,7 @@ impl<R: Repository> SnapshotService<R> {
         self.stats
             .htmldiff_invocations
             .fetch_add(1, Ordering::Relaxed);
-        aide_obs::counter("snapshot.diff.cache_miss", 1);
-        self.diff_cache
-            .put(url, from, to, fp, result.html.clone(), now);
-        self.diff_cache
-            .put_by_content(content_key, result.html.clone(), now);
-        Ok(DiffOutcome {
-            html: result.html,
-            from,
-            to,
-            from_cache: false,
-        })
+        Ok(result.html)
     }
 
     /// History: the full revision log (newest first), with a per-user
@@ -541,17 +521,17 @@ impl<R: Repository> SnapshotService<R> {
 
     /// View: the full text of one revision, with a `BASE` tag inserted so
     /// relative links resolve against the original location (§4.1).
+    /// Rendered once per `(url, rev)` and then served from the page cache.
     pub fn view(&self, url: &str, rev: RevId) -> Result<String, ServiceError> {
         aide_obs::counter("snapshot.view", 1);
-        let archive = self
-            .load_degraded(url)?
-            .ok_or_else(|| ServiceError::NeverArchived(url.to_string()))?;
-        let body = archive.checkout(rev)?;
-        drop(archive);
-        match Url::parse(url) {
-            Ok(base) => Ok(serialize(&rewrite_base(&lex(&body), &base))),
-            Err(_) => Ok(body),
-        }
+        let (page, _) = self.pages.get_or_render(&format!("v|{url}|{rev}"), || {
+            let body = self.revision_text(url, rev)?;
+            Ok::<_, ServiceError>(match Url::parse(url) {
+                Ok(base) => serialize(&rewrite_base(&lex(&body), &base)),
+                Err(_) => body,
+            })
+        })?;
+        Ok(page.to_string())
     }
 
     /// The pristine text of one revision (no BASE rewriting) — what a
@@ -572,28 +552,22 @@ impl<R: Repository> SnapshotService<R> {
         Ok(archive.checkout_at(date)?)
     }
 
-    /// Memento selection: the revision of `url` *closest* to `date`
-    /// (RFC 7089 TimeGate semantics — clamped to the archive's first and
-    /// last revisions, nearest neighbour in between, earlier on a tie),
-    /// with its BASE-rewritten text. Contrast [`SnapshotService::view_at`],
+    /// Memento selection: the revision of `url` *closest* to `date` and
+    /// its check-in date (RFC 7089 TimeGate semantics — clamped to the
+    /// archive's first and last revisions, nearest neighbour in between,
+    /// earlier on a tie). Reads only revision metadata; the memento's body
+    /// is [`SnapshotService::view`]. Contrast [`SnapshotService::view_at`],
     /// which is strict `co -d` and fails for dates before the first
     /// revision.
-    pub fn memento_of(
+    pub fn closest_revision(
         &self,
         url: &str,
         date: Timestamp,
-    ) -> Result<(RevId, Timestamp, String), ServiceError> {
+    ) -> Result<(RevId, Timestamp), ServiceError> {
         let archive = self
             .load_degraded(url)?
             .ok_or_else(|| ServiceError::NeverArchived(url.to_string()))?;
-        let (rev, rev_date) = archive.closest_to(date);
-        let body = archive.checkout(rev)?;
-        drop(archive);
-        let body = match Url::parse(url) {
-            Ok(base) => serialize(&rewrite_base(&lex(&body), &base)),
-            Err(_) => body,
-        };
-        Ok((rev, rev_date, body))
+        Ok(archive.closest_to(date))
     }
 
     /// Full revision metadata of `url`, oldest first — the TimeMap's
@@ -651,15 +625,21 @@ impl<R: Repository> SnapshotService<R> {
         self.snapshot_stats()
     }
 
-    /// Diff-cache counters.
-    pub fn diff_cache_stats(&self) -> crate::diffcache::DiffCacheStats {
-        self.diff_cache.stats()
+    /// The page cache behind [`SnapshotService::diff_versions`] and
+    /// [`SnapshotService::view`], shared with any layer above that renders
+    /// pages of its own.
+    pub fn page_cache(&self) -> &PageCache {
+        &self.pages
+    }
+
+    /// Page-cache counters (the one cache, whatever it holds).
+    pub fn diff_cache_stats(&self) -> &CacheStats {
+        self.pages.stats()
     }
 
     /// Publishes the service's aggregate counters — [`ServiceStats`],
-    /// [`LockStats`](crate::locks::LockStats), and
-    /// [`DiffCacheStats`](crate::diffcache::DiffCacheStats) — as
-    /// `snapshot.*` gauges on the installed observability subscriber;
+    /// [`LockStats`](crate::locks::LockStats), and the page cache's size —
+    /// as `snapshot.*` gauges on the installed observability subscriber;
     /// no-op without one. The bespoke atomic structs remain the source
     /// of truth; this mirrors them into the registry at export time so
     /// the hot paths stay uninstrumented.
@@ -677,25 +657,28 @@ impl<R: Repository> SnapshotService<R> {
         aide_obs::gauge("snapshot.locks.contended", l.contended);
         aide_obs::gauge("snapshot.locks.flights", l.flights);
         aide_obs::gauge("snapshot.locks.piggybacked", l.piggybacked);
-        let d = self.diff_cache.stats();
-        aide_obs::gauge("snapshot.diff_cache.hits", d.hits);
-        aide_obs::gauge("snapshot.diff_cache.misses", d.misses);
-        aide_obs::gauge("snapshot.diff_cache.evictions", d.evictions);
-        aide_obs::gauge(
-            "snapshot.diff_cache.hit_permille",
-            (d.hit_ratio() * 1000.0).round() as u64,
-        );
+        aide_obs::gauge("snapshot.page_cache.entries", self.pages.len() as u64);
+        aide_obs::gauge("snapshot.page_cache.bytes", self.pages.bytes() as u64);
     }
+}
+
+/// Page-cache key of the diff `from → to` of `url` under `opts`. The
+/// options enter as a hash of their `Debug` form, so every field that
+/// changes the rendering changes the key.
+fn diff_key(url: &str, from: RevId, to: RevId, opts: &DiffOptions) -> String {
+    let fp = fnv1a64(format!("{opts:?}").as_bytes());
+    format!("d|{url}|{from}|{to}|{fp:016x}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use aide_rcs::repo::MemRepository;
+    use aide_util::time::Duration;
 
     fn service() -> (Clock, SnapshotService<MemRepository>) {
         let clock = Clock::starting_at(Timestamp(1_000_000));
-        let s = SnapshotService::new(MemRepository::new(), clock.clone(), 64, Duration::hours(4));
+        let s = SnapshotService::new(MemRepository::new(), clock.clone(), 1 << 20);
         (clock, s)
     }
 
@@ -741,16 +724,17 @@ mod tests {
         s.remember(&fred(), URL, "<HTML>v2</HTML>").unwrap();
 
         // Before the first revision: clamp to it (view_at would fail).
-        let (rev, date, body) = s.memento_of(URL, Timestamp::EPOCH).unwrap();
+        let (rev, date) = s.closest_revision(URL, Timestamp::EPOCH).unwrap();
         assert_eq!((rev, date), (RevId(1), t1));
+        let body = s.view(URL, rev).unwrap();
         assert!(body.contains("v1"));
         // After the last: clamp to the head.
-        let (rev, date, _) = s.memento_of(URL, t2 + Duration::days(30)).unwrap();
+        let (rev, date) = s.closest_revision(URL, t2 + Duration::days(30)).unwrap();
         assert_eq!((rev, date), (RevId(2), t2));
         // Closer to the first: the first wins.
-        let (rev, _, _) = s.memento_of(URL, t1 + Duration::hours(1)).unwrap();
+        let (rev, _) = s.closest_revision(URL, t1 + Duration::hours(1)).unwrap();
         assert_eq!(rev, RevId(1));
-        // Memento bodies get the same BASE rewrite as view().
+        // Memento bodies are views, with the same BASE rewrite.
         assert!(body.contains("BASE"), "{body}");
 
         let metas = s.revisions(URL).unwrap();
@@ -763,7 +747,7 @@ mod tests {
             Err(ServiceError::NeverArchived(_))
         ));
         assert!(matches!(
-            s.memento_of("http://nowhere/x", t1),
+            s.closest_revision("http://nowhere/x", t1),
             Err(ServiceError::NeverArchived(_))
         ));
     }
@@ -840,37 +824,7 @@ mod tests {
             1,
             "HtmlDiff ran once"
         );
-        assert_eq!(s.diff_cache_stats().hits, 1);
-    }
-
-    #[test]
-    fn content_key_shares_renderings_across_urls() {
-        // Two URLs carry the same bodies at the same revision numbers
-        // (mirror sites). The second diff finds the first one's rendering
-        // through the content-keyed cache path: HtmlDiff runs once.
-        let (clock, s) = service();
-        const MIRROR: &str = "http://mirror.usenix.org/index.html";
-        for url in [URL, MIRROR] {
-            s.remember(&fred(), url, "<HTML><P>v1 text.</HTML>")
-                .unwrap();
-        }
-        clock.advance(Duration::hours(1));
-        for url in [URL, MIRROR] {
-            s.remember(&fred(), url, "<HTML><P>v2 text!</HTML>")
-                .unwrap();
-        }
-        let opts = DiffOptions::default();
-        let a = s.diff_versions(URL, RevId(1), RevId(2), &opts).unwrap();
-        assert!(!a.from_cache);
-        let b = s.diff_versions(MIRROR, RevId(1), RevId(2), &opts).unwrap();
-        assert!(b.from_cache, "mirror body should hit via content key");
-        assert_eq!(a.html, b.html);
-        assert_eq!(s.snapshot_stats().htmldiff_invocations, 1);
-        // The hit was promoted under the mirror's primary key: the next
-        // probe short-circuits before tokenizing anything.
-        let c = s.diff_versions(MIRROR, RevId(1), RevId(2), &opts).unwrap();
-        assert!(c.from_cache);
-        assert_eq!(s.snapshot_stats().htmldiff_invocations, 1);
+        assert_eq!(s.diff_cache_stats().hits(), 1);
     }
 
     #[test]
@@ -908,6 +862,18 @@ mod tests {
         let b = s.diff_versions(URL, RevId(1), RevId(2), &only).unwrap();
         assert!(!b.from_cache);
         assert_eq!(s.snapshot_stats().htmldiff_invocations, 2);
+    }
+
+    #[test]
+    fn diff_key_distinguishes_options() {
+        let merged = DiffOptions::default();
+        let only = DiffOptions {
+            presentation: aide_htmldiff::Presentation::OnlyDifferences,
+            ..DiffOptions::default()
+        };
+        let a = diff_key(URL, RevId(1), RevId(2), &merged);
+        assert_eq!(a, diff_key(URL, RevId(1), RevId(2), &merged));
+        assert_ne!(a, diff_key(URL, RevId(1), RevId(2), &only));
     }
 
     #[test]
@@ -976,8 +942,7 @@ mod tests {
         let s = Arc::new(SnapshotService::new(
             MemRepository::new(),
             clock.clone(),
-            64,
-            Duration::hours(4),
+            1 << 20,
         ));
         // A saturated service (cap 0) rejects everything, deterministically.
         s.set_max_concurrent(Some(0));
@@ -1042,8 +1007,7 @@ mod tests {
         let s = Arc::new(SnapshotService::new(
             MemRepository::new(),
             clock.clone(),
-            64,
-            Duration::hours(4),
+            1 << 20,
         ));
         let mut handles = Vec::new();
         for t in 0..8 {
@@ -1118,7 +1082,7 @@ mod tests {
     fn corrupt_archive_degrades_instead_of_failing() {
         let clock = Clock::starting_at(Timestamp(1_000_000));
         let repo = CorruptingRepo::new();
-        let s = SnapshotService::new(repo, clock.clone(), 64, Duration::hours(4));
+        let s = SnapshotService::new(repo, clock.clone(), 1 << 20);
         s.remember(&fred(), URL, "<P>good body.").unwrap();
         s.remember(&fred(), "http://other/", "<P>unrelated.")
             .unwrap();

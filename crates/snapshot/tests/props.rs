@@ -33,7 +33,7 @@ fn bodies() -> impl Strategy<Value = Vec<String>> {
 
 fn service() -> (Clock, SnapshotService<MemRepository>) {
     let clock = Clock::starting_at(Timestamp(1_000_000));
-    let s = SnapshotService::new(MemRepository::new(), clock.clone(), 32, Duration::hours(4));
+    let s = SnapshotService::new(MemRepository::new(), clock.clone(), 1 << 20);
     (clock, s)
 }
 

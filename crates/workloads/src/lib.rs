@@ -17,7 +17,7 @@
 //! - [`edits`]: the edit models and their application.
 //! - [`evolve`]: schedules that drive page evolution on a simulated Web.
 //! - [`openloop`]: deterministic open-loop (fixed arrival schedule)
-//!   load generation and queue simulation for the capacity experiments.
+//!   load generation for the scheduler experiment.
 //! - [`sites`]: prebuilt ensembles — the Table 1 scenario and bulk
 //!   populations for the storage and scalability experiments.
 //! - [`usenix`]: reconstructed USENIX home pages for the Figure 2

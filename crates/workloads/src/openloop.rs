@@ -8,18 +8,14 @@
 //! makes the knee of the latency-vs-rate curve *the* capacity number.
 //!
 //! Everything here is virtual-time: arrivals are sampled from a seeded
-//! [`Rng`] (Poisson, exponential inter-arrival gaps), service times are
-//! supplied by the caller in deterministic work units, and the queue is
-//! simulated analytically. Two runs with the same seed and the same
-//! service-time model produce byte-identical results — no wall clock
-//! anywhere — which is what lets ci.sh double-run the capacity
+//! [`Rng`] (Poisson, exponential inter-arrival gaps), so two runs with
+//! the same seed produce byte-identical schedules — no wall clock
+//! anywhere — which is what lets ci.sh double-run the scheduler
 //! experiment and `cmp` the outputs.
 //!
 //! The module is deliberately engine-agnostic: it produces a schedule
-//! ([`schedule`]) and turns per-request service times into per-request
-//! latencies ([`simulate_queue`]). Driving real engine paths (poll /
-//! check-in / diff) and costing them belongs to the capacity experiment
-//! binary in `aide-bench`, which owns the service-time model.
+//! ([`schedule`]); driving real engine paths (poll / check-in / diff)
+//! belongs to the experiment binaries in `aide-bench`.
 
 use crate::rng::Rng;
 
@@ -151,169 +147,6 @@ pub fn schedule(cfg: &OpenLoopConfig) -> Vec<Arrival> {
     out
 }
 
-/// What a simulated HTTP client asks the serving layer for.
-///
-/// The serving-layer mix is distinct from the tracker mix
-/// ([`RequestKind`]): these are read-side page requests against
-/// `aide-serve`, not engine mutations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeKind {
-    /// `GET /report?user=…` — the §5 what's-new report (uncacheable).
-    Report,
-    /// `GET /history?url=…&user=…` — the per-URL revision table.
-    History,
-    /// `GET /diff?url=…&from=…&to=…` — a rendered HtmlDiff page.
-    DiffPage,
-    /// `GET /timegate/<url>` with `Accept-Datetime` — Memento
-    /// negotiation plus the redirected memento fetch.
-    TimeGate,
-}
-
-/// Relative frequencies of the four serving-layer request kinds.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeMix {
-    /// Weight of [`ServeKind::Report`].
-    pub report: u32,
-    /// Weight of [`ServeKind::History`].
-    pub history: u32,
-    /// Weight of [`ServeKind::DiffPage`].
-    pub diff_page: u32,
-    /// Weight of [`ServeKind::TimeGate`].
-    pub timegate: u32,
-}
-
-impl Default for ServeMix {
-    /// Browsing steady state: histories and diff pages dominate, the
-    /// report is consulted occasionally, time-travel is the long tail.
-    fn default() -> Self {
-        ServeMix {
-            report: 2,
-            history: 4,
-            diff_page: 3,
-            timegate: 1,
-        }
-    }
-}
-
-/// One scheduled serving-layer request.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeArrival {
-    /// Arrival time in virtual microseconds from the start of the run.
-    pub at_us: u64,
-    /// Which route the request hits.
-    pub kind: ServeKind,
-    /// Index of the target page in the experiment's URL population
-    /// (Zipf: the same few hot pages keep being re-requested, which is
-    /// exactly what a conditional-GET client turns into 304s).
-    pub url: usize,
-    /// Index of the requesting user.
-    pub user: usize,
-}
-
-/// Builds the deterministic arrival schedule for a serving-layer run.
-///
-/// Same arrival process and draw order as [`schedule`] (exponential gap,
-/// kind, Zipf URL, uniform user — one seeded [`Rng`]) so the two
-/// generators share calibration; only the kind alphabet differs. The
-/// schedule is a pure function of `(cfg, mix)`.
-///
-/// # Examples
-///
-/// ```
-/// use aide_workloads::openloop::{serve_schedule, OpenLoopConfig, RequestMix, ServeMix};
-///
-/// let cfg = OpenLoopConfig {
-///     seed: 7,
-///     requests: 100,
-///     rate_per_sec: 50,
-///     urls: 10,
-///     users: 4,
-///     mix: RequestMix::default(), // unused by serve_schedule
-/// };
-/// let a = serve_schedule(&cfg, ServeMix::default());
-/// let b = serve_schedule(&cfg, ServeMix::default());
-/// assert_eq!(a.len(), 100);
-/// assert!(a.iter().zip(&b).all(|(x, y)| x.at_us == y.at_us && x.kind == y.kind));
-/// ```
-pub fn serve_schedule(cfg: &OpenLoopConfig, mix: ServeMix) -> Vec<ServeArrival> {
-    assert!(cfg.rate_per_sec > 0, "offered rate must be positive");
-    assert!(cfg.urls > 0 && cfg.users > 0, "need at least one target");
-    let total = mix.report + mix.history + mix.diff_page + mix.timegate;
-    assert!(total > 0, "serve mix must have positive total weight");
-    let mut rng = Rng::new(cfg.seed);
-    let mean_gap_us = 1_000_000.0 / cfg.rate_per_sec as f64;
-    let mut now_us = 0u64;
-    let mut out = Vec::with_capacity(cfg.requests);
-    for _ in 0..cfg.requests {
-        let u = rng.f64().min(0.999_999_999);
-        let gap = (-(1.0 - u).ln() * mean_gap_us).round() as u64;
-        now_us += gap;
-        let pick = rng.below(u64::from(total)) as u32;
-        let kind = if pick < mix.report {
-            ServeKind::Report
-        } else if pick < mix.report + mix.history {
-            ServeKind::History
-        } else if pick < mix.report + mix.history + mix.diff_page {
-            ServeKind::DiffPage
-        } else {
-            ServeKind::TimeGate
-        };
-        out.push(ServeArrival {
-            at_us: now_us,
-            kind,
-            url: rng.zipf(cfg.urls),
-            user: rng.index(cfg.users),
-        });
-    }
-    out
-}
-
-/// Simulates a FIFO queue with `servers` identical workers over an
-/// open-loop arrival schedule, returning each request's latency
-/// (queueing delay + service time) in microseconds.
-///
-/// `arrival_us[i]` must be non-decreasing; `service_us[i]` is request
-/// `i`'s service time. A request begins service at the later of its
-/// arrival and the earliest server-free time; with the open loop,
-/// arrivals never wait to be *issued*, so past saturation the queue —
-/// and the reported latency — grows without bound. Pure integer
-/// arithmetic: byte-identical across runs and platforms.
-///
-/// # Examples
-///
-/// ```
-/// use aide_workloads::openloop::simulate_queue;
-///
-/// // Two requests, 100µs service, arriving together on one server:
-/// // the second waits for the first.
-/// let lat = simulate_queue(&[0, 0], &[100, 100], 1);
-/// assert_eq!(lat, vec![100, 200]);
-/// ```
-pub fn simulate_queue(arrival_us: &[u64], service_us: &[u64], servers: usize) -> Vec<u64> {
-    assert_eq!(arrival_us.len(), service_us.len());
-    assert!(servers > 0, "need at least one server");
-    assert!(
-        arrival_us.windows(2).all(|w| w[0] <= w[1]),
-        "arrivals must be sorted"
-    );
-    // Earliest-free-server selection; ties broken by server index so
-    // the simulation is deterministic.
-    let mut free_at = vec![0u64; servers];
-    let mut out = Vec::with_capacity(arrival_us.len());
-    for (&at, &svc) in arrival_us.iter().zip(service_us) {
-        let slot = free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &t)| (t, i))
-            .map_or(0, |(i, _)| i);
-        let start = at.max(free_at[slot]);
-        let finish = start + svc;
-        free_at[slot] = finish;
-        out.push(finish - at);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,53 +192,5 @@ mod tests {
         let polls = a.iter().filter(|r| r.kind == RequestKind::Poll).count() as f64;
         let frac = polls / a.len() as f64;
         assert!((frac - 0.6).abs() < 0.1, "poll fraction {frac}");
-    }
-
-    #[test]
-    fn serve_schedule_is_deterministic_and_matches_timing() {
-        let a = serve_schedule(&cfg(100), ServeMix::default());
-        let b = serve_schedule(&cfg(100), ServeMix::default());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.at_us, y.at_us);
-            assert_eq!(x.kind, y.kind);
-            assert_eq!(x.url, y.url);
-            assert_eq!(x.user, y.user);
-        }
-        // Same seed, same draw order: the serve schedule's arrival
-        // instants and targets coincide with the tracker schedule's —
-        // only the kind alphabet differs.
-        let t = schedule(&cfg(100));
-        for (s, t) in a.iter().zip(&t) {
-            assert_eq!(s.at_us, t.at_us);
-            assert_eq!(s.url, t.url);
-            assert_eq!(s.user, t.user);
-        }
-    }
-
-    #[test]
-    fn serve_mix_respects_weights() {
-        let a = serve_schedule(&cfg(100), ServeMix::default());
-        let hist = a.iter().filter(|r| r.kind == ServeKind::History).count() as f64;
-        let frac = hist / a.len() as f64;
-        assert!((frac - 0.4).abs() < 0.1, "history fraction {frac}");
-    }
-
-    #[test]
-    fn queue_is_empty_below_capacity_and_grows_past_it() {
-        // 1000 requests at 10µs spacing. 5µs service: no queueing, every
-        // latency equals the service time. 20µs service (2× capacity):
-        // the open loop piles up and the last latency dwarfs the first.
-        let arrivals: Vec<u64> = (0..1000u64).map(|i| i * 10).collect();
-        let light = simulate_queue(&arrivals, &vec![5; 1000], 1);
-        assert!(light.iter().all(|&l| l == 5));
-        let heavy = simulate_queue(&arrivals, &vec![20; 1000], 1);
-        assert!(heavy.last().unwrap() > &(heavy[0] * 100));
-    }
-
-    #[test]
-    fn extra_servers_absorb_load() {
-        let arrivals: Vec<u64> = (0..1000u64).map(|i| i * 10).collect();
-        let two = simulate_queue(&arrivals, &vec![20; 1000], 2);
-        assert!(two.iter().all(|&l| l == 20));
     }
 }

@@ -30,8 +30,7 @@ fn main() {
     let snapshot = Arc::new(SnapshotService::new(
         MemRepository::new(),
         clock.clone(),
-        128,
-        Duration::hours(8),
+        1 << 20,
     ));
 
     // --- §3.1: the junk filter ------------------------------------------

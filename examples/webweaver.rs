@@ -16,7 +16,7 @@ use aide_util::time::{Clock, Duration, Timestamp};
 
 fn main() {
     let clock = Clock::starting_at(Timestamp::from_ymd_hms(1996, 1, 8, 9, 0, 0));
-    let wiki = SnapshotService::new(MemRepository::new(), clock.clone(), 64, Duration::hours(8));
+    let wiki = SnapshotService::new(MemRepository::new(), clock.clone(), 1 << 20);
     let alice = UserId::new("alice@research.att.com");
     let bob = UserId::new("bob@research.att.com");
 

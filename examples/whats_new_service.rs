@@ -65,8 +65,7 @@ fn main() {
     let snapshot = Arc::new(SnapshotService::new(
         MemRepository::new(),
         clock.clone(),
-        128,
-        Duration::hours(8),
+        1 << 20,
     ));
 
     // Fixed collection over the docs.

@@ -18,8 +18,7 @@ fn service() -> (Clock, Arc<SnapshotService<MemRepository>>) {
     let s = Arc::new(SnapshotService::new(
         MemRepository::new(),
         clock.clone(),
-        256,
-        Duration::hours(8),
+        1 << 20,
     ));
     (clock, s)
 }

@@ -19,12 +19,7 @@ use std::sync::Arc;
 fn setup() -> (Web, Arc<SnapshotService<MemRepository>>, UserId) {
     let clock = Clock::starting_at(Timestamp::from_ymd_hms(1996, 2, 1, 0, 0, 0));
     let web = Web::new(clock.clone());
-    let snapshot = Arc::new(SnapshotService::new(
-        MemRepository::new(),
-        clock,
-        128,
-        Duration::hours(8),
-    ));
+    let snapshot = Arc::new(SnapshotService::new(MemRepository::new(), clock, 1 << 20));
     (web, snapshot, UserId::new("power@att.com"))
 }
 

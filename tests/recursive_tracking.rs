@@ -15,12 +15,7 @@ use std::sync::Arc;
 fn setup() -> (Web, ServerTracker) {
     let clock = Clock::starting_at(Timestamp::from_ymd_hms(1995, 11, 1, 0, 0, 0));
     let web = Web::new(clock.clone());
-    let snapshot = Arc::new(SnapshotService::new(
-        MemRepository::new(),
-        clock,
-        128,
-        Duration::hours(8),
-    ));
+    let snapshot = Arc::new(SnapshotService::new(MemRepository::new(), clock, 1 << 20));
     (web.clone(), ServerTracker::new(web, snapshot))
 }
 

@@ -51,7 +51,7 @@ fn section7_shape_on<R: Repository>(repo: R) -> StorageStats {
         churner_bytes: 40_000,
     };
     let mut pages = population(&web, 2025, &cfg);
-    let service = SnapshotService::new(repo, clock.clone(), 16, Duration::hours(1));
+    let service = SnapshotService::new(repo, clock.clone(), 1 << 20);
     let daemon = UserId::new("archive@daemon");
 
     // 90 days of automatic archival on change (weekly polling cadence).
@@ -136,7 +136,7 @@ fn unchanged_pages_cost_one_revision_forever() {
             clock.now(),
         )
         .unwrap();
-        let service = SnapshotService::new(repo, clock.clone(), 16, Duration::hours(1));
+        let service = SnapshotService::new(repo, clock.clone(), 1 << 20);
         let daemon = UserId::new("archive@daemon");
         let mut size_after_first = 0;
         for day in 0..30 {
@@ -177,8 +177,7 @@ fn disk_repository_roundtrips_a_small_deployment() {
     let service = SnapshotService::new(
         DiskRepository::open_dir(&dir).unwrap(),
         clock.clone(),
-        16,
-        Duration::hours(1),
+        1 << 20,
     );
     let daemon = UserId::new("archive@daemon");
     for _ in 0..6 {
