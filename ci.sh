@@ -52,6 +52,7 @@ echo "== bench smoke (single-iteration, compile-and-run check)"
 AIDE_BENCH_SMOKE=1 cargo bench -q -p aide-bench --bench htmldiff_e2e >/dev/null
 AIDE_BENCH_SMOKE=1 cargo bench -q -p aide-bench --bench snapshot_contention >/dev/null
 AIDE_BENCH_SMOKE=1 cargo bench -q -p aide-bench --bench storage_engine >/dev/null
+AIDE_BENCH_SMOKE=1 cargo bench -q -p aide-bench --bench rcs_ops >/dev/null
 
 echo "== bench regression guard (committed BENCH_htmldiff.json vs budget)"
 cargo run -q --release -p aide-bench --bin bench_guard -- \

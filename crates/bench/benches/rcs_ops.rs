@@ -1,8 +1,8 @@
 //! Criterion bench: revision-store operations.
 //!
-//! Check-in cost, head checkout (free by design), deep checkout (the
-//! reverse-delta chain), and `,v` emit/parse round trips, across history
-//! depths.
+//! Check-in cost, checkout at 0 to 199 deltas from the head of a
+//! 200-revision archive (the reverse-delta chain), and `,v` emit/parse
+//! round trips.
 
 use aide_rcs::archive::{Archive, RevId};
 use aide_rcs::format::{emit, parse};
@@ -44,10 +44,12 @@ fn bench_checkin(c: &mut Criterion) {
 
 fn bench_checkout(c: &mut Criterion) {
     let mut group = c.benchmark_group("checkout_by_depth");
-    let archive = build_archive(100);
-    for rev in [100u32, 50, 1] {
-        group.bench_with_input(BenchmarkId::from_parameter(rev), &rev, |b, &rev| {
-            b.iter(|| black_box(archive.checkout(RevId(rev)).unwrap()));
+    let archive = build_archive(200);
+    // Parameter: deltas applied, i.e. distance from the head.
+    for depth in [0u32, 1, 10, 50, 199] {
+        let rev = RevId(200 - depth);
+        group.bench_with_input(BenchmarkId::from_parameter(depth), &rev, |b, &rev| {
+            b.iter(|| black_box(archive.checkout(rev).unwrap()));
         });
     }
     group.finish();

@@ -101,9 +101,9 @@ fn checkout_depth_cost() {
         let us = t0.elapsed().as_micros() / 20;
         println!("{:<12} {us:>14}", format!("1.{rev}"));
     }
-    println!("\n(the head is free; ancient revisions pay a delta chain — the");
-    println!(" RCS design choice that makes *recent* diffs, the common case,");
-    println!(" cheap.)");
+    println!("\n(the head is one copy; older revisions walk the reverse-delta");
+    println!(" chain in line space, so each delta costs its changed lines plus");
+    println!(" a pointer per line, and depth adds little.)");
 }
 
 fn main() {

@@ -261,9 +261,14 @@ impl Archive {
 
     /// Checks out the full text of `rev` (`co -r`).
     ///
-    /// Cost is proportional to the number of deltas between `rev` and the
-    /// head — the RCS reverse-delta trade-off: new revisions are cheap,
-    /// ancient ones cost a delta chain.
+    /// The head is one copy of the stored text. An older revision walks
+    /// the reverse-delta chain back from the head in line space (see
+    /// [`Delta::apply_lines`]): the head is split into lines once, each
+    /// delta copies line references plus its own added lines, and the
+    /// page is joined once at the end. So a step costs the lines it
+    /// touches plus one pointer per line, not a copy of the page, and
+    /// history depth adds little to the one split and one join every
+    /// non-head checkout pays.
     pub fn checkout(&self, rev: RevId) -> Result<String, ArchiveError> {
         let pos = self
             .metas
@@ -275,12 +280,11 @@ impl Archive {
             "rcs.checkout.chain",
             (self.reverse_deltas.len() - pos) as u64,
         );
-        let mut text = self.head_text.clone();
-        // Walk backwards from the head applying reverse deltas.
-        for k in (pos..self.reverse_deltas.len()).rev() {
-            text = self.reverse_deltas[k].apply(&text)?;
-        }
-        Ok(text)
+        Ok(Delta::apply_chain(
+            &self.head_text,
+            &self.reverse_deltas[pos..],
+            |_, _| {},
+        )?)
     }
 
     /// Checks out the revision in force at `date` (`co -d`): the newest
@@ -343,6 +347,8 @@ impl Archive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::Edit;
+    use proptest::prelude::*;
 
     fn t(day: u64) -> Timestamp {
         Timestamp::from_ymd_hms(1995, 9, 1, 0, 0, 0) + aide_util::time::Duration::days(day)
@@ -511,6 +517,147 @@ mod tests {
         let a = sample();
         assert_eq!(a.meta(RevId(2)).unwrap().author, "bob");
         assert!(a.meta(RevId(99)).is_err());
+    }
+
+    /// An archive whose history is `head` plus hand-written reverse
+    /// deltas, which need not be ones [`Delta::compute`] would produce.
+    fn hand_built(head: &str, reverse_deltas: Vec<Delta>) -> Archive {
+        let metas = (0..=reverse_deltas.len() as u32)
+            .map(|i| RevisionMeta {
+                id: RevId(i + 1),
+                date: t(u64::from(i)),
+                author: "a".into(),
+                log: "l".into(),
+                text_len: 0,
+            })
+            .collect();
+        Archive {
+            description: "d".into(),
+            metas,
+            head_text: head.into(),
+            reverse_deltas,
+        }
+    }
+
+    /// Reference checkout: one whole-text `Delta::apply` per delta.
+    fn chained_apply(a: &Archive, rev: RevId) -> Result<String, DeltaError> {
+        let mut text = a.head_text.clone();
+        for d in a.reverse_deltas[rev.0 as usize - 1..].iter().rev() {
+            text = d.apply(&text)?;
+        }
+        Ok(text)
+    }
+
+    /// Checks every revision of `a` out both ways: equal texts, or both
+    /// fail with the checkout reporting corruption.
+    fn assert_checkouts_match_chained(a: &Archive) {
+        for m in a.metas() {
+            match (a.checkout(m.id), chained_apply(a, m.id)) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want, "revision {}", m.id),
+                (Err(ArchiveError::Corrupt(_)), Err(_)) => {}
+                (got, want) => panic!("revision {}: {got:?} vs {want:?}", m.id),
+            }
+        }
+    }
+
+    fn add(line: usize, lines: &[&str]) -> Edit {
+        Edit::Add {
+            line,
+            lines: lines.iter().map(|l| l.to_string()).collect(),
+        }
+    }
+
+    fn delta(edits: Vec<Edit>) -> Delta {
+        Delta { edits }
+    }
+
+    #[test]
+    fn malformed_deltas_check_out_like_chained_apply() {
+        let del = |line, count| Edit::Delete { line, count };
+        // Each newest delta leaves a line list that is not the split of
+        // its text; the older one then edits by line number, so reusing
+        // the unsplit list would pick the wrong lines or miss a failure.
+        let cases = [
+            // An empty added line: "a\nx\nb\n" is three lines, not four.
+            ("a\nb\n", vec![add(1, &["", "x\n"])], del(3, 1)),
+            ("a\nb\n", vec![add(1, &["", "x\n"])], del(4, 1)),
+            // An unterminated added line mid-text joins the next line.
+            ("a\nb\n", vec![add(1, &["x"])], del(2, 1)),
+            ("a\nb\nc\n", vec![add(1, &["x"])], add(3, &["z\n"])),
+            // An add after an unterminated last line extends that line.
+            ("a\nb", vec![add(2, &["c\n"])], del(2, 1)),
+            ("a\nb", vec![add(2, &["c\n", "d"])], add(3, &["e\n"])),
+            ("a\nb", vec![del(1, 1), add(2, &["c\n"])], del(2, 1)),
+            // An empty last line: "a\n" is one line, not two.
+            ("a\n", vec![add(1, &[""])], add(2, &["z\n"])),
+        ];
+        for (head, newest, older) in cases {
+            let a = hand_built(head, vec![delta(vec![older]), delta(newest)]);
+            assert_checkouts_match_chained(&a);
+        }
+        // A fallback mid-chain still finishes the older deltas.
+        let a = hand_built(
+            "a\nb\nc\n",
+            vec![
+                delta(vec![del(1, 1)]),
+                delta(vec![add(0, &["top\n"])]),
+                delta(vec![add(1, &["", "x"])]),
+                delta(vec![del(3, 1)]),
+            ],
+        );
+        assert_checkouts_match_chained(&a);
+        assert_eq!(a.checkout(RevId(1)).unwrap(), "a\nxb\n");
+    }
+
+    #[test]
+    fn corrupt_deltas_report_corruption() {
+        let a = hand_built(
+            "a\nb\n",
+            vec![
+                delta(vec![Edit::Delete { line: 0, count: 1 }]),
+                delta(vec![Edit::Delete { line: 9, count: 1 }]),
+                delta(vec![
+                    Edit::Delete { line: 2, count: 1 },
+                    Edit::Delete { line: 1, count: 1 },
+                ]),
+                delta(vec![add(5, &["x\n"])]),
+            ],
+        );
+        for rev in 1..=4 {
+            assert!(matches!(
+                a.checkout(RevId(rev)),
+                Err(ArchiveError::Corrupt(_))
+            ));
+        }
+        assert_eq!(a.checkout(RevId(5)).unwrap(), "a\nb\n");
+    }
+
+    fn edit_strategy() -> impl Strategy<Value = Edit> {
+        let line = prop_oneof![Just("x\n"), Just("y\n"), Just(""), Just("z"), Just("@\n")];
+        prop_oneof![
+            (0usize..4, 0usize..3).prop_map(|(line, count)| Edit::Delete { line, count }),
+            (0usize..4, proptest::collection::vec(line, 0..3))
+                .prop_map(|(at, lines)| { add(at, &lines) }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// Random hand-built chains — mostly malformed, often corrupt —
+        /// check out exactly as whole-text chained applies do.
+        #[test]
+        fn random_chains_check_out_like_chained_apply(
+            head in prop_oneof![Just(""), Just("a\n"), Just("a\nb\nc\n"), Just("a\nb\nc")],
+            chain in proptest::collection::vec(proptest::collection::vec(edit_strategy(), 0..3), 1..5),
+        ) {
+            let mut chain: Vec<Delta> = chain.into_iter().map(delta).collect();
+            for d in &mut chain {
+                d.edits.sort_by_key(|e| match e {
+                    Edit::Delete { line, .. } | Edit::Add { line, .. } => *line,
+                });
+            }
+            assert_checkouts_match_chained(&hand_built(head, chain));
+        }
     }
 
     #[test]

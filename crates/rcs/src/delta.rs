@@ -11,7 +11,7 @@
 use aide_diffcore::lines::diff_lines;
 use aide_diffcore::script::EditOp;
 use aide_util::lines::split_keep_newlines;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One edit command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,8 +123,42 @@ impl Delta {
     /// which indicates a corrupted archive, not bad user input.
     pub fn apply(&self, input: &str) -> Result<String, DeltaError> {
         let lines = split_keep_newlines(input);
-        let mut out = String::with_capacity(input.len());
+        let mut out = Vec::with_capacity(lines.len());
+        self.apply_lines(&lines, &mut out)?;
+        Ok(out.concat())
+    }
+
+    /// Applies the delta in line space: replaces `out` with `lines` edited
+    /// by this delta, copying line references rather than bytes. Kept
+    /// lines borrow from `lines`, added ones from the delta itself.
+    ///
+    /// Returns `Ok(true)` when `out` is still what `split_keep_newlines`
+    /// makes of its concatenation, given that `lines` was — true for every
+    /// delta [`Delta::compute`] produces. `Ok(false)` means a hand-built or
+    /// corrupt delta added an empty line or left an unterminated line
+    /// before the end; the concatenation is still right, but the next
+    /// delta must see it re-split.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use aide_rcs::delta::Delta;
+    ///
+    /// let d = Delta::compute("a\nb\nc\n", "a\nx\nc\n");
+    /// let mut out = Vec::new();
+    /// assert!(d.apply_lines(&["a\n", "b\n", "c\n"], &mut out).unwrap());
+    /// assert_eq!(out, ["a\n", "x\n", "c\n"]);
+    /// ```
+    pub fn apply_lines<'a>(
+        &'a self,
+        lines: &[&'a str],
+        out: &mut Vec<&'a str>,
+    ) -> Result<bool, DeltaError> {
+        out.clear();
         let mut cursor = 0usize; // 0-based index of next uncopied input line
+        let mut last_deleted = false;
+        let mut unterminated_adds = 0usize;
+        let mut empty_add = false;
         for edit in &self.edits {
             match edit {
                 Edit::Delete { line, count } => {
@@ -142,10 +176,9 @@ impl Delta {
                             lines.len()
                         )));
                     }
-                    for l in &lines[cursor..start] {
-                        out.push_str(l);
-                    }
+                    out.extend_from_slice(&lines[cursor..start]);
                     cursor = start + count;
+                    last_deleted |= *count > 0 && cursor == lines.len();
                 }
                 Edit::Add { line, lines: add } => {
                     if *line < cursor {
@@ -159,32 +192,82 @@ impl Delta {
                             lines.len()
                         )));
                     }
-                    for l in &lines[cursor..*line] {
-                        out.push_str(l);
-                    }
+                    out.extend_from_slice(&lines[cursor..*line]);
                     cursor = *line;
                     for l in add {
-                        out.push_str(l);
+                        empty_add |= l.is_empty();
+                        unterminated_adds += usize::from(!l.ends_with('\n'));
+                        out.push(l);
                     }
                 }
             }
         }
-        for l in &lines[cursor..] {
-            out.push_str(l);
+        out.extend_from_slice(&lines[cursor..]);
+        // Only an added line or the input's last line can lack a newline;
+        // the split form allows one such line, and only at the end.
+        let kept_unterminated = !last_deleted && lines.last().is_some_and(|l| !l.ends_with('\n'));
+        let unterminated = unterminated_adds + usize::from(kept_unterminated);
+        Ok(!empty_add
+            && (unterminated == 0
+                || (unterminated == 1 && out.last().is_some_and(|l| !l.ends_with('\n')))))
+    }
+
+    /// Applies `chain` to `text` from its last delta to its first —
+    /// `chain[k]` recovers revision `k` from revision `k + 1` — and returns
+    /// the text the first delta yields. `on_step(k, pieces)` sees revision
+    /// `k`'s text as it is reached: as lines, or as one piece after a
+    /// fallback.
+    ///
+    /// Works in line space: `text` is split once, each delta copies line
+    /// references between two reused buffers, and the result is joined
+    /// once, so a step costs O(lines + changed lines), not O(bytes). Output
+    /// is byte-identical to chaining [`Delta::apply`]; should a malformed
+    /// delta leave the lines out of split form, the rest of the chain runs
+    /// on the joined text instead.
+    pub(crate) fn apply_chain(
+        text: &str,
+        chain: &[Delta],
+        mut on_step: impl FnMut(usize, &[&str]),
+    ) -> Result<String, DeltaError> {
+        if chain.is_empty() {
+            return Ok(text.to_owned());
         }
-        Ok(out)
+        let mut cur = split_keep_newlines(text);
+        let mut next = Vec::with_capacity(cur.len());
+        for (k, delta) in chain.iter().enumerate().rev() {
+            let split_form = delta.apply_lines(&cur, &mut next)?;
+            std::mem::swap(&mut cur, &mut next);
+            on_step(k, &cur);
+            if !split_form {
+                let mut text = cur.concat();
+                for (k, delta) in chain[..k].iter().enumerate().rev() {
+                    text = delta.apply(&text)?;
+                    on_step(k, &[text.as_str()]);
+                }
+                return Ok(text);
+            }
+        }
+        Ok(cur.concat())
     }
 
     /// Serializes in `diff -n` syntax (the body of an RCS delta).
     pub fn to_text(&self) -> String {
         let mut out = String::new();
+        self.write_text(&mut out);
+        out
+    }
+
+    /// Appends the [`Delta::to_text`] form to `out`.
+    pub(crate) fn write_text(&self, out: &mut String) {
+        // Writing to a `String` cannot fail, so `writeln!` results are
+        // discarded.
         for edit in &self.edits {
             match edit {
                 Edit::Delete { line, count } => {
-                    out.push_str(&format!("d{line} {count}\n"));
+                    let _ = writeln!(out, "d{line} {count}");
                 }
                 Edit::Add { line, lines } => {
-                    out.push_str(&format!("a{line} {}\n", lines.len()));
+                    let _ = writeln!(out, "a{line} {}", lines.len());
                     for l in lines {
                         // Lines are stored verbatim. Only the final line of
                         // the final command can lack a newline (it can only
@@ -195,7 +278,6 @@ impl Delta {
                 }
             }
         }
-        out
     }
 
     /// Parses `diff -n` syntax produced by [`Delta::to_text`].
@@ -344,6 +426,54 @@ mod tests {
             ],
         };
         assert!(d.apply("a\nb\nc\nd\n").is_err());
+    }
+
+    #[test]
+    fn apply_lines_borrows_and_reports_split_form() {
+        let input = "a\nb\nc";
+        let lines = split_keep_newlines(input);
+        let mut out = Vec::new();
+        let d = Delta::compute(input, "a\nB\nc\nd");
+        assert!(d.apply_lines(&lines, &mut out).unwrap());
+        assert_eq!(out, ["a\n", "B\n", "c\n", "d"]);
+        // Unchanged lines are the input's own slices, not copies.
+        assert!(std::ptr::eq(out[0], lines[0]));
+
+        let add = |line, l: &[&str]| Delta {
+            edits: vec![Edit::Add {
+                line,
+                lines: l.iter().map(|s| s.to_string()).collect(),
+            }],
+        };
+        // Returns the joined output and whether it stayed in split form.
+        let apply = |d: &Delta, input: &str| {
+            let mut out = Vec::new();
+            let split_form = d
+                .apply_lines(&split_keep_newlines(input), &mut out)
+                .unwrap();
+            (out.concat(), split_form)
+        };
+        // Lines that `split_keep_newlines` would never produce.
+        for (d, input) in [
+            (add(1, &[""]), "a\nb\n"),
+            (add(1, &["x"]), "a\nb\n"),
+            (add(2, &["x\n"]), "a\nb"),
+        ] {
+            assert_eq!(apply(&d, input), (d.apply(input).unwrap(), false));
+        }
+        // An unterminated line that ends up last is still split form, as
+        // is an unterminated last line replaced by an add.
+        assert_eq!(apply(&add(2, &["x"]), "a\nb\n"), ("a\nb\nx".into(), true));
+        let replace_last = Delta {
+            edits: vec![
+                Edit::Delete { line: 2, count: 1 },
+                Edit::Add {
+                    line: 2,
+                    lines: vec!["c\n".into(), "d".into()],
+                },
+            ],
+        };
+        assert_eq!(apply(&replace_last, "a\nb"), ("a\nc\nd".into(), true));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::archive::{Archive, RevId, RevisionMeta};
 use crate::delta::Delta;
 use aide_util::time::Timestamp;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Error from [`parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,18 +38,18 @@ impl fmt::Display for FormatError {
 
 impl std::error::Error for FormatError {}
 
-/// Quotes a string in RCS `@` syntax.
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` to `out` in RCS `@` syntax, copying the runs between
+/// `@`s whole and doubling each `@`.
+fn quote_into(out: &mut String, s: &str) {
     out.push('@');
-    for c in s.chars() {
-        if c == '@' {
-            out.push('@');
-        }
-        out.push(c);
+    let mut rest = s;
+    while let Some(at) = rest.find('@') {
+        out.push_str(&rest[..=at]);
+        out.push('@');
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
     out.push('@');
-    out
 }
 
 /// Serializes an archive in `,v` syntax.
@@ -67,40 +67,47 @@ fn quote(s: &str) -> String {
 /// assert_eq!(parse(&text).unwrap(), a);
 /// ```
 pub fn emit(archive: &Archive) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("head\t{};\n", archive.head()));
-    out.push_str("access;\n");
-    out.push_str("symbols;\n");
-    out.push_str("locks; strict;\n");
-    out.push_str("comment\t@# @;\n\n");
+    // Writing to a `String` cannot fail, so the `write!` results below
+    // are discarded.
+    let mut out = String::with_capacity(2 * archive.head_text().len() + 256 * archive.len());
+    let _ = write!(
+        out,
+        "head\t{};\naccess;\nsymbols;\nlocks; strict;\ncomment\t@# @;\n\n",
+        archive.head()
+    );
 
     // Delta table, newest first; `next` points at the previous trunk rev.
     for meta in archive.metas().iter().rev() {
-        let next = if meta.id.0 > 1 {
-            format!("1.{}", meta.id.0 - 1)
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "{}\ndate\t{};\tauthor {};\tstate Exp;\nbranches;\nnext\t{};\n\n",
+        let _ = write!(
+            out,
+            "{}\ndate\t{};\tauthor ",
             meta.id,
-            meta.date.to_rcs_date(),
-            quote(&meta.author),
-            next
-        ));
+            meta.date.to_rcs_date()
+        );
+        quote_into(&mut out, &meta.author);
+        out.push_str(";\tstate Exp;\nbranches;\nnext\t");
+        if meta.id.0 > 1 {
+            let _ = write!(out, "1.{}", meta.id.0 - 1);
+        }
+        out.push_str(";\n\n");
     }
 
     out.push_str("\ndesc\n");
-    out.push_str(&quote(&archive.description));
+    quote_into(&mut out, &archive.description);
     out.push_str("\n\n");
 
     // Text blocks, newest first: head in full, others as reverse deltas.
+    let mut delta_text = String::new();
     for (idx, meta) in archive.metas().iter().enumerate().rev() {
-        out.push_str(&format!("\n{}\nlog\n{}\ntext\n", meta.id, quote(&meta.log)));
+        let _ = write!(out, "\n{}\nlog\n", meta.id);
+        quote_into(&mut out, &meta.log);
+        out.push_str("\ntext\n");
         if meta.id == archive.head() {
-            out.push_str(&quote(archive.head_text()));
+            quote_into(&mut out, archive.head_text());
         } else {
-            out.push_str(&quote(&archive.reverse_deltas[idx].to_text()));
+            delta_text.clear();
+            archive.reverse_deltas[idx].write_text(&mut delta_text);
+            quote_into(&mut out, &delta_text);
         }
         out.push_str("\n\n");
     }
@@ -173,29 +180,18 @@ impl<'a> Cursor<'a> {
     fn at_string(&mut self) -> Result<String, FormatError> {
         self.expect('@')?;
         let mut out = String::new();
-        let bytes = self.src.as_bytes();
         loop {
-            if self.pos >= bytes.len() {
+            // Copy the run up to the next `@` whole.
+            let Some(run) = self.src[self.pos..].find('@') else {
                 return Err(FormatError::new("unterminated @ string"));
-            }
-            if bytes[self.pos] == b'@' {
-                if bytes.get(self.pos + 1) == Some(&b'@') {
-                    out.push('@');
-                    self.pos += 2;
-                } else {
-                    self.pos += 1;
-                    return Ok(out);
-                }
+            };
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.src.as_bytes().get(self.pos) == Some(&b'@') {
+                out.push('@');
+                self.pos += 1;
             } else {
-                // Copy one UTF-8 character.
-                let ch_len = match bytes[self.pos] {
-                    0x00..=0x7F => 1,
-                    0xC0..=0xDF => 2,
-                    0xE0..=0xEF => 3,
-                    _ => 4,
-                };
-                out.push_str(&self.src[self.pos..self.pos + ch_len]);
-                self.pos += ch_len;
+                return Ok(out);
             }
         }
     }
@@ -323,16 +319,16 @@ pub fn parse(text: &str) -> Result<Archive, FormatError> {
         reverse_deltas.push(delta);
     }
 
-    // Recover per-revision text lengths by walking the chain backwards.
+    // Recover per-revision text lengths by walking the chain backwards
+    // in line space, summing line lengths rather than building each text.
     let mut lens = vec![0usize; metas_desc.len()];
-    let mut cur = head_text.clone();
-    lens[metas_desc.len() - 1] = cur.len();
-    for k in (0..reverse_deltas.len()).rev() {
-        cur = reverse_deltas[k]
-            .apply(&cur)
-            .map_err(|e| FormatError::new(format!("applying delta {k}: {e}")))?;
-        lens[k] = cur.len();
-    }
+    lens[metas_desc.len() - 1] = head_text.len();
+    let mut reached = reverse_deltas.len();
+    Delta::apply_chain(&head_text, &reverse_deltas, |k, lines| {
+        lens[k] = lines.iter().map(|l| l.len()).sum();
+        reached = k;
+    })
+    .map_err(|e| FormatError::new(format!("applying delta {}: {e}", reached - 1)))?;
 
     let metas: Vec<RevisionMeta> = metas_desc
         .into_iter()
@@ -480,6 +476,45 @@ mod tests {
         assert!(text.starts_with("head\t1.3;\naccess;\nsymbols;\nlocks; strict;\n"));
         assert!(text.contains("desc\n@http://www.usenix.org/@"));
         assert!(text.contains("date\t1995.10.01.08.30.00;"));
+    }
+
+    /// Pins the exact `,v` bytes of an archive with `@` in its
+    /// description, authors, logs and texts, an empty revision and texts
+    /// without a trailing newline, so a faster emitter cannot drift.
+    #[test]
+    fn emit_bytes_are_pinned() {
+        let t = |d: u64| Timestamp::from_ymd_hms(1996, 1, 22, 9, 0, 0) + Duration::days(d);
+        let mut a = Archive::create(
+            "mailto:webmaster@www.usenix.org",
+            "<HTML>\n<TITLE>@USENIX@</TITLE>\n\nmail douglis@research.att.com\n</HTML>\n",
+            "douglis@research.att.com",
+            "initial @ snapshot",
+            t(0),
+        );
+        a.checkin(
+            "<HTML>\n<TITLE>@@USENIX</TITLE>\n\n\nmail ball@research.att.com\n</HTML>",
+            "ball@research.att.com",
+            "log with @@ and @",
+            t(2),
+        )
+        .unwrap();
+        a.checkin(
+            "@\n<HTML>\n<TITLE>USENIX @ 1996</TITLE>\n\nmail ball@research.att.com\nd1 2\na3 1\n</HTML>\n",
+            "x@y",
+            "@",
+            t(5),
+        )
+        .unwrap();
+        a.checkin("", "nobody", "cleared", t(6)).unwrap();
+        a.checkin("back @ again\nno newline", "a@b@c", "", t(9))
+            .unwrap();
+        let text = emit(&a);
+        assert_eq!(text.len(), 948);
+        assert_eq!(
+            aide_util::checksum::fnv1a64(text.as_bytes()),
+            0x225b_eb12_381f_f65e
+        );
+        assert_eq!(parse(&text).unwrap(), a);
     }
 
     #[test]

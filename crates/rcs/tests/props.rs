@@ -5,6 +5,7 @@
 //! - Delta text format round-trips through parse.
 //! - Archives check out every revision exactly as checked in, including
 //!   after an emit/parse round trip of the `,v` format.
+//! - Checkout's line-space delta walk equals chained whole-text applies.
 //! - Unchanged check-ins never create revisions.
 
 use aide_rcs::archive::Archive;
@@ -89,6 +90,28 @@ proptest! {
                 parsed.checkout(meta.id).unwrap(),
                 archive.checkout(meta.id).unwrap()
             );
+        }
+    }
+
+    /// The line-space checkout walk gives exactly what applying each
+    /// reverse delta to the whole text in turn gives.
+    #[test]
+    fn checkout_matches_chained_apply(texts in proptest::collection::vec(text_strategy(), 1..10)) {
+        let mut archive = Archive::create("k", &texts[0], "u", "init", Timestamp(0));
+        // The texts that became revisions, oldest first.
+        let mut stored = vec![texts[0].clone()];
+        for (i, t) in texts.iter().enumerate().skip(1) {
+            if archive.checkin(t, "u", "log", Timestamp(i as u64 * 100)).unwrap().is_new() {
+                stored.push(t.clone());
+            }
+        }
+        // The reverse deltas check-in stored, applied newest first.
+        let metas = archive.metas();
+        let mut expected = stored[stored.len() - 1].clone();
+        prop_assert_eq!(archive.checkout(archive.head()).unwrap(), expected.clone());
+        for k in (0..stored.len() - 1).rev() {
+            expected = Delta::compute(&stored[k + 1], &stored[k]).apply(&expected).unwrap();
+            prop_assert_eq!(archive.checkout(metas[k].id).unwrap(), expected.clone());
         }
     }
 

@@ -18,18 +18,7 @@
 /// assert_eq!(lines.concat(), "a\nb\nc");
 /// ```
 pub fn split_keep_newlines(text: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    for (i, b) in text.bytes().enumerate() {
-        if b == b'\n' {
-            out.push(&text[start..=i]);
-            start = i + 1;
-        }
-    }
-    if start < text.len() {
-        out.push(&text[start..]);
-    }
-    out
+    text.split_inclusive('\n').collect()
 }
 
 /// Splits `text` into lines *without* their newlines, recording whether the
