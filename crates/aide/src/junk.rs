@@ -146,14 +146,14 @@ pub fn classify(old_html: &str, new_html: &str) -> JunkReport {
             for (idx, item) in a.items.iter().enumerate() {
                 if let Inline::Word(w) = item {
                     if !matched_a.contains(&idx) {
-                        changed_words.push(w.clone());
+                        changed_words.push(w.to_string());
                     }
                 }
             }
             for (idx, item) in b.items.iter().enumerate() {
                 if let Inline::Word(w) = item {
                     if !matched_b.contains(&idx) {
-                        changed_words.push(w.clone());
+                        changed_words.push(w.to_string());
                     }
                 }
             }
@@ -169,7 +169,7 @@ pub fn classify(old_html: &str, new_html: &str) -> JunkReport {
         if let DiffToken::Sentence(s) = t {
             for item in &s.items {
                 if let Inline::Word(w) = item {
-                    changed_words.push(w.clone());
+                    changed_words.push(w.to_string());
                 }
             }
         }
@@ -181,7 +181,7 @@ pub fn classify(old_html: &str, new_html: &str) -> JunkReport {
         if let DiffToken::Sentence(s) = t {
             for item in &s.items {
                 if let Inline::Word(w) = item {
-                    changed_words.push(w.clone());
+                    changed_words.push(w.to_string());
                 }
             }
         }

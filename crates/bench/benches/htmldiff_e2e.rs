@@ -1,6 +1,7 @@
 //! Criterion bench: HtmlDiff end to end.
 //!
-//! Tokenize + compare + render across document sizes and change rates —
+//! Tokenize + compare + render across document sizes and change rates,
+//! plus each stage alone on the cold-dig page shape —
 //! the server-side cost §4.2 worries about ("the need to execute
 //! HtmlDiff on the server can result in high processor loads").
 
@@ -50,10 +51,36 @@ fn bench_change_rates(c: &mut Criterion) {
 fn bench_tokenize(c: &mut Criterion) {
     let mut rng = Rng::new(9);
     let html = Page::generate(&mut rng, 32 * 1024).render();
+    let (page, _) = pair(8 * 1024, EditModel::InPlaceEdit { sentences: 2 });
     let mut group = c.benchmark_group("tokenize");
     group.throughput(Throughput::Bytes(html.len() as u64));
     group.bench_function("32kb", |b| {
         b.iter(|| black_box(tokenize(&html)));
+    });
+    group.throughput(Throughput::Bytes(page.len() as u64));
+    group.bench_function("8kb", |b| {
+        b.iter(|| black_box(tokenize(&page)));
+    });
+    group.finish();
+}
+
+fn bench_stages(c: &mut Criterion) {
+    // The stages of one cold diff on the cold-dig page shape (8KB, a
+    // two-sentence in-place edit): alignment alone, then `diff_tokens`
+    // on pre-tokenized streams (alignment plus rendering), so the
+    // render cost is the difference between the two rows.
+    use aide_htmldiff::compare::{compare_tokens, CompareOptions};
+    use aide_htmldiff::present::diff_tokens;
+    let (old, new) = pair(8 * 1024, EditModel::InPlaceEdit { sentences: 2 });
+    let (old_t, new_t) = (tokenize(&old), tokenize(&new));
+    let mut group = c.benchmark_group("compare_tokens");
+    group.bench_function("8kb_inplace", |b| {
+        b.iter(|| black_box(compare_tokens(&old_t, &new_t, &CompareOptions::default())));
+    });
+    group.finish();
+    let mut group = c.benchmark_group("render");
+    group.bench_function("8kb_inplace", |b| {
+        b.iter(|| black_box(diff_tokens(&old_t, &new_t, &Options::default())));
     });
     group.finish();
 }
@@ -130,6 +157,7 @@ criterion_group!(
     bench_sizes,
     bench_change_rates,
     bench_tokenize,
+    bench_stages,
     bench_length_screen,
     bench_anchored_vs_naive
 );

@@ -21,16 +21,21 @@
 //! By default the outer alignment runs through the anchored
 //! decomposition of [`aide_diffcore::anchor`] over per-token metadata
 //! precomputed once per stream: a match-class hash, the cached content
-//! length, and interned `u32` ids for every sentence item, stored in a
-//! per-diff arena drawn from the [`aide_diffcore::scratch`] pools so
-//! back-to-back diffs reuse their allocations. Score probes are then
-//! O(1) screens plus an integer-compare inner LCS instead of deep
-//! re-walks of the item lists — and before any inner LCS runs, a
-//! multiset-intersection bound over each sentence's *sorted* content ids
-//! proves most non-matching pairs apart in a single merge walk (the
-//! intersection size is an upper bound on the achievable `W`, so a pair
-//! whose bound already fails the `2W/L` threshold is rejected without
-//! the DP; pairs that could match still run the exact inner LCS). The
+//! length, and interned `u32` ids for every sentence item and break,
+//! stored in a per-diff arena drawn from the [`aide_diffcore::scratch`]
+//! pools so back-to-back diffs reuse their allocations. The interner
+//! keys borrow words and tag fields from the token streams, so interning
+//! copies nothing, and a new sentence identical to an old one copies the
+//! old one's ids instead of interning again. Score probes are then O(1)
+//! screens plus an integer-compare inner LCS instead of deep re-walks of
+//! the item lists: a break probe is one id compare, and before any inner
+//! LCS runs, a multiset-intersection bound over each sentence's content
+//! ids — read off per-sentence bitmaps, with a merge walk over the
+//! *sorted* ids only when the bitmaps cannot settle it — proves most
+//! non-matching pairs apart (the intersection size is an upper bound on
+//! the achievable `W`, so a pair whose bound already fails the `2W/L`
+//! threshold is rejected without the DP; pairs that could match still
+//! run the exact inner LCS). The
 //! output is byte-identical to the
 //! naive full DP on edit-structured inputs (the property suite asserts
 //! it across the workload edit models); every hash equality that feeds
@@ -48,9 +53,10 @@ use aide_diffcore::metrics::lcs_ratio;
 use aide_diffcore::scratch;
 use aide_diffcore::script::Alignment;
 use aide_diffcore::Interner;
-use aide_htmlkit::lexer::TagKind;
+use aide_htmlkit::lexer::{Tag, TagKind};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tunables for the comparison.
@@ -128,7 +134,7 @@ fn length_screened(la: usize, lb: usize, opts: &CompareOptions) -> bool {
 /// let w = sentence_match_weight(sa, sb, &CompareOptions::default());
 /// assert_eq!(w, 4); // the, quick, fox, jumps
 /// ```
-pub fn sentence_match_weight(a: &Sentence, b: &Sentence, opts: &CompareOptions) -> u64 {
+pub fn sentence_match_weight(a: &Sentence<'_>, b: &Sentence<'_>, opts: &CompareOptions) -> u64 {
     let la = a.content_len();
     let lb = b.content_len();
     if la == 0 && lb == 0 {
@@ -161,24 +167,46 @@ pub fn sentence_match_weight(a: &Sentence, b: &Sentence, opts: &CompareOptions) 
     }
 }
 
-/// The equivalence class of one sentence item under [`Inline::matches`]:
-/// words verbatim, markups modulo attribute order. Interning these gives
-/// dense ids whose equality *is* `matches`, so the inner LCS compares
-/// integers.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum ItemKey {
-    Word(String),
-    Markup(String, TagKind, Vec<(String, Option<String>)>),
+/// The equivalence class of one sentence item under [`Inline::matches`]
+/// (words verbatim, markups modulo attribute order), or of one break
+/// under [`Tag::matches_modulo_order`]. Interning these gives dense ids
+/// whose equality *is* the match predicate, so the inner LCS and break
+/// probes compare integers. Keys borrow from the token streams.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum ItemKey<'t> {
+    Word(&'t str),
+    Markup(&'t str, TagKind, Vec<(&'t str, Option<&'t str>)>),
 }
 
-fn item_key(item: &Inline) -> ItemKey {
-    match item {
-        Inline::Word(w) => ItemKey::Word(w.clone()),
-        Inline::Markup(tag) => {
-            let mut attrs = tag.attrs.clone();
-            attrs.sort();
-            ItemKey::Markup(tag.name.clone(), tag.kind, attrs)
+impl Hash for ItemKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            // Nearly every key is a word: feed its bytes in one write.
+            // A word that hashes like a markup is told apart by `Eq`.
+            ItemKey::Word(w) => state.write(w.as_bytes()),
+            ItemKey::Markup(name, kind, attrs) => {
+                name.hash(state);
+                kind.hash(state);
+                attrs.hash(state);
+            }
         }
+    }
+}
+
+fn tag_key(tag: &Tag) -> ItemKey<'_> {
+    let mut attrs: Vec<_> = tag
+        .attrs
+        .iter()
+        .map(|(n, v)| (n.as_str(), v.as_deref()))
+        .collect();
+    attrs.sort_unstable();
+    ItemKey::Markup(&tag.name, tag.kind, attrs)
+}
+
+fn item_key<'t>(item: &'t Inline<'_>) -> ItemKey<'t> {
+    match item {
+        Inline::Word(w) => ItemKey::Word(w),
+        Inline::Markup(tag) => tag_key(tag),
     }
 }
 
@@ -220,6 +248,7 @@ impl MetaArena {
 /// Per-token comparison metadata, precomputed once per stream so score
 /// probes never re-walk item lists. Item data lives in the shared
 /// [`MetaArena`]; tokens hold ranges.
+#[derive(Clone, Copy)]
 struct TokenMeta {
     /// [`token_class_hash`]: equal is necessary for a maximal-weight
     /// identical match, unequal proves tokens differ.
@@ -237,36 +266,86 @@ struct TokenMeta {
     /// (`0` for breaks / contentless sentences) — the factor that turns
     /// a distinct-id intersection count into a multiset bound.
     max_mult: u64,
-    /// True for break tokens (max match weight 1).
-    is_break: bool,
+    /// For break tokens (max match weight 1), the interned modulo-order
+    /// key: two breaks match iff their ids are equal. `None` for
+    /// sentences.
+    break_id: Option<u32>,
 }
 
-fn build_meta(
-    tokens: &[DiffToken],
-    interner: &mut Interner<ItemKey>,
+impl TokenMeta {
+    fn is_break(&self) -> bool {
+        self.break_id.is_some()
+    }
+}
+
+/// Builds the metadata of `tokens`. With `earlier` — the other stream
+/// and its finished metadata — a sentence deeply equal to one of that
+/// stream's copies its item ids instead of interning every item again:
+/// equal items have equal keys, so the ids are the ones interning would
+/// assign. Between two revisions of a page that is nearly every
+/// sentence.
+fn build_meta<'t>(
+    tokens: &'t [DiffToken<'_>],
+    earlier: Option<(&[DiffToken<'_>], &[TokenMeta])>,
+    interner: &mut Interner<ItemKey<'t>>,
     arena: &mut MetaArena,
 ) -> Vec<TokenMeta> {
+    // First sentence of `earlier` in each class.
+    let mut first_of_class: HashMap<u64, usize> = HashMap::new();
+    if let Some((_, metas)) = earlier {
+        for (k, m) in metas.iter().enumerate() {
+            if !m.is_break() {
+                first_of_class.entry(m.class_hash).or_insert(k);
+            }
+        }
+    }
     tokens
         .iter()
         .map(|t| match t {
-            DiffToken::Break(_) => TokenMeta {
-                class_hash: token_class_hash(t),
-                content_len: 0,
-                items_start: arena.ids.len(),
-                items_end: arena.ids.len(),
-                sorted_start: arena.sorted_content.len(),
-                sorted_end: arena.sorted_content.len(),
-                max_mult: 0,
-                is_break: true,
-            },
+            DiffToken::Break(tag) => {
+                // Break names are sentence-breaking and inline markup
+                // names are not, so break ids never occur among items.
+                let id = interner.intern(tag_key(tag));
+                if id as usize == arena.id_is_content.len() {
+                    arena.id_is_content.push(false);
+                }
+                TokenMeta {
+                    class_hash: token_class_hash(t),
+                    content_len: 0,
+                    items_start: arena.ids.len(),
+                    items_end: arena.ids.len(),
+                    sorted_start: arena.sorted_content.len(),
+                    sorted_end: arena.sorted_content.len(),
+                    max_mult: 0,
+                    break_id: Some(id),
+                }
+            }
             DiffToken::Sentence(s) => {
+                let class_hash = token_class_hash(t);
+                let twin = earlier.and_then(|(toks, metas)| {
+                    let &k = first_of_class.get(&class_hash)?;
+                    (toks[k] == *t).then_some(metas[k])
+                });
+                if let Some(m) = twin {
+                    let items_start = arena.ids.len();
+                    arena.ids.extend_from_within(m.items_start..m.items_end);
+                    let sorted_start = arena.sorted_content.len();
+                    arena
+                        .sorted_content
+                        .extend_from_within(m.sorted_start..m.sorted_end);
+                    return TokenMeta {
+                        items_start,
+                        items_end: arena.ids.len(),
+                        sorted_start,
+                        sorted_end: arena.sorted_content.len(),
+                        ..m
+                    };
+                }
                 let items_start = arena.ids.len();
                 for it in &s.items {
                     let id = interner.intern(item_key(it));
-                    let slot = id as usize;
-                    if slot >= arena.id_is_content.len() {
-                        arena.id_is_content.resize(slot + 1, false);
-                        arena.id_is_content[slot] = it.is_content();
+                    if id as usize == arena.id_is_content.len() {
+                        arena.id_is_content.push(it.is_content());
                     }
                     arena.ids.push(id);
                 }
@@ -288,14 +367,16 @@ fn build_meta(
                     max_mult = max_mult.max(run);
                 }
                 TokenMeta {
-                    class_hash: token_class_hash(t),
-                    content_len: s.content_len(),
+                    class_hash,
+                    // One sorted id per content item: this is
+                    // `Sentence::content_len` without a second walk.
+                    content_len: arena.sorted_content.len() - sorted_start,
                     items_start,
                     items_end,
                     sorted_start,
                     sorted_end: arena.sorted_content.len(),
                     max_mult,
-                    is_break: false,
+                    break_id: None,
                 }
             }
         })
@@ -358,18 +439,54 @@ fn build_needed_table(mo: &[TokenMeta], mn: &[TokenMeta], threshold: f64) -> Vec
 
 /// Per-compare probe acceleration tables: the prune-threshold lookup
 /// plus a per-token content-id bitmap matrix (one row per token, old
-/// stream first) over the shared interner's id space. The bitmaps are
-/// *exact*, not hashed — bit `id` is set iff the sentence contains
-/// content id `id` — so `popcount(row_a & row_b)` is exactly the number
-/// of distinct shared content ids, and `distinct · min(max_mult)` is a
-/// sound upper bound on the multiset intersection the merge walk would
-/// compute. Most mismatched sentence pairs are rejected by a few
-/// word-sized ANDs without ever entering the walk.
+/// stream first). Columns exist only for the content ids that occur on
+/// *both* sides, numbered densely: an id on one side only can never be
+/// set in both an old and a new row, so leaving it out changes no AND
+/// and shortens every row. Each row has two layers of `sig_words`
+/// words: layer 1 sets a shared id's bit iff the sentence contains the
+/// id, layer 2 iff it contains it at least twice. The bitmaps are
+/// *exact*, not hashed, and the multiset intersection the merge walk
+/// computes is `Σ_k popcount(layer_k(a) & layer_k(b))` over count
+/// layers `k ≥ 1`, so with `m = min(max_mult)`:
+///
+/// - `popcount(l1(a) & l1(b)) + (m - 1) · popcount(l2(a) & l2(b))` is a
+///   sound upper bound on it (layers above 2 are subsets of layer 2,
+///   and empty past `m`), and
+/// - for `m ≤ 2` that bound *is* the intersection.
+///
+/// So most sentence pairs are decided by a few word-sized ANDs, and only
+/// pairs with a word repeated three times on both sides that pass the
+/// bound pay for the walk.
 struct ProbeTables {
     needed: Vec<u64>,
     sig: Vec<u64>,
     sig_words: usize,
     new_row_base: usize,
+}
+
+impl ProbeTables {
+    /// Upper bound on the multiset intersection of old sentence `i`'s
+    /// and new sentence `j`'s content ids, and whether it is exact.
+    fn intersection_bound(&self, i: usize, j: usize, min_mult: u64) -> (u64, bool) {
+        let w = self.sig_words;
+        let a = &self.sig[2 * w * i..2 * w * (i + 1)];
+        let b = &self.sig[2 * w * (self.new_row_base + j)..2 * w * (self.new_row_base + j + 1)];
+        let common = |layer: usize| -> u64 {
+            let (a, b) = (
+                &a[layer * w..(layer + 1) * w],
+                &b[layer * w..(layer + 1) * w],
+            );
+            a.iter()
+                .zip(b)
+                .map(|(x, y)| u64::from((x & y).count_ones()))
+                .sum()
+        };
+        let distinct = common(0);
+        if min_mult < 2 {
+            return (distinct, true);
+        }
+        (distinct + (min_mult - 1) * common(1), min_mult == 2)
+    }
 }
 
 fn build_probe_tables(
@@ -379,16 +496,45 @@ fn build_probe_tables(
     vocab: usize,
     threshold: f64,
 ) -> ProbeTables {
-    let sig_words = vocab.div_ceil(64);
-    let mut sig = scratch::take_u64_buf();
-    sig.clear();
-    sig.resize((mo.len() + mn.len()) * sig_words, 0);
-    for (row, m) in mo.iter().chain(mn.iter()).enumerate() {
-        let base = row * sig_words;
-        for &id in &arena.sorted_content[m.sorted_start..m.sorted_end] {
-            sig[base + (id as usize >> 6)] |= 1u64 << (id & 63);
+    // `column[id]`: bit 0 / bit 1 = seen in an old / new sentence, then
+    // rewritten to the shared id's column + 1 (0 = not shared).
+    let mut column = scratch::take_u32_buf();
+    column.clear();
+    column.resize(vocab, 0);
+    for (side, metas) in [(1, mo), (2, mn)] {
+        for m in metas {
+            for &id in &arena.sorted_content[m.sorted_start..m.sorted_end] {
+                column[id as usize] |= side;
+            }
         }
     }
+    let mut shared = 0u32;
+    for c in column.iter_mut() {
+        *c = if *c == 3 {
+            shared += 1;
+            shared
+        } else {
+            0
+        };
+    }
+    let sig_words = (shared as usize).div_ceil(64);
+    let mut sig = scratch::take_u64_buf();
+    sig.clear();
+    sig.resize((mo.len() + mn.len()) * 2 * sig_words, 0);
+    for (row, m) in mo.iter().chain(mn.iter()).enumerate() {
+        let ids = &arena.sorted_content[m.sorted_start..m.sorted_end];
+        for (k, &id) in ids.iter().enumerate() {
+            let Some(col) = column[id as usize].checked_sub(1) else {
+                continue;
+            };
+            // Sorted ids put repeats side by side: a repeat of the
+            // previous id goes to layer 2 (further repeats land there
+            // again, harmlessly).
+            let layer = usize::from(k > 0 && ids[k - 1] == id);
+            sig[(2 * row + layer) * sig_words + (col as usize >> 6)] |= 1u64 << (col & 63);
+        }
+    }
+    scratch::give_u32_buf(column);
     ProbeTables {
         needed: build_needed_table(mo, mn, threshold),
         sig,
@@ -406,108 +552,107 @@ struct ScoreCounters {
     screened: AtomicUsize,
 }
 
-/// Scores token pair `(i, j)` through the precomputed metadata. Pure
-/// (same inputs → same output) and thread-safe; exact-match decisions
-/// gate on hashes but confirm with deep comparison, so the score
-/// function — and therefore the alignment — is collision-proof.
-#[allow(clippy::too_many_arguments)]
-fn score_with_meta(
-    old: &[DiffToken],
-    new: &[DiffToken],
-    mo: &[TokenMeta],
-    mn: &[TokenMeta],
-    arena: &MetaArena,
-    i: usize,
-    j: usize,
-    opts: &CompareOptions,
-    tables: &ProbeTables,
-    counters: &ScoreCounters,
-) -> u64 {
-    // Dispatch on the compact metadata, not the token enums: break
-    // probes decide on two meta loads and only a hash-equal break pair
-    // (a plausible match) pays for touching the tokens themselves.
-    if mo[i].is_break || mn[j].is_break {
-        if mo[i].is_break && mn[j].is_break && mo[i].class_hash == mn[j].class_hash {
-            if let (DiffToken::Break(ta), DiffToken::Break(tb)) = (&old[i], &new[j]) {
-                return u64::from(ta.matches_modulo_order(tb));
+/// Everything a score probe reads, built once per comparison.
+struct Scorer<'s, 'a> {
+    old: &'s [DiffToken<'a>],
+    new: &'s [DiffToken<'a>],
+    mo: &'s [TokenMeta],
+    mn: &'s [TokenMeta],
+    arena: &'s MetaArena,
+    opts: &'s CompareOptions,
+    tables: &'s ProbeTables,
+    counters: &'s ScoreCounters,
+}
+
+impl Scorer<'_, '_> {
+    /// Scores token pair `(i, j)` through the precomputed metadata. Pure
+    /// (same inputs → same output) and thread-safe; exact-match
+    /// decisions gate on hashes but confirm with deep comparison (or
+    /// interned ids, whose equality is the match predicate), so the
+    /// score function — and therefore the alignment — is
+    /// collision-proof.
+    #[inline]
+    fn score(&self, i: usize, j: usize) -> u64 {
+        // Dispatch on the compact metadata, not the token enums: a break
+        // probe is one id compare, made inline; only sentence pairs pay
+        // for the call into the sentence scorer.
+        match (self.mo[i].break_id, self.mn[j].break_id) {
+            (Some(a), Some(b)) => u64::from(a == b),
+            (None, None) => self.score_sentences(i, j),
+            _ => 0,
+        }
+    }
+
+    fn score_sentences(&self, i: usize, j: usize) -> u64 {
+        let (mo, mn, arena, opts, tables) = (self.mo, self.mn, self.arena, self.opts, self.tables);
+        // Track screen/inner-LCS traffic for the ablation experiment.
+        let la = mo[i].content_len;
+        let lb = mn[j].content_len;
+        if length_screened(la, lb, opts) {
+            self.counters.screened.fetch_add(1, Ordering::Relaxed);
+            return 0;
+        }
+        let eq = mo[i].class_hash == mn[j].class_hash && self.old[i] == self.new[j];
+        if !eq {
+            self.counters.inner.fetch_add(1, Ordering::Relaxed);
+        }
+        if la == 0 && lb == 0 {
+            return u64::from(eq);
+        }
+        if eq {
+            return la.max(1) as u64;
+        }
+        // Intersection prune: the inner LCS's W counts content items
+        // matched by equal ids, and matched pairs are disjoint, so W
+        // can never exceed the multiset intersection of the two
+        // sentences' content-id multisets. When that intersection
+        // cannot reach the smallest weight the `2W/L` threshold
+        // accepts, the exact DP is skipped with an identical verdict.
+        // This runs *after* the counter increments so probe statistics
+        // are unchanged.
+        let needed = tables.needed[la + lb];
+        if (la.min(lb) as u64) < needed {
+            return 0;
+        }
+        // The layered bitmaps bound the intersection from above, and
+        // settle it exactly unless some content id repeats three times on
+        // both sides; only then does a merge walk over the presorted ids
+        // decide, bailing the moment the answer is known either way.
+        let (bound, exact) = tables.intersection_bound(i, j, mo[i].max_mult.min(mn[j].max_mult));
+        if bound < needed {
+            return 0;
+        }
+        if !exact {
+            let sca = &arena.sorted_content[mo[i].sorted_start..mo[i].sorted_end];
+            let scb = &arena.sorted_content[mn[j].sorted_start..mn[j].sorted_end];
+            if !intersection_reaches(sca, scb, needed) {
+                return 0;
             }
         }
-        return 0;
-    }
-    // Track screen/inner-LCS traffic for the ablation experiment.
-    let la = mo[i].content_len;
-    let lb = mn[j].content_len;
-    if length_screened(la, lb, opts) {
-        counters.screened.fetch_add(1, Ordering::Relaxed);
-        return 0;
-    }
-    let eq = mo[i].class_hash == mn[j].class_hash && old[i] == new[j];
-    if !eq {
-        counters.inner.fetch_add(1, Ordering::Relaxed);
-    }
-    if la == 0 && lb == 0 {
-        return u64::from(eq);
-    }
-    if eq {
-        return la.max(1) as u64;
-    }
-    // Intersection prune: the inner LCS's W counts content items
-    // matched by equal ids, and matched pairs are disjoint, so W
-    // can never exceed the multiset intersection of the two
-    // sentences' content-id multisets. A merge walk over the
-    // presorted ids decides whether that bound can reach the
-    // smallest weight the `2W/L` threshold accepts — bailing the
-    // moment the answer is known either way — and when it cannot,
-    // the exact DP is skipped with an identical verdict. This
-    // runs *after* the counter increments so probe statistics
-    // are unchanged.
-    let needed = tables.needed[la + lb];
-    if (la.min(lb) as u64) < needed {
-        return 0;
-    }
-    // Bitmap prefilter: count distinct shared content ids with word-wide
-    // ANDs; if even `distinct · min(max_mult)` cannot reach `needed`,
-    // neither can the multiset intersection, so the walk is skipped with
-    // an identical verdict.
-    let w = tables.sig_words;
-    let rowa = &tables.sig[i * w..(i + 1) * w];
-    let rowb = &tables.sig[(tables.new_row_base + j) * w..(tables.new_row_base + j + 1) * w];
-    let distinct: u32 = rowa
-        .iter()
-        .zip(rowb)
-        .map(|(x, y)| (x & y).count_ones())
-        .sum();
-    if u64::from(distinct) * mo[i].max_mult.min(mn[j].max_mult) < needed {
-        return 0;
-    }
-    let sca = &arena.sorted_content[mo[i].sorted_start..mo[i].sorted_end];
-    let scb = &arena.sorted_content[mn[j].sorted_start..mn[j].sorted_end];
-    if !intersection_reaches(sca, scb, needed) {
-        return 0;
-    }
-    let aid = &arena.ids[mo[i].items_start..mo[i].items_end];
-    let bid = &arena.ids[mn[j].items_start..mn[j].items_end];
-    let pairs = weighted_lcs(aid.len(), bid.len(), &|x, y| u64::from(aid[x] == bid[y]));
-    let w = pairs
-        .iter()
-        .filter(|&&(x, _)| arena.id_is_content[aid[x] as usize])
-        .count() as u64;
-    if w == 0 {
-        return 0;
-    }
-    if lcs_ratio(w, la, lb) >= opts.match_threshold {
-        w
-    } else {
-        0
+        let aid = &arena.ids[mo[i].items_start..mo[i].items_end];
+        let bid = &arena.ids[mn[j].items_start..mn[j].items_end];
+        let pairs = weighted_lcs(aid.len(), bid.len(), &|x, y| u64::from(aid[x] == bid[y]));
+        let w = pairs
+            .iter()
+            .filter(|&&(x, _)| arena.id_is_content[aid[x] as usize])
+            .count() as u64;
+        if w == 0 {
+            return 0;
+        }
+        if lcs_ratio(w, la, lb) >= opts.match_threshold {
+            w
+        } else {
+            0
+        }
     }
 }
 
 /// Deep equality for alignment decisions: breaks modulo attribute order
-/// (their match predicate), sentences exactly.
-fn tokens_identical(a: &DiffToken, b: &DiffToken) -> bool {
-    match (a, b) {
-        (DiffToken::Break(ta), DiffToken::Break(tb)) => ta.matches_modulo_order(tb),
-        (DiffToken::Sentence(_), DiffToken::Sentence(_)) => a == b,
+/// (their match predicate, as interned ids), sentences exactly.
+fn tokens_identical(a: &DiffToken<'_>, ma: &TokenMeta, b: &DiffToken<'_>, mb: &TokenMeta) -> bool {
+    match (ma.break_id, mb.break_id) {
+        (Some(x), Some(y)) => x == y,
+        (None, None) => a == b,
         _ => false,
     }
 }
@@ -553,22 +698,27 @@ fn naive_pairs(n: usize, m: usize, score: &impl Fn(usize, usize) -> u64) -> Vec<
 /// [`CompareOptions::force_naive`]; both produce the same output on real
 /// inputs (see the module docs for the exact guarantee).
 pub fn compare_tokens(
-    old: &[DiffToken],
-    new: &[DiffToken],
+    old: &[DiffToken<'_>],
+    new: &[DiffToken<'_>],
     opts: &CompareOptions,
 ) -> TokenAlignment {
     let mut interner = Interner::new();
     let mut arena = MetaArena::take();
-    let mo = build_meta(old, &mut interner, &mut arena);
-    let mn = build_meta(new, &mut interner, &mut arena);
+    let mo = build_meta(old, None, &mut interner, &mut arena);
+    let mn = build_meta(new, Some((old, &mo)), &mut interner, &mut arena);
     let counters = ScoreCounters::default();
     let tables = build_probe_tables(&mo, &mn, &arena, interner.len(), opts.match_threshold);
-    let arena_ref = &arena;
-    let score = |i: usize, j: usize| {
-        score_with_meta(
-            old, new, &mo, &mn, arena_ref, i, j, opts, &tables, &counters,
-        )
+    let scorer = Scorer {
+        old,
+        new,
+        mo: &mo,
+        mn: &mn,
+        arena: &arena,
+        opts,
+        tables: &tables,
+        counters: &counters,
     };
+    let score = |i: usize, j: usize| scorer.score(i, j);
 
     aide_obs::counter("htmldiff.compare", 1);
     let pairs = if opts.force_naive {
@@ -588,9 +738,9 @@ pub fn compare_tokens(
         a_ids.extend(mo.iter().map(|m| m.class_hash));
         let mut b_ids = scratch::take_u64_buf();
         b_ids.extend(mn.iter().map(|m| m.class_hash));
-        let a_unit: Vec<bool> = mo.iter().map(|m| m.is_break).collect();
-        let b_unit: Vec<bool> = mn.iter().map(|m| m.is_break).collect();
-        let verify = |i: usize, j: usize| tokens_identical(&old[i], &new[j]);
+        let a_unit: Vec<bool> = mo.iter().map(TokenMeta::is_break).collect();
+        let b_unit: Vec<bool> = mn.iter().map(TokenMeta::is_break).collect();
+        let verify = |i: usize, j: usize| tokens_identical(&old[i], &mo[i], &new[j], &mn[j]);
         let cfg = AnchorConfig {
             workers: opts.gap_workers.max(1),
             ..AnchorConfig::default()
@@ -660,7 +810,7 @@ mod tests {
     use super::*;
     use crate::tokenize::tokenize;
 
-    fn first_sentence(html: &str) -> Sentence {
+    fn first_sentence(html: &str) -> Sentence<'_> {
         tokenize(html)
             .into_iter()
             .find_map(|t| match t {

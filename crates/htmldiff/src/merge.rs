@@ -12,8 +12,9 @@
 //! appear.
 
 use crate::compare::TokenAlignment;
-use crate::token::{DiffToken, Sentence};
+use crate::token::{push_words, DiffToken, Sentence};
 use aide_diffcore::script::EditOp;
+use std::fmt::Write;
 
 /// Statistics of one comparison, for reports and experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -113,7 +114,7 @@ pub fn segments(alignment: &TokenAlignment) -> Vec<Segment> {
 /// Whether an old-only run contains visible content (worth an arrow and a
 /// strike-out). Pure-markup deletions are format changes and are elided
 /// silently.
-pub fn old_run_has_content(old: &[DiffToken], idxs: &[usize]) -> bool {
+pub fn old_run_has_content(old: &[DiffToken<'_>], idxs: &[usize]) -> bool {
     idxs.iter().any(|&i| match &old[i] {
         DiffToken::Sentence(s) => s.word_count() > 0,
         DiffToken::Break(_) => false,
@@ -121,37 +122,45 @@ pub fn old_run_has_content(old: &[DiffToken], idxs: &[usize]) -> bool {
 }
 
 /// Whether a new-only run contains content (sentences with any items).
-pub fn new_run_has_content(new: &[DiffToken], idxs: &[usize]) -> bool {
+pub fn new_run_has_content(new: &[DiffToken<'_>], idxs: &[usize]) -> bool {
     idxs.iter()
         .any(|&i| matches!(&new[i], DiffToken::Sentence(s) if !s.is_empty()))
 }
 
-/// Renders markup for an arrow site: a named anchor chained to the next
-/// difference, wrapping an arrow image.
-pub fn arrow(site: usize, total: usize, img: &str, alt: &str) -> String {
-    let next = if site + 1 < total {
-        format!("#diff{}", site + 1)
+/// Appends markup for an arrow site to `out`: a named anchor chained to
+/// the next difference, wrapping an arrow image.
+pub fn push_arrow(out: &mut String, site: usize, total: usize, img: &str, alt: &str) {
+    // Formatting into a `String` cannot fail.
+    let _ = write!(out, "<A NAME=\"diff{site}\" HREF=\"");
+    if site + 1 < total {
+        let _ = write!(out, "#diff{}", site + 1);
     } else {
-        "#difftop".to_string()
-    };
-    format!(
-        "<A NAME=\"diff{site}\" HREF=\"{next}\"><IMG SRC=\"{img}\" ALT=\"[{alt}]\" BORDER=0></A>"
-    )
+        out.push_str("#difftop");
+    }
+    let _ = write!(out, "\"><IMG SRC=\"{img}\" ALT=\"[{alt}]\" BORDER=0></A>");
 }
 
-/// Renders an old (deleted) sentence: struck-out words, markups elided.
-pub fn render_old_sentence(s: &Sentence) -> String {
-    let words = s.render_words_only();
-    if words.is_empty() {
-        String::new()
+/// Appends an old (deleted) sentence to `out`: struck-out words, markups
+/// elided. A sentence without words appends nothing; returns whether
+/// anything was appended.
+pub fn push_old_sentence(out: &mut String, s: &Sentence<'_>) -> bool {
+    let mark = out.len();
+    out.push_str("<STRIKE>");
+    if push_words(out, &s.items) {
+        out.push_str("</STRIKE>");
+        true
     } else {
-        format!("<STRIKE>{words}</STRIKE>")
+        out.truncate(mark);
+        false
     }
 }
 
-/// Renders a new (inserted) sentence: emphasized, markups intact.
-pub fn render_new_sentence(s: &Sentence) -> String {
-    format!("<STRONG><I>{}</I></STRONG>", s.render())
+/// Appends a new (inserted) sentence to `out`: emphasized, markups
+/// intact.
+pub fn push_new_sentence(out: &mut String, s: &Sentence<'_>) {
+    out.push_str("<STRONG><I>");
+    s.render_into(out);
+    out.push_str("</I></STRONG>");
 }
 
 /// Renders the banner inserted at the front of the merged page (visible
@@ -175,7 +184,10 @@ mod tests {
     use crate::compare::{compare_tokens, CompareOptions};
     use crate::tokenize::tokenize;
 
-    fn seg(old_html: &str, new_html: &str) -> (Vec<DiffToken>, Vec<DiffToken>, Vec<Segment>) {
+    fn seg<'a>(
+        old_html: &'a str,
+        new_html: &'a str,
+    ) -> (Vec<DiffToken<'a>>, Vec<DiffToken<'a>>, Vec<Segment>) {
         let old = tokenize(old_html);
         let new = tokenize(new_html);
         let al = compare_tokens(&old, &new, &CompareOptions::default());
@@ -225,10 +237,12 @@ mod tests {
 
     #[test]
     fn arrow_chain_links() {
-        let a0 = arrow(0, 3, "green.gif", "new");
+        let mut a0 = String::new();
+        push_arrow(&mut a0, 0, 3, "green.gif", "new");
         assert!(a0.contains("NAME=\"diff0\""));
         assert!(a0.contains("HREF=\"#diff1\""));
-        let last = arrow(2, 3, "red.gif", "old");
+        let mut last = String::new();
+        push_arrow(&mut last, 2, 3, "red.gif", "old");
         assert!(
             last.contains("HREF=\"#difftop\""),
             "last arrow wraps to banner: {last}"
@@ -239,7 +253,8 @@ mod tests {
     fn old_sentence_rendering_elides_markups() {
         let tokens = tokenize(r#"gone <A HREF="dead.html">link</A> text"#);
         let s = tokens[0].as_sentence().unwrap();
-        let r = render_old_sentence(s);
+        let mut r = String::new();
+        push_old_sentence(&mut r, s);
         assert_eq!(r, "<STRIKE>gone link text</STRIKE>");
         assert!(!r.contains("HREF"), "old markups must not appear");
     }
@@ -248,7 +263,8 @@ mod tests {
     fn new_sentence_rendering_keeps_markups() {
         let tokens = tokenize(r#"fresh <A HREF="new.html">link</A>"#);
         let s = tokens[0].as_sentence().unwrap();
-        let r = render_new_sentence(s);
+        let mut r = String::new();
+        push_new_sentence(&mut r, s);
         assert!(r.starts_with("<STRONG><I>"));
         assert!(r.contains("HREF=\"new.html\""));
     }

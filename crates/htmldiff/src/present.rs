@@ -18,11 +18,11 @@
 
 use crate::compare::{compare_tokens, CompareOptions, TokenAlignment};
 use crate::merge::{
-    arrow, banner, new_run_has_content, old_run_has_content, render_new_sentence,
-    render_old_sentence, DiffStats, Segment,
+    banner, new_run_has_content, old_run_has_content, push_arrow, push_new_sentence,
+    push_old_sentence, DiffStats, Segment,
 };
 use crate::muddle::{analyze, MuddleReport, MuddleThresholds};
-use crate::token::{DiffToken, Inline, Sentence};
+use crate::token::{push_words, DiffToken, Inline, Sentence};
 use crate::tokenize::tokenize;
 use aide_diffcore::lcs::weighted_lcs;
 use aide_diffcore::script::{Alignment, EditOp};
@@ -110,7 +110,7 @@ pub fn html_diff(old_html: &str, new_html: &str, opts: &Options) -> DiffResult {
 }
 
 /// Compares pre-tokenized documents (callers that cache token streams).
-pub fn diff_tokens(old: &[DiffToken], new: &[DiffToken], opts: &Options) -> DiffResult {
+pub fn diff_tokens(old: &[DiffToken<'_>], new: &[DiffToken<'_>], opts: &Options) -> DiffResult {
     // Reversed presentation swaps the roles entirely and renders merged.
     if opts.presentation == Presentation::Reversed {
         let mut swapped = opts.clone();
@@ -149,8 +149,8 @@ pub fn diff_tokens(old: &[DiffToken], new: &[DiffToken], opts: &Options) -> Diff
 }
 
 fn gather_stats(
-    old: &[DiffToken],
-    new: &[DiffToken],
+    old: &[DiffToken<'_>],
+    new: &[DiffToken<'_>],
     al: &TokenAlignment,
     segs: &[Segment],
     muddle: &MuddleReport,
@@ -192,7 +192,7 @@ fn gather_stats(
 /// A difference site earns an arrow: an edited common sentence, an
 /// old-only run with visible content, or a new-only run with content.
 /// Pure-markup (format-only) changes are "not highlighted" (§5.2).
-fn count_sites(old: &[DiffToken], new: &[DiffToken], segs: &[Segment]) -> usize {
+fn count_sites(old: &[DiffToken<'_>], new: &[DiffToken<'_>], segs: &[Segment]) -> usize {
     let mut sites = 0;
     for seg in segs {
         match seg {
@@ -220,8 +220,8 @@ fn count_sites(old: &[DiffToken], new: &[DiffToken], segs: &[Segment]) -> usize 
 }
 
 fn render_merged(
-    old: &[DiffToken],
-    new: &[DiffToken],
+    old: &[DiffToken<'_>],
+    new: &[DiffToken<'_>],
     segs: &[Segment],
     stats: &DiffStats,
     opts: &Options,
@@ -237,32 +237,19 @@ fn render_merged(
         match seg {
             Segment::Common(pairs) => {
                 for &(i, j, identical) in pairs {
-                    match &new[j] {
-                        DiffToken::Break(tag) => {
-                            out.push_str(&tag.to_string());
-                            out.push('\n');
-                        }
-                        DiffToken::Sentence(s) => {
-                            if !identical {
-                                out.push_str(&arrow(
-                                    site,
-                                    total_sites,
-                                    &opts.new_arrow_img,
-                                    "changed",
-                                ));
-                                site += 1;
-                                if opts.inline_word_diff {
-                                    if let DiffToken::Sentence(old_s) = &old[i] {
-                                        out.push_str(&render_inline_diff(old_s, s));
-                                        out.push('\n');
-                                        continue;
-                                    }
-                                }
+                    if let (false, DiffToken::Sentence(s)) = (identical, &new[j]) {
+                        push_arrow(&mut out, site, total_sites, &opts.new_arrow_img, "changed");
+                        site += 1;
+                        match &old[i] {
+                            DiffToken::Sentence(old_s) if opts.inline_word_diff => {
+                                push_inline_diff(&mut out, old_s, s);
                             }
-                            out.push_str(&s.render());
-                            out.push('\n');
+                            _ => s.render_into(&mut out),
                         }
+                    } else {
+                        new[j].render_into(&mut out);
                     }
+                    out.push('\n');
                 }
             }
             Segment::Old(idxs) => {
@@ -270,36 +257,37 @@ fn render_merged(
                     continue;
                 }
                 if old_run_has_content(old, idxs) {
-                    out.push_str(&arrow(site, total_sites, &opts.old_arrow_img, "deleted"));
+                    push_arrow(&mut out, site, total_sites, &opts.old_arrow_img, "deleted");
                     site += 1;
-                    let struck: Vec<String> = idxs
-                        .iter()
-                        .filter_map(|&i| old[i].as_sentence())
-                        .map(render_old_sentence)
-                        .filter(|s| !s.is_empty())
-                        .collect();
-                    out.push_str(&struck.join(" "));
+                    // Struck sentences, one space apart; sentences
+                    // without words leave no trace.
+                    let mut first = true;
+                    for s in idxs.iter().filter_map(|&i| old[i].as_sentence()) {
+                        let mark = out.len();
+                        if !first {
+                            out.push(' ');
+                        }
+                        if push_old_sentence(&mut out, s) {
+                            first = false;
+                        } else {
+                            out.truncate(mark);
+                        }
+                    }
                     out.push('\n');
                 }
                 // Old breaking markups are elided entirely.
             }
             Segment::New(idxs) => {
-                let content = new_run_has_content(new, idxs);
-                if content {
-                    out.push_str(&arrow(site, total_sites, &opts.new_arrow_img, "new"));
+                if new_run_has_content(new, idxs) {
+                    push_arrow(&mut out, site, total_sites, &opts.new_arrow_img, "new");
                     site += 1;
                 }
                 for &j in idxs {
                     match &new[j] {
-                        DiffToken::Break(tag) => {
-                            out.push_str(&tag.to_string());
-                            out.push('\n');
-                        }
-                        DiffToken::Sentence(s) => {
-                            out.push_str(&render_new_sentence(s));
-                            out.push('\n');
-                        }
+                        DiffToken::Break(tag) => tag.push_html(&mut out),
+                        DiffToken::Sentence(s) => push_new_sentence(&mut out, s),
                     }
+                    out.push('\n');
                 }
             }
         }
@@ -309,8 +297,8 @@ fn render_merged(
 }
 
 fn render_only_differences(
-    old: &[DiffToken],
-    new: &[DiffToken],
+    old: &[DiffToken<'_>],
+    new: &[DiffToken<'_>],
     segs: &[Segment],
     stats: &DiffStats,
     opts: &Options,
@@ -339,9 +327,9 @@ fn render_only_differences(
                             out.push_str("<HR>\n");
                             in_change = true;
                         }
-                        out.push_str(&render_old_sentence(old_s));
+                        push_old_sentence(&mut out, old_s);
                         out.push('\n');
-                        out.push_str(&render_new_sentence(new_s));
+                        push_new_sentence(&mut out, new_s);
                         out.push('\n');
                     }
                 }
@@ -354,13 +342,9 @@ fn render_only_differences(
                     out.push_str("<HR>\n");
                     in_change = true;
                 }
-                for &i in idxs {
-                    if let Some(s) = old[i].as_sentence() {
-                        let r = render_old_sentence(s);
-                        if !r.is_empty() {
-                            out.push_str(&r);
-                            out.push('\n');
-                        }
+                for s in idxs.iter().filter_map(|&i| old[i].as_sentence()) {
+                    if push_old_sentence(&mut out, s) {
+                        out.push('\n');
                     }
                 }
             }
@@ -372,16 +356,24 @@ fn render_only_differences(
                     out.push_str("<HR>\n");
                     in_change = true;
                 }
-                for &j in idxs {
-                    if let Some(s) = new[j].as_sentence() {
-                        out.push_str(&render_new_sentence(s));
-                        out.push('\n');
-                    }
+                for s in idxs.iter().filter_map(|&j| new[j].as_sentence()) {
+                    push_new_sentence(&mut out, s);
+                    out.push('\n');
                 }
             }
         }
     }
     out
+}
+
+/// Appends the tokens `idxs` names, one per line, to `out`.
+fn push_plain(out: &mut String, tokens: &[DiffToken<'_>], idxs: impl Iterator<Item = usize>) {
+    for (k, i) in idxs.enumerate() {
+        if k > 0 {
+            out.push('\n');
+        }
+        tokens[i].render_into(out);
+    }
 }
 
 /// Two synchronized columns: common segments span both, old-only
@@ -390,8 +382,8 @@ fn render_only_differences(
 /// they are table rows — the vertical synchronization §5.2 could not get
 /// from 1995 HTML flows.
 fn render_side_by_side(
-    old: &[DiffToken],
-    new: &[DiffToken],
+    old: &[DiffToken<'_>],
+    new: &[DiffToken<'_>],
     segs: &[Segment],
     stats: &DiffStats,
     opts: &Options,
@@ -409,53 +401,36 @@ fn render_side_by_side(
         "<TR><TH>{}</TH><TH>{}</TH></TR>\n",
         opts.old_label, opts.new_label
     ));
-    let render_plain = |tokens: &[DiffToken], idxs: &[usize]| -> String {
-        idxs.iter()
-            .map(|&i| match &tokens[i] {
-                DiffToken::Break(tag) => tag.to_string(),
-                DiffToken::Sentence(s) => s.render(),
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
     for seg in segs {
         match seg {
             Segment::Common(pairs) => {
-                let left: Vec<String> = pairs
-                    .iter()
-                    .map(|&(i, _, _)| match &old[i] {
-                        DiffToken::Break(tag) => tag.to_string(),
-                        DiffToken::Sentence(s) => s.render(),
-                    })
-                    .collect();
-                let right: Vec<String> = pairs
-                    .iter()
-                    .map(|&(_, j, _)| match &new[j] {
-                        DiffToken::Break(tag) => tag.to_string(),
-                        DiffToken::Sentence(s) => s.render(),
-                    })
-                    .collect();
-                out.push_str(&format!(
-                    "<TR><TD>{}</TD><TD>{}</TD></TR>\n",
-                    left.join("\n"),
-                    right.join("\n")
-                ));
+                out.push_str("<TR><TD>");
+                push_plain(&mut out, old, pairs.iter().map(|&(i, _, _)| i));
+                out.push_str("</TD><TD>");
+                push_plain(&mut out, new, pairs.iter().map(|&(_, j, _)| j));
+                out.push_str("</TD></TR>\n");
             }
             Segment::Old(idxs) => {
-                let content = if old_run_has_content(old, idxs) {
-                    format!("<STRIKE>{}</STRIKE>", render_plain(old, idxs))
+                out.push_str("<TR><TD>");
+                if old_run_has_content(old, idxs) {
+                    out.push_str("<STRIKE>");
+                    push_plain(&mut out, old, idxs.iter().copied());
+                    out.push_str("</STRIKE>");
                 } else {
-                    render_plain(old, idxs)
-                };
-                out.push_str(&format!("<TR><TD>{content}</TD><TD></TD></TR>\n"));
+                    push_plain(&mut out, old, idxs.iter().copied());
+                }
+                out.push_str("</TD><TD></TD></TR>\n");
             }
             Segment::New(idxs) => {
-                let content = if new_run_has_content(new, idxs) {
-                    format!("<STRONG><I>{}</I></STRONG>", render_plain(new, idxs))
+                out.push_str("<TR><TD></TD><TD>");
+                if new_run_has_content(new, idxs) {
+                    out.push_str("<STRONG><I>");
+                    push_plain(&mut out, new, idxs.iter().copied());
+                    out.push_str("</I></STRONG>");
                 } else {
-                    render_plain(new, idxs)
-                };
-                out.push_str(&format!("<TR><TD></TD><TD>{content}</TD></TR>\n"));
+                    push_plain(&mut out, new, idxs.iter().copied());
+                }
+                out.push_str("</TD></TR>\n");
             }
         }
     }
@@ -466,8 +441,8 @@ fn render_side_by_side(
 /// Whole-replacement fallback for muddled comparisons: old words struck
 /// in one block, the new document verbatim after.
 fn render_replacement(
-    old: &[DiffToken],
-    new: &[DiffToken],
+    old: &[DiffToken<'_>],
+    new: &[DiffToken<'_>],
     _stats: &DiffStats,
     opts: &Options,
 ) -> String {
@@ -479,40 +454,41 @@ fn render_replacement(
             opts.old_label, opts.new_label
         ));
     }
-    let old_words: Vec<String> = old
-        .iter()
-        .filter_map(|t| t.as_sentence())
-        .map(Sentence::render_words_only)
-        .filter(|s| !s.is_empty())
-        .collect();
-    if !old_words.is_empty() {
-        out.push_str("<STRIKE>");
-        out.push_str(&old_words.join(" "));
+    // Every old sentence's words, one space apart, in one struck block
+    // (left out entirely when the old page has no words).
+    let block = out.len();
+    out.push_str("<STRIKE>");
+    let mut any = false;
+    for s in old.iter().filter_map(DiffToken::as_sentence) {
+        let mark = out.len();
+        if any {
+            out.push(' ');
+        }
+        if push_words(&mut out, &s.items) {
+            any = true;
+        } else {
+            out.truncate(mark);
+        }
+    }
+    if any {
         out.push_str("</STRIKE>\n<HR>\n");
+    } else {
+        out.truncate(block);
     }
     for t in new {
-        match t {
-            DiffToken::Break(tag) => {
-                out.push_str(&tag.to_string());
-                out.push('\n');
-            }
-            DiffToken::Sentence(s) => {
-                out.push_str(&s.render());
-                out.push('\n');
-            }
-        }
+        t.render_into(&mut out);
+        out.push('\n');
     }
     out
 }
 
-/// Word-level diff inside an approximately-matched sentence pair
-/// (extension; `inline_word_diff`).
-fn render_inline_diff(old_s: &Sentence, new_s: &Sentence) -> String {
+/// Appends the word-level diff inside an approximately-matched sentence
+/// pair to `out` (extension; `inline_word_diff`).
+fn push_inline_diff(out: &mut String, old_s: &Sentence<'_>, new_s: &Sentence<'_>) {
     let pairs = weighted_lcs(old_s.items.len(), new_s.items.len(), &|i, j| {
         u64::from(old_s.items[i].matches(&new_s.items[j]))
     });
     let alignment = Alignment::new(pairs, old_s.items.len(), new_s.items.len());
-    let mut out = String::new();
     let mut first = true;
     let push_sep = |out: &mut String, first: &mut bool| {
         if !*first {
@@ -524,35 +500,34 @@ fn render_inline_diff(old_s: &Sentence, new_s: &Sentence) -> String {
         match op {
             EditOp::Equal { b_start, len, .. } => {
                 for item in &new_s.items[b_start..b_start + len] {
-                    push_sep(&mut out, &mut first);
-                    out.push_str(&item.to_string());
+                    push_sep(out, &mut first);
+                    item.push_html(out);
                 }
             }
             EditOp::Delete { a_start, len, .. } => {
-                let words: Vec<&str> = old_s.items[a_start..a_start + len]
-                    .iter()
-                    .filter_map(|i| match i {
-                        Inline::Word(w) => Some(w.as_str()),
-                        Inline::Markup(_) => None,
-                    })
-                    .collect();
-                if !words.is_empty() {
-                    push_sep(&mut out, &mut first);
-                    out.push_str(&format!("<STRIKE>{}</STRIKE>", words.join(" ")));
+                let deleted = &old_s.items[a_start..a_start + len];
+                if deleted.iter().any(Inline::is_word) {
+                    push_sep(out, &mut first);
+                    out.push_str("<STRIKE>");
+                    push_words(out, deleted);
+                    out.push_str("</STRIKE>");
                 }
             }
             EditOp::Insert { b_start, len, .. } => {
                 for item in &new_s.items[b_start..b_start + len] {
-                    push_sep(&mut out, &mut first);
+                    push_sep(out, &mut first);
                     match item {
-                        Inline::Word(w) => out.push_str(&format!("<STRONG><I>{w}</I></STRONG>")),
-                        Inline::Markup(t) => out.push_str(&t.to_string()),
+                        Inline::Word(w) => {
+                            out.push_str("<STRONG><I>");
+                            out.push_str(w);
+                            out.push_str("</I></STRONG>");
+                        }
+                        Inline::Markup(t) => t.push_html(out),
                     }
                 }
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -7,6 +7,10 @@
 //! "the number of words and 'content-defining' markups such as `<IMG>`
 //! or `<A>` in a sentence. Markups such as `<B>` or `<I>` are not
 //! counted."
+//!
+//! Words are slices of the page they were tokenized from, so a token
+//! stream borrows that page and allocates nothing per word; only
+//! markups are owned, because the lexer normalizes their names.
 
 use aide_htmlkit::classify::is_content_defining;
 use aide_htmlkit::lexer::{Tag, TagKind};
@@ -15,14 +19,14 @@ use std::fmt;
 
 /// An element of a sentence: a word or an inline (non-breaking) markup.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Inline {
-    /// A whitespace-delimited word, verbatim.
-    Word(String),
+pub enum Inline<'a> {
+    /// A whitespace-delimited word, verbatim: a slice of the page.
+    Word(&'a str),
     /// An inline markup such as `<B>`, `</B>`, `<A HREF=…>`, `<IMG …>`.
     Markup(Tag),
 }
 
-impl Inline {
+impl Inline<'_> {
     /// True if this item counts toward sentence length (a word or a
     /// content-defining markup).
     pub fn is_content(&self) -> bool {
@@ -39,19 +43,28 @@ impl Inline {
 
     /// Exact-match comparison: words compare verbatim; markups compare
     /// modulo case, whitespace and attribute order.
-    pub fn matches(&self, other: &Inline) -> bool {
+    pub fn matches(&self, other: &Inline<'_>) -> bool {
         match (self, other) {
             (Inline::Word(a), Inline::Word(b)) => a == b,
             (Inline::Markup(a), Inline::Markup(b)) => a.matches_modulo_order(b),
             _ => false,
         }
     }
+
+    /// Appends the item's HTML to `out`: a word verbatim, a markup as
+    /// its normalized tag.
+    pub fn push_html(&self, out: &mut String) {
+        match self {
+            Inline::Word(w) => out.push_str(w),
+            Inline::Markup(t) => t.push_html(out),
+        }
+    }
 }
 
-impl fmt::Display for Inline {
+impl fmt::Display for Inline<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Inline::Word(w) => write!(f, "{w}"),
+            Inline::Word(w) => f.write_str(w),
             Inline::Markup(t) => write!(f, "{t}"),
         }
     }
@@ -59,12 +72,12 @@ impl fmt::Display for Inline {
 
 /// A sentence: at most one English sentence, possibly a fragment.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Sentence {
+pub struct Sentence<'a> {
     /// The words and inline markups, in order.
-    pub items: Vec<Inline>,
+    pub items: Vec<Inline<'a>>,
 }
 
-impl Sentence {
+impl Sentence<'_> {
     /// The paper's sentence length: words + content-defining markups.
     pub fn content_len(&self) -> usize {
         self.items.iter().filter(|i| i.is_content()).count()
@@ -83,63 +96,83 @@ impl Sentence {
     /// Renders the sentence as HTML, words separated by single spaces.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for (k, item) in self.items.iter().enumerate() {
-            if k > 0 {
-                // Whitespace was discarded at tokenization; a single space
-                // between word items restores readability. No space is
-                // inserted after an opening markup or before a closing one.
-                let prev_is_open_markup = matches!(
-                    &self.items[k - 1],
-                    Inline::Markup(t) if t.kind != aide_htmlkit::lexer::TagKind::Close
-                );
-                let cur_is_close_markup = matches!(
-                    item,
-                    Inline::Markup(t) if t.kind == aide_htmlkit::lexer::TagKind::Close
-                );
-                if !prev_is_open_markup && !cur_is_close_markup {
-                    out.push(' ');
-                }
-            }
-            out.push_str(&item.to_string());
-        }
+        self.render_into(&mut out);
         out
+    }
+
+    /// Appends [`Sentence::render`]'s bytes to `out`.
+    pub fn render_into(&self, out: &mut String) {
+        let mut prev_is_open_markup = false;
+        for (k, item) in self.items.iter().enumerate() {
+            // Whitespace was discarded at tokenization; a single space
+            // between word items restores readability. No space is
+            // inserted after an opening markup or before a closing one.
+            let cur_is_close_markup = matches!(item, Inline::Markup(t) if t.kind == TagKind::Close);
+            if k > 0 && !prev_is_open_markup && !cur_is_close_markup {
+                out.push(' ');
+            }
+            item.push_html(out);
+            prev_is_open_markup = matches!(item, Inline::Markup(t) if t.kind != TagKind::Close);
+        }
     }
 
     /// Renders only the words (markups elided) — how *old* sentences
     /// appear in the merged page, since "old hypertext references and
     /// images do not appear" (§5.2).
     pub fn render_words_only(&self) -> String {
-        self.items
-            .iter()
-            .filter_map(|i| match i {
-                Inline::Word(w) => Some(w.as_str()),
-                Inline::Markup(_) => None,
-            })
-            .collect::<Vec<_>>()
-            .join(" ")
+        let mut out = String::new();
+        push_words(&mut out, &self.items);
+        out
     }
+}
+
+/// Appends the words among `items` to `out`, one space apart, markups
+/// elided ([`Sentence::render_words_only`]'s bytes); returns whether
+/// that appended anything.
+pub(crate) fn push_words(out: &mut String, items: &[Inline<'_>]) -> bool {
+    let start = out.len();
+    let words = items.iter().filter_map(|i| match i {
+        Inline::Word(w) => Some(*w),
+        Inline::Markup(_) => None,
+    });
+    for (k, w) in words.enumerate() {
+        if k > 0 {
+            out.push(' ');
+        }
+        out.push_str(w);
+    }
+    out.len() > start
 }
 
 /// One token of the HtmlDiff comparison stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DiffToken {
+pub enum DiffToken<'a> {
     /// A sentence-breaking markup (`<P>`, `<HR>`, `<LI>`, `<H1>`, …).
     Break(Tag),
     /// A sentence.
-    Sentence(Sentence),
+    Sentence(Sentence<'a>),
 }
 
-impl DiffToken {
+impl<'a> DiffToken<'a> {
     /// True for [`DiffToken::Break`].
     pub fn is_break(&self) -> bool {
         matches!(self, DiffToken::Break(_))
     }
 
     /// The sentence, if this token is one.
-    pub fn as_sentence(&self) -> Option<&Sentence> {
+    pub fn as_sentence(&self) -> Option<&Sentence<'a>> {
         match self {
             DiffToken::Sentence(s) => Some(s),
             _ => None,
+        }
+    }
+
+    /// Appends the token's HTML to `out`: a break as its tag, a sentence
+    /// as [`Sentence::render`] would.
+    pub fn render_into(&self, out: &mut String) {
+        match self {
+            DiffToken::Break(tag) => tag.push_html(out),
+            DiffToken::Sentence(s) => s.render_into(out),
         }
     }
 
@@ -190,7 +223,7 @@ pub(crate) fn hash_tag_into(h: &mut Fnv1a, tag: &Tag, modulo_order: bool) {
 /// Feeds a sentence's items into `h`, deeply (word bytes verbatim,
 /// markup attributes in source order), so two sentences hash equally iff
 /// derived `Sentence` equality holds — hash inequality proves `a != b`.
-pub(crate) fn hash_sentence_into(h: &mut Fnv1a, s: &Sentence) {
+pub(crate) fn hash_sentence_into(h: &mut Fnv1a, s: &Sentence<'_>) {
     for item in &s.items {
         match item {
             Inline::Word(w) => {
@@ -211,7 +244,7 @@ pub(crate) fn hash_sentence_into(h: &mut Fnv1a, s: &Sentence) {
 /// purposes — breaks that match modulo attribute order, sentences with
 /// deeply equal content — and unequal hashes prove they are not. Break
 /// and sentence classes never collide by construction.
-pub fn token_class_hash(token: &DiffToken) -> u64 {
+pub fn token_class_hash(token: &DiffToken<'_>) -> u64 {
     let mut h = Fnv1a::new();
     match token {
         DiffToken::Break(tag) => {
@@ -232,7 +265,7 @@ pub fn token_class_hash(token: &DiffToken) -> u64 {
 /// order: rendered output prints tags verbatim, so streams that differ
 /// only in attribute order must hash differently. Equal hashes identify
 /// streams that render identically under the same options.
-pub fn token_stream_hash(tokens: &[DiffToken]) -> u64 {
+pub fn token_stream_hash(tokens: &[DiffToken<'_>]) -> u64 {
     let mut h = Fnv1a::new();
     h.update(&(tokens.len() as u64).to_le_bytes());
     for token in tokens {
@@ -256,8 +289,8 @@ mod tests {
     use super::*;
     use aide_htmlkit::lexer::Tag;
 
-    fn word(w: &str) -> Inline {
-        Inline::Word(w.to_string())
+    fn word(w: &str) -> Inline<'_> {
+        Inline::Word(w)
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! any content... and should not affect comparison") except inside
 //! `<PRE>`, where each line becomes its own sentence so that layout
 //! changes in preformatted text are visible.
+//!
+//! The stream borrows `html`: every word (and every `<PRE>` line) is a
+//! slice of the input, so tokenizing allocates per sentence and per
+//! tag, never per word.
 
 use crate::token::{DiffToken, Inline, Sentence};
 use aide_htmlkit::classify::{is_sentence_breaking, preserves_whitespace};
@@ -27,16 +31,16 @@ use aide_htmlkit::text::split_words;
 /// assert!(tokens[0].is_break());
 /// assert_eq!(tokens[1].as_sentence().unwrap().word_count(), 2);
 /// ```
-pub fn tokenize(html: &str) -> Vec<DiffToken> {
-    let mut out = Vec::new();
-    let mut current = Sentence::default();
-    let mut pre_depth = 0usize;
-
-    let flush = |current: &mut Sentence, out: &mut Vec<DiffToken>| {
+pub fn tokenize(html: &str) -> Vec<DiffToken<'_>> {
+    fn flush<'a>(current: &mut Sentence<'a>, out: &mut Vec<DiffToken<'a>>) {
         if !current.is_empty() {
             out.push(DiffToken::Sentence(std::mem::take(current)));
         }
-    };
+    }
+
+    let mut out = Vec::new();
+    let mut current = Sentence::default();
+    let mut pre_depth = 0usize;
 
     for token in lex(html) {
         match token {
@@ -68,11 +72,11 @@ pub fn tokenize(html: &str) -> Vec<DiffToken> {
                             flush(&mut current, &mut out);
                         }
                         if !line.is_empty() {
-                            current.items.push(Inline::Word(line.to_string()));
+                            current.items.push(Inline::Word(line));
                         }
                     }
                 } else {
-                    for word in split_words(&text) {
+                    for word in split_words(text) {
                         current.items.push(Inline::Word(word.text));
                         if word.ends_sentence {
                             flush(&mut current, &mut out);
@@ -94,7 +98,7 @@ pub fn tokenize(html: &str) -> Vec<DiffToken> {
 mod tests {
     use super::*;
 
-    fn sentences(tokens: &[DiffToken]) -> Vec<String> {
+    fn sentences(tokens: &[DiffToken<'_>]) -> Vec<String> {
         tokens
             .iter()
             .filter_map(|t| t.as_sentence().map(|s| s.render()))

@@ -80,7 +80,7 @@ proptest! {
                 for item in &s.items {
                     if let aide_htmldiff::Inline::Word(w) = item {
                         prop_assert!(
-                            r.html.contains(w.as_str()),
+                            r.html.contains(*w),
                             "word {w:?} missing from merged page"
                         );
                     }
@@ -256,5 +256,52 @@ proptest! {
         let a: String = (0..n).map(|i| format!("only old {i} here. ")).collect();
         let b: String = (0..m).map(|i| format!("just new {i} there. ")).collect();
         assert_fast_equals_naive(&a, &b)?;
+    }
+}
+
+/// Whether `part` lies inside `whole`'s bytes: a pointer-range check, so
+/// an equal copy held elsewhere does not pass.
+fn within(whole: &str, part: &str) -> bool {
+    let w = whole.as_bytes().as_ptr_range();
+    let p = part.as_bytes().as_ptr_range();
+    w.start <= p.start && p.end <= w.end
+}
+
+/// Asserts that every word of `tokenize(html)` is a slice of `html`.
+fn assert_words_borrowed(html: &str) -> Result<(), TestCaseError> {
+    for token in tokenize(html) {
+        for item in token.as_sentence().map_or(&[][..], |s| &s.items[..]) {
+            if let aide_htmldiff::Inline::Word(w) = item {
+                prop_assert!(within(html, w), "word {w:?} was copied out of the page");
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn pre_lines_borrow_from_the_page() {
+    let html = "<P>before it. <PRE>col1   col2\n  val1   val2\n</PRE> after it.";
+    let lines: Vec<_> = tokenize(html)
+        .iter()
+        .filter_map(|t| t.as_sentence().map(|s| s.render()))
+        .collect();
+    assert!(lines.contains(&"  val1   val2".to_string()), "{lines:?}");
+    assert_words_borrowed(html).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn words_borrow_from_the_page(
+        a in html_strategy(),
+        pre in html_strategy(),
+        b in html_strategy(),
+    ) {
+        // Preformatted lines become words whole, so wrap one document's
+        // worth of text in a <PRE> with layout of its own.
+        let html = format!("{a}<PRE>{}\n  x  y\n</PRE>{b}", pre.replace("! ", "!\n "));
+        assert_words_borrowed(&html)?;
     }
 }

@@ -93,8 +93,7 @@ const CONTENT_DEFINING: &[&str] = &["IMG", "A", "INPUT", "APPLET", "EMBED", "ARE
 /// assert!(!is_sentence_breaking("BLINK"));
 /// ```
 pub fn is_sentence_breaking(name: &str) -> bool {
-    let upper = name.to_ascii_uppercase();
-    SENTENCE_BREAKING.contains(&upper.as_str())
+    in_table(SENTENCE_BREAKING, name)
 }
 
 /// Returns true if `name` (any case) is a content-defining markup.
@@ -109,8 +108,13 @@ pub fn is_sentence_breaking(name: &str) -> bool {
 /// assert!(!is_content_defining("STRONG"));
 /// ```
 pub fn is_content_defining(name: &str) -> bool {
-    let upper = name.to_ascii_uppercase();
-    CONTENT_DEFINING.contains(&upper.as_str())
+    in_table(CONTENT_DEFINING, name)
+}
+
+/// Whether `name` (any case) is in an uppercase tag table — a case-blind
+/// compare, so no uppercased copy of the name is built per call.
+fn in_table(table: &[&str], name: &str) -> bool {
+    table.iter().any(|t| t.eq_ignore_ascii_case(name))
 }
 
 /// Classifies a tag on both axes.
@@ -125,10 +129,7 @@ pub fn classify(tag: &Tag) -> MarkupClass {
 /// whitespace "does not provide any content (except perhaps inside a
 /// `<PRE>`)").
 pub fn preserves_whitespace(name: &str) -> bool {
-    matches!(
-        name.to_ascii_uppercase().as_str(),
-        "PRE" | "XMP" | "LISTING" | "PLAINTEXT" | "TEXTAREA"
-    )
+    in_table(&["PRE", "XMP", "LISTING", "PLAINTEXT", "TEXTAREA"], name)
 }
 
 #[cfg(test)]

@@ -118,16 +118,27 @@ fn decode_one(name: &str) -> Option<String> {
 /// ```
 pub fn encode_entities(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            other => out.push(other),
-        }
-    }
+    push_encoded(&mut out, text);
     out
+}
+
+/// Appends `text` to `out` with the characters [`encode_entities`]
+/// escapes replaced, copying the runs between them whole.
+pub(crate) fn push_encoded(out: &mut String, text: &str) {
+    let mut run = 0;
+    for (i, b) in text.bytes().enumerate() {
+        let escaped = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&text[run..i]);
+        out.push_str(escaped);
+        run = i + 1;
+    }
+    out.push_str(&text[run..]);
 }
 
 #[cfg(test)]

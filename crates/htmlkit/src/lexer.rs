@@ -10,7 +10,7 @@
 //! case-sensitively (URLs are case-sensitive); character entities in
 //! values are decoded at lex time and re-encoded at serialization.
 
-use crate::entity::{decode_entities, encode_entities};
+use crate::entity::{decode_entities, push_encoded};
 use std::fmt;
 
 /// Whether a tag opens, closes, or self-closes an element.
@@ -99,43 +99,58 @@ impl Tag {
         theirs.sort();
         mine == theirs
     }
+
+    /// Appends the tag's HTML to `out` — the bytes [`fmt::Display`]
+    /// prints, without a formatter or an intermediate `String`.
+    pub fn push_html(&self, out: &mut String) {
+        if self.kind == TagKind::Close {
+            out.push_str("</");
+            out.push_str(&self.name);
+            out.push('>');
+            return;
+        }
+        out.push('<');
+        out.push_str(&self.name);
+        for (n, v) in &self.attrs {
+            out.push(' ');
+            out.push_str(n);
+            if let Some(val) = v {
+                out.push_str("=\"");
+                push_encoded(out, val);
+                out.push('"');
+            }
+        }
+        if self.kind == TagKind::SelfClose {
+            out.push_str(" /");
+        }
+        out.push('>');
+    }
 }
 
 impl fmt::Display for Tag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
-            TagKind::Close => write!(f, "</{}>", self.name),
-            _ => {
-                write!(f, "<{}", self.name)?;
-                for (n, v) in &self.attrs {
-                    match v {
-                        Some(val) => write!(f, " {}=\"{}\"", n, encode_entities(val))?,
-                        None => write!(f, " {}", n)?,
-                    }
-                }
-                if self.kind == TagKind::SelfClose {
-                    write!(f, " /")?;
-                }
-                write!(f, ">")
-            }
-        }
+        let mut html = String::new();
+        self.push_html(&mut html);
+        f.write_str(&html)
     }
 }
 
-/// One lexical token of an HTML document.
+/// One lexical token of an HTML document. Text, comments and
+/// declarations are verbatim slices of the lexed input; tags are owned,
+/// because their names are normalized.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Token {
+pub enum Token<'a> {
     /// A run of character data between tags, verbatim (entities intact).
-    Text(String),
+    Text(&'a str),
     /// A markup tag.
     Tag(Tag),
     /// `<!-- ... -->` with the inner text.
-    Comment(String),
+    Comment(&'a str),
     /// `<!DOCTYPE ...>` or any other `<!...>` declaration, inner text.
-    Declaration(String),
+    Declaration(&'a str),
 }
 
-impl Token {
+impl<'a> Token<'a> {
     /// Returns the tag if this token is one.
     pub fn as_tag(&self) -> Option<&Tag> {
         match self {
@@ -145,7 +160,7 @@ impl Token {
     }
 
     /// Returns the text if this token is character data.
-    pub fn as_text(&self) -> Option<&str> {
+    pub fn as_text(&self) -> Option<&'a str> {
         match self {
             Token::Text(t) => Some(t),
             _ => None,
@@ -164,9 +179,9 @@ impl Token {
 /// let tokens = lex("<P>Hello <B>world</B>!");
 /// assert_eq!(tokens.len(), 6);
 /// assert!(matches!(&tokens[0], Token::Tag(t) if t.name == "P"));
-/// assert!(matches!(&tokens[1], Token::Text(t) if t == "Hello "));
+/// assert!(matches!(&tokens[1], Token::Text(t) if *t == "Hello "));
 /// ```
-pub fn lex(html: &str) -> Vec<Token> {
+pub fn lex(html: &str) -> Vec<Token<'_>> {
     let mut tokens = Vec::new();
     let bytes = html.as_bytes();
     let mut i = 0;
@@ -179,16 +194,16 @@ pub fn lex(html: &str) -> Vec<Token> {
         }
         if html[i..].starts_with("<!--") {
             if text_start < i {
-                tokens.push(Token::Text(html[text_start..i].to_string()));
+                tokens.push(Token::Text(&html[text_start..i]));
             }
             match html[i + 4..].find("-->") {
                 Some(end) => {
-                    tokens.push(Token::Comment(html[i + 4..i + 4 + end].to_string()));
+                    tokens.push(Token::Comment(&html[i + 4..i + 4 + end]));
                     i += 4 + end + 3;
                 }
                 None => {
                     // Unterminated comment swallows the rest of the file.
-                    tokens.push(Token::Comment(html[i + 4..].to_string()));
+                    tokens.push(Token::Comment(&html[i + 4..]));
                     i = bytes.len();
                 }
             }
@@ -197,15 +212,15 @@ pub fn lex(html: &str) -> Vec<Token> {
         }
         if html[i..].starts_with("<!") {
             if text_start < i {
-                tokens.push(Token::Text(html[text_start..i].to_string()));
+                tokens.push(Token::Text(&html[text_start..i]));
             }
             match html[i..].find('>') {
                 Some(end) => {
-                    tokens.push(Token::Declaration(html[i + 2..i + end].to_string()));
+                    tokens.push(Token::Declaration(&html[i + 2..i + end]));
                     i += end + 1;
                 }
                 None => {
-                    tokens.push(Token::Declaration(html[i + 2..].to_string()));
+                    tokens.push(Token::Declaration(&html[i + 2..]));
                     i = bytes.len();
                 }
             }
@@ -222,7 +237,7 @@ pub fn lex(html: &str) -> Vec<Token> {
         match parse_tag(html, i) {
             Some((tag, consumed)) => {
                 if text_start < i {
-                    tokens.push(Token::Text(html[text_start..i].to_string()));
+                    tokens.push(Token::Text(&html[text_start..i]));
                 }
                 tokens.push(Token::Tag(tag));
                 i += consumed;
@@ -232,7 +247,7 @@ pub fn lex(html: &str) -> Vec<Token> {
                 // Unterminated tag: flush preceding text, keep the rest as
                 // a final text run.
                 if text_start < i {
-                    tokens.push(Token::Text(html[text_start..i].to_string()));
+                    tokens.push(Token::Text(&html[text_start..i]));
                 }
                 text_start = i;
                 break;
@@ -240,7 +255,7 @@ pub fn lex(html: &str) -> Vec<Token> {
         }
     }
     if text_start < bytes.len() {
-        tokens.push(Token::Text(html[text_start..].to_string()));
+        tokens.push(Token::Text(&html[text_start..]));
     }
     tokens
 }
@@ -350,12 +365,12 @@ fn parse_tag(html: &str, start: usize) -> Option<(Tag, usize)> {
 /// Lex → serialize is not byte-identical (names are uppercased, attribute
 /// quoting normalized) but is idempotent: serializing the lex of the
 /// output reproduces the output.
-pub fn serialize(tokens: &[Token]) -> String {
+pub fn serialize(tokens: &[Token<'_>]) -> String {
     let mut out = String::new();
     for t in tokens {
         match t {
             Token::Text(s) => out.push_str(s),
-            Token::Tag(tag) => out.push_str(&tag.to_string()),
+            Token::Tag(tag) => tag.push_html(&mut out),
             Token::Comment(c) => {
                 out.push_str("<!--");
                 out.push_str(c);
@@ -421,16 +436,16 @@ mod tests {
     fn comments_and_declarations() {
         let tokens = lex("<!DOCTYPE HTML PUBLIC>before<!-- hidden -->after");
         assert!(matches!(&tokens[0], Token::Declaration(d) if d.starts_with("DOCTYPE")));
-        assert!(matches!(&tokens[1], Token::Text(t) if t == "before"));
-        assert!(matches!(&tokens[2], Token::Comment(c) if c == " hidden "));
-        assert!(matches!(&tokens[3], Token::Text(t) if t == "after"));
+        assert!(matches!(&tokens[1], Token::Text(t) if *t == "before"));
+        assert!(matches!(&tokens[2], Token::Comment(c) if *c == " hidden "));
+        assert!(matches!(&tokens[3], Token::Text(t) if *t == "after"));
     }
 
     #[test]
     fn unterminated_comment() {
         let tokens = lex("x<!-- never closed");
         assert_eq!(tokens.len(), 2);
-        assert!(matches!(&tokens[1], Token::Comment(c) if c == " never closed"));
+        assert!(matches!(&tokens[1], Token::Comment(c) if *c == " never closed"));
     }
 
     #[test]

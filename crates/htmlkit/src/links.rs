@@ -58,7 +58,7 @@ pub struct Link {
 ///            "http://www.usenix.org/events/lisa.html");
 /// assert_eq!(links[1].kind, LinkKind::Image);
 /// ```
-pub fn extract_links(tokens: &[Token], base: Option<&Url>) -> Vec<Link> {
+pub fn extract_links(tokens: &[Token<'_>], base: Option<&Url>) -> Vec<Link> {
     let mut links = Vec::new();
     let mut effective_base: Option<Url> = base.cloned();
     for token in tokens {
@@ -100,7 +100,7 @@ pub fn extract_links(tokens: &[Token], base: Option<&Url>) -> Vec<Link> {
 
 /// Anchors (`<A HREF>`) only, resolved, with fragments dropped and
 /// duplicates removed — the set the recursive tracker follows.
-pub fn extract_followable(tokens: &[Token], base: &Url) -> Vec<Url> {
+pub fn extract_followable(tokens: &[Token<'_>], base: &Url) -> Vec<Url> {
     let mut out: Vec<Url> = Vec::new();
     for link in extract_links(tokens, Some(base)) {
         if link.kind != LinkKind::Anchor {
@@ -124,8 +124,8 @@ pub fn extract_followable(tokens: &[Token], base: &Url) -> Vec<Url> {
 /// `base`, inserting one after `<HEAD>` (or at the front) if absent —
 /// what snapshot does before serving an archived copy so that relative
 /// links still work (§4.1).
-pub fn rewrite_base(tokens: &[Token], base: &Url) -> Vec<Token> {
-    let mut out: Vec<Token> = Vec::with_capacity(tokens.len() + 1);
+pub fn rewrite_base<'a>(tokens: &[Token<'a>], base: &Url) -> Vec<Token<'a>> {
+    let mut out: Vec<Token<'a>> = Vec::with_capacity(tokens.len() + 1);
     let mut replaced = false;
     for token in tokens {
         match token {

@@ -10,36 +10,35 @@
 
 /// A word plus the information needed to know whether an English sentence
 /// ends after it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Word {
-    /// The word, verbatim (punctuation attached, entities intact).
-    pub text: String,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Word<'a> {
+    /// The word, verbatim (punctuation attached, entities intact): a
+    /// slice of the text it was split from.
+    pub text: &'a str,
     /// True if this word terminates an English sentence (`.`, `!`, `?`,
     /// possibly followed by closing quotes/brackets).
     pub ends_sentence: bool,
 }
 
 /// Splits a text run into words on whitespace, flagging sentence-ending
-/// words.
+/// words. The words borrow from `text`; nothing is copied.
 ///
 /// # Examples
 ///
 /// ```
 /// use aide_htmlkit::text::split_words;
 ///
-/// let words = split_words("Hello there. General Kenobi!");
+/// let words: Vec<_> = split_words("Hello there. General Kenobi!").collect();
 /// assert_eq!(words.len(), 4);
 /// assert!(words[1].ends_sentence);
 /// assert!(!words[2].ends_sentence);
 /// assert!(words[3].ends_sentence);
 /// ```
-pub fn split_words(text: &str) -> Vec<Word> {
-    text.split_whitespace()
-        .map(|w| Word {
-            text: w.to_string(),
-            ends_sentence: word_ends_sentence(w),
-        })
-        .collect()
+pub fn split_words(text: &str) -> impl Iterator<Item = Word<'_>> {
+    text.split_whitespace().map(|w| Word {
+        text: w,
+        ends_sentence: word_ends_sentence(w),
+    })
 }
 
 /// Decides whether a word terminates an English sentence.
@@ -124,9 +123,9 @@ mod tests {
 
     #[test]
     fn split_counts_and_flags() {
-        let w = split_words("One two. Three");
+        let w: Vec<_> = split_words("One two. Three").collect();
         assert_eq!(
-            w.iter().map(|x| x.text.as_str()).collect::<Vec<_>>(),
+            w.iter().map(|x| x.text).collect::<Vec<_>>(),
             vec!["One", "two.", "Three"]
         );
         assert_eq!(
@@ -137,8 +136,8 @@ mod tests {
 
     #[test]
     fn empty_and_whitespace_only() {
-        assert!(split_words("").is_empty());
-        assert!(split_words("  \t\n ").is_empty());
+        assert!(split_words("").next().is_none());
+        assert!(split_words("  \t\n ").next().is_none());
         assert!(!word_ends_sentence(""));
         assert!(!word_ends_sentence("\"\""));
     }

@@ -54,9 +54,11 @@ proptest! {
     #[test]
     fn tokens_roundtrip_through_serialization(s in html_soup()) {
         let tokens = lex(&s);
-        let round = lex(&serialize(&tokens));
+        let once = serialize(&tokens);
+        let round = lex(&once);
+        let twice = serialize(&round);
         // Token streams are equal after one normalization pass.
-        prop_assert_eq!(lex(&serialize(&round)), round);
+        prop_assert_eq!(lex(&twice), round);
     }
 
     #[test]
@@ -101,5 +103,24 @@ proptest! {
         url.push_str(if path.is_empty() { "/" } else { &path });
         let parsed = Url::parse(&url).unwrap();
         prop_assert_eq!(Url::parse(&parsed.to_string()).unwrap(), parsed);
+    }
+}
+
+/// Whether `part` lies inside `whole`'s bytes: a pointer-range check, so
+/// an equal copy held elsewhere does not pass.
+fn within(whole: &str, part: &str) -> bool {
+    let w = whole.as_bytes().as_ptr_range();
+    let p = part.as_bytes().as_ptr_range();
+    w.start <= p.start && p.end <= w.end
+}
+
+proptest! {
+    #[test]
+    fn text_comments_and_declarations_borrow_from_the_input(s in html_soup()) {
+        for token in lex(&s) {
+            if let Token::Text(t) | Token::Comment(t) | Token::Declaration(t) = token {
+                prop_assert!(within(&s, t), "{:?} was copied out of the input", t);
+            }
+        }
     }
 }
