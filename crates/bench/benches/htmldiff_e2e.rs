@@ -107,7 +107,6 @@ fn bench_length_screen(c: &mut Criterion) {
                     match_threshold: 0.5,
                     length_screen: Some(0.4),
                     force_naive: true,
-                    ..CompareOptions::default()
                 },
             ))
         });
@@ -121,7 +120,6 @@ fn bench_length_screen(c: &mut Criterion) {
                     match_threshold: 0.5,
                     length_screen: None,
                     force_naive: true,
-                    ..CompareOptions::default()
                 },
             ))
         });

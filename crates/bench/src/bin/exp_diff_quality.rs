@@ -182,7 +182,6 @@ fn main() {
             match_threshold: 0.5,
             length_screen: screen,
             force_naive: true,
-            ..CompareOptions::default()
         };
         let al = compare_tokens(&old_tokens, &new_tokens, &opts);
         println!(

@@ -16,10 +16,9 @@
 //!   pair-for-pair identical to [`lcs::weighted_lcs_dp`].
 //! - [`anchor`]: anchored decomposition of the weighted LCS — trim the
 //!   common suffix, split the middle at verified unique-hash anchor
-//!   tokens (patience-style, rescued by rare-hash runs when unique
-//!   anchors die), and align only the gaps with the same canonical
-//!   backtrack, so the result is pair-for-pair identical to the full DP
-//!   on edit-structured inputs.
+//!   tokens (patience-style), and align only the gaps with the same
+//!   canonical backtrack, so the result is pair-for-pair identical to
+//!   the full DP on edit-structured inputs.
 //! - [`scratch`]: per-thread buffer pools reused across diffs (DP
 //!   tables, score rows, token arenas).
 //! - [`myers`]: the Myers `O((N+M)D)` greedy diff for plain equality

@@ -1,10 +1,10 @@
 //! Reusable per-thread scratch buffers for the diff hot path.
 //!
 //! Every `diff_tokens` call used to allocate (and immediately drop) a
-//! family of short-lived vectors: the outer DP table, Hirschberg score
-//! rows, dense gap memos, and the per-token metadata arenas HtmlDiff
-//! builds before comparing. None of those allocations outlive one diff,
-//! so a snapshot service diffing thousands of revisions pays the
+//! family of short-lived vectors: the gap DP tables, Hirschberg score
+//! rows, and the per-token metadata arenas HtmlDiff builds before
+//! comparing. None of those allocations outlive one diff, so a
+//! snapshot service diffing thousands of revisions pays the
 //! allocator once per diff per buffer for memory whose size barely
 //! changes between calls.
 //!
@@ -28,9 +28,8 @@
 //! - [`retained_bytes`] reports the calling thread's pooled capacity;
 //!   HtmlDiff publishes it as the `diff.scratch.bytes` gauge.
 //!
-//! The default pool is thread-local — gap workers and snapshot service
-//! threads each get their own, so no locking and no cross-thread
-//! nondeterminism. A caller that wants explicit control (tests, or an
+//! The default pool is thread-local — snapshot service threads each get
+//! their own, so no locking and no cross-thread nondeterminism. A caller that wants explicit control (tests, or an
 //! engine embedding with its own threading) can hold a [`DiffScratch`]
 //! directly; the free functions are conveniences over the thread-local
 //! instance.

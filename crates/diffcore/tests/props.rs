@@ -236,13 +236,8 @@ proptest! {
         // eager anchoring with plain gap DP, eager anchoring with the
         // banded unit-gap DP engaged, and the production default.
         for cfg in [
-            AnchorConfig {
-                small_cells: 0,
-                myers_min_cells: usize::MAX,
-                ..AnchorConfig::default()
-            },
-            AnchorConfig { small_cells: 0, myers_min_cells: 16, ..AnchorConfig::default() },
-            AnchorConfig { small_cells: 0, rescue_max_freq: 0, ..AnchorConfig::default() },
+            AnchorConfig { small_cells: 0, myers_min_cells: usize::MAX },
+            AnchorConfig { small_cells: 0, myers_min_cells: 16 },
             AnchorConfig::default(),
         ] {
             let (pairs, _) =
@@ -267,28 +262,12 @@ proptest! {
         prop_assert_eq!(&pairs, &dp);
     }
 
-    #[test]
-    fn anchored_workers_do_not_change_output(ab in edit_structured_pair()) {
-        let (a, b) = ab;
-        let score = |i: usize, j: usize| u64::from(a[i] == b[j]);
-        let verify = |i: usize, j: usize| a[i] == b[j];
-        let unit_a = vec![true; a.len()];
-        let unit_b = vec![true; b.len()];
-        let serial = AnchorConfig { small_cells: 0, workers: 1, ..AnchorConfig::default() };
-        let parallel = AnchorConfig { small_cells: 0, workers: 4, ..AnchorConfig::default() };
-        let (p1, s1) = anchored_weighted_lcs(&a, &b, &unit_a, &unit_b, &serial, &score, &verify);
-        let (p4, s4) =
-            anchored_weighted_lcs(&a, &b, &unit_a, &unit_b, &parallel, &score, &verify);
-        prop_assert_eq!(p1, p4);
-        prop_assert_eq!(s1, s4);
-    }
-
     // Degenerate inputs: the shapes the Hirschberg fallback and the
-    // rescue machinery must get byte-identical to the DP (ISSUE 7).
+    // anchoring machinery must get byte-identical to the DP.
     #[test]
     fn degenerate_all_identical_tokens_match_dp(n in 0usize..40, m in 0usize..40) {
         // One repeated id on both sides: maximal tie-break pressure, no
-        // unique anchors, rescue candidates only when counts coincide.
+        // unique anchors.
         let a = vec![42u64; n];
         let b = vec![42u64; m];
         check_every_path_equals_dp(&a, &b);
@@ -326,9 +305,9 @@ proptest! {
     }
 }
 
-/// Asserts the anchored decomposition (eager, banded, rescue-off,
-/// default) and the linear-space Hirschberg replay all reproduce the
-/// dense DP's pairs exactly on `a` vs `b`.
+/// Asserts the anchored decomposition (eager, banded, default) and the
+/// linear-space Hirschberg replay all reproduce the dense DP's pairs
+/// exactly on `a` vs `b`.
 fn check_every_path_equals_dp(a: &[u64], b: &[u64]) {
     let score = |i: usize, j: usize| u64::from(a[i] == b[j]);
     let verify = |i: usize, j: usize| a[i] == b[j];
@@ -341,23 +320,10 @@ fn check_every_path_equals_dp(a: &[u64], b: &[u64]) {
         AnchorConfig {
             small_cells: 0,
             myers_min_cells: usize::MAX,
-            ..AnchorConfig::default()
         },
         AnchorConfig {
             small_cells: 0,
             myers_min_cells: 16,
-            ..AnchorConfig::default()
-        },
-        AnchorConfig {
-            small_cells: 0,
-            rescue_max_freq: 0,
-            ..AnchorConfig::default()
-        },
-        AnchorConfig {
-            small_cells: 0,
-            rescue_max_freq: 8,
-            rescue_min_run: 2,
-            ..AnchorConfig::default()
         },
         AnchorConfig::default(),
     ] {

@@ -48,7 +48,7 @@
 
 use crate::token::{token_class_hash, DiffToken, Inline, Sentence};
 use aide_diffcore::anchor::{anchored_weighted_lcs, AnchorConfig};
-use aide_diffcore::lcs::weighted_lcs;
+use aide_diffcore::lcs::{weighted_lcs, DP_CELL_LIMIT};
 use aide_diffcore::metrics::lcs_ratio;
 use aide_diffcore::scratch;
 use aide_diffcore::script::Alignment;
@@ -57,7 +57,6 @@ use aide_htmlkit::lexer::{Tag, TagKind};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tunables for the comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,9 +75,6 @@ pub struct CompareOptions {
     /// ablations that report probe counters (`inner_lcs_evals`,
     /// `screened_out`) must set this to measure what the paper measured.
     pub force_naive: bool,
-    /// Worker threads for scoring independent anchor gaps (1 = serial).
-    /// Has no effect with `force_naive`.
-    pub gap_workers: usize,
 }
 
 impl Default for CompareOptions {
@@ -87,7 +83,6 @@ impl Default for CompareOptions {
             match_threshold: 0.5,
             length_screen: Some(0.4),
             force_naive: false,
-            gap_workers: 1,
         }
     }
 }
@@ -543,13 +538,11 @@ fn build_probe_tables(
     }
 }
 
-/// Probe counters; atomic so the parallel gap scorers can share them.
-/// Values are deterministic for a given probe set regardless of worker
-/// count (gap rectangles are disjoint and each gap memoizes).
+/// Probe counters for the ablation experiment.
 #[derive(Default)]
 struct ScoreCounters {
-    inner: AtomicUsize,
-    screened: AtomicUsize,
+    inner: Cell<usize>,
+    screened: Cell<usize>,
 }
 
 /// Everything a score probe reads, built once per comparison.
@@ -566,8 +559,8 @@ struct Scorer<'s, 'a> {
 
 impl Scorer<'_, '_> {
     /// Scores token pair `(i, j)` through the precomputed metadata. Pure
-    /// (same inputs → same output) and thread-safe; exact-match
-    /// decisions gate on hashes but confirm with deep comparison (or
+    /// (same inputs → same output); exact-match decisions gate on
+    /// hashes but confirm with deep comparison (or
     /// interned ids, whose equality is the match predicate), so the
     /// score function — and therefore the alignment — is
     /// collision-proof.
@@ -589,12 +582,12 @@ impl Scorer<'_, '_> {
         let la = mo[i].content_len;
         let lb = mn[j].content_len;
         if length_screened(la, lb, opts) {
-            self.counters.screened.fetch_add(1, Ordering::Relaxed);
+            self.counters.screened.set(self.counters.screened.get() + 1);
             return 0;
         }
         let eq = mo[i].class_hash == mn[j].class_hash && self.old[i] == self.new[j];
         if !eq {
-            self.counters.inner.fetch_add(1, Ordering::Relaxed);
+            self.counters.inner.set(self.counters.inner.get() + 1);
         }
         if la == 0 && lb == 0 {
             return u64::from(eq);
@@ -657,6 +650,11 @@ fn tokens_identical(a: &DiffToken<'_>, ma: &TokenMeta, b: &DiffToken<'_>, mb: &T
     }
 }
 
+/// Largest rectangle, in cells, whose naive-path score memo is a flat
+/// dense table; larger ones memoize in a hash map so memory stays
+/// bounded under Hirschberg.
+const DENSE_MEMO_CELL_LIMIT: usize = 1 << 24;
+
 /// The naive full DP with a flat memo (the pre-fast-path algorithm,
 /// preserved exactly for the ablation experiments): every probe the
 /// dispatcher makes is recorded once per distinct pair.
@@ -665,9 +663,6 @@ fn naive_pairs(n: usize, m: usize, score: &impl Fn(usize, usize) -> u64) -> Vec<
     if cells == 0 {
         return Vec::new();
     }
-    // Dense memo when it fits; the sparse fallback keeps memory bounded
-    // for pathological inputs under Hirschberg.
-    const DENSE_MEMO_CELL_LIMIT: usize = 1 << 24;
     if cells <= DENSE_MEMO_CELL_LIMIT {
         let memo: Vec<Cell<u64>> = vec![Cell::new(u64::MAX); cells];
         let memoized = |i: usize, j: usize| {
@@ -724,10 +719,9 @@ pub fn compare_tokens(
     let pairs = if opts.force_naive {
         aide_obs::observe("htmldiff.naive.cells", (old.len() * new.len()) as u64);
         // The naive path's one rectangle is its own "gap": classify it
-        // the way the anchored path classifies gaps so diff.fallback.*
-        // counters cover both paths.
-        const DENSE_MEMO_CELL_LIMIT: usize = 1 << 24;
-        if old.len().saturating_mul(new.len()) <= DENSE_MEMO_CELL_LIMIT {
+        // by the algorithm `weighted_lcs` picks for it, so the
+        // diff.fallback.* counters cover both paths.
+        if old.len().saturating_mul(new.len()) <= DP_CELL_LIMIT {
             aide_obs::counter("diff.fallback.dense", 1);
         } else {
             aide_obs::counter("diff.fallback.hirschberg", 1);
@@ -741,10 +735,7 @@ pub fn compare_tokens(
         let a_unit: Vec<bool> = mo.iter().map(TokenMeta::is_break).collect();
         let b_unit: Vec<bool> = mn.iter().map(TokenMeta::is_break).collect();
         let verify = |i: usize, j: usize| tokens_identical(&old[i], &mo[i], &new[j], &mn[j]);
-        let cfg = AnchorConfig {
-            workers: opts.gap_workers.max(1),
-            ..AnchorConfig::default()
-        };
+        let cfg = AnchorConfig::default();
         let (pairs, astats) =
             anchored_weighted_lcs(&a_ids, &b_ids, &a_unit, &b_unit, &cfg, &score, &verify);
         scratch::give_u64_buf(a_ids);
@@ -757,10 +748,6 @@ pub fn compare_tokens(
             // virtual clock never advances during CPU work, so cell and
             // anchor counts stand in for stage timings.
             aide_obs::observe("htmldiff.anchor.anchors", astats.anchors as u64);
-            aide_obs::observe(
-                "htmldiff.anchor.rescue_anchors",
-                astats.rescue_anchors as u64,
-            );
             aide_obs::observe("htmldiff.anchor.gaps", astats.gaps as u64);
             aide_obs::observe("htmldiff.anchor.gap_cells", astats.gap_cells as u64);
             aide_obs::observe("htmldiff.anchor.full_cells", astats.full_cells as u64);
@@ -787,11 +774,11 @@ pub fn compare_tokens(
     if aide_obs::enabled() {
         aide_obs::observe(
             "htmldiff.compare.inner_lcs_evals",
-            counters.inner.load(Ordering::Relaxed) as u64,
+            counters.inner.get() as u64,
         );
         aide_obs::observe(
             "htmldiff.compare.screened_out",
-            counters.screened.load(Ordering::Relaxed) as u64,
+            counters.screened.get() as u64,
         );
         // Pooled scratch capacity on this thread after the diff — the
         // arena-reuse health gauge.
@@ -800,8 +787,8 @@ pub fn compare_tokens(
     TokenAlignment {
         alignment: Alignment::new(pairs, old.len(), new.len()),
         identical,
-        inner_lcs_evals: counters.inner.load(Ordering::Relaxed),
-        screened_out: counters.screened.load(Ordering::Relaxed),
+        inner_lcs_evals: counters.inner.get(),
+        screened_out: counters.screened.get(),
     }
 }
 
@@ -1030,25 +1017,6 @@ mod tests {
             let naive = compare_tokens(&old, &new, &naive_opts());
             assert_eq!(fast.alignment.pairs, naive.alignment.pairs);
             assert_eq!(fast.identical, naive.identical);
-        }
-    }
-
-    #[test]
-    fn gap_workers_do_not_change_output() {
-        for (old_html, new_html) in revision_pairs() {
-            let old = tokenize(&old_html);
-            let new = tokenize(&new_html);
-            let serial = compare_tokens(&old, &new, &CompareOptions::default());
-            let parallel = compare_tokens(
-                &old,
-                &new,
-                &CompareOptions {
-                    gap_workers: 4,
-                    ..CompareOptions::default()
-                },
-            );
-            assert_eq!(serial.alignment.pairs, parallel.alignment.pairs);
-            assert_eq!(serial.identical, parallel.identical);
         }
     }
 

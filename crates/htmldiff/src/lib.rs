@@ -48,5 +48,5 @@ pub mod tokenize;
 pub use compare::{compare_tokens, CompareOptions, TokenAlignment};
 pub use merge::DiffStats;
 pub use present::{html_diff, DiffResult, Options, Presentation};
-pub use token::{token_class_hash, token_stream_hash, DiffToken, Inline, Sentence};
+pub use token::{token_class_hash, DiffToken, Inline, Sentence};
 pub use tokenize::tokenize;

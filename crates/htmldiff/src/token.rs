@@ -259,31 +259,6 @@ pub fn token_class_hash(token: &DiffToken<'_>) -> u64 {
     h.finish()
 }
 
-/// A deep, order-sensitive hash of a whole token stream.
-///
-/// Unlike [`token_class_hash`], break attributes are hashed in source
-/// order: rendered output prints tags verbatim, so streams that differ
-/// only in attribute order must hash differently. Equal hashes identify
-/// streams that render identically under the same options.
-pub fn token_stream_hash(tokens: &[DiffToken<'_>]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(&(tokens.len() as u64).to_le_bytes());
-    for token in tokens {
-        match token {
-            DiffToken::Break(tag) => {
-                h.update(&[0xB1]);
-                hash_tag_into(&mut h, tag, false);
-            }
-            DiffToken::Sentence(s) => {
-                h.update(&[0x51]);
-                hash_sentence_into(&mut h, s);
-            }
-        }
-        h.update(&[0xEE]);
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,16 +354,6 @@ mod tests {
         );
         assert_eq!(token_class_hash(&a), token_class_hash(&b), "modulo order");
         assert_ne!(token_class_hash(&a), token_class_hash(&c));
-        // The deep stream hash distinguishes attribute order (rendering
-        // prints tags verbatim).
-        assert_ne!(
-            token_stream_hash(std::slice::from_ref(&a)),
-            token_stream_hash(std::slice::from_ref(&b))
-        );
-        assert_eq!(
-            token_stream_hash(std::slice::from_ref(&a)),
-            token_stream_hash(std::slice::from_ref(&a))
-        );
     }
 
     #[test]
@@ -412,22 +377,6 @@ mod tests {
         let b = DiffToken::Break(Tag::open("P"));
         let s = DiffToken::Sentence(Sentence { items: vec![] });
         assert_ne!(token_class_hash(&b), token_class_hash(&s));
-    }
-
-    #[test]
-    fn stream_hash_sensitive_to_order_and_length() {
-        let t1 = DiffToken::Sentence(Sentence {
-            items: vec![word("x")],
-        });
-        let t2 = DiffToken::Sentence(Sentence {
-            items: vec![word("y")],
-        });
-        let ab = token_stream_hash(&[t1.clone(), t2.clone()]);
-        let ba = token_stream_hash(&[t2.clone(), t1.clone()]);
-        let a = token_stream_hash(std::slice::from_ref(&t1));
-        assert_ne!(ab, ba);
-        assert_ne!(ab, a);
-        assert_ne!(a, token_stream_hash(&[]));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Poison-free synchronization primitives and a minimal worker pool.
+//! Poison-free synchronization primitives.
 //!
 //! Thin wrappers over `std::sync` with `parking_lot`-style ergonomics:
 //! `lock()` / `read()` / `write()` return guards directly instead of a
@@ -7,74 +7,9 @@
 //! guarded state in this codebase stays structurally valid across panics
 //! (counters, maps of immutable values) and the alternative — unwrapping
 //! at every call site — turns one panicking thread into a cascade.
-//!
-//! [`parallel_map`] is the shared fan-out helper: scoped threads pulling
-//! work items off an atomic counter, with results merged back in input
-//! order so callers are deterministic regardless of scheduling. It is the
-//! same shape as the checker pool in `w3newer`, extracted here so other
-//! crates (e.g. the diff substrate's per-gap scoring) can reuse it
-//! without a `rayon` dependency.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{self, PoisonError};
-
-/// Applies `f` to every element of `items` on up to `workers` scoped
-/// threads and returns the results in input order.
-///
-/// The output is identical for any worker count (including 1, which runs
-/// inline with no threads spawned); only wall-clock time varies. Workers
-/// claim indices from a shared atomic counter, so uneven per-item cost
-/// load-balances naturally.
-///
-/// # Examples
-///
-/// ```
-/// use aide_util::sync::parallel_map;
-///
-/// let squares = parallel_map(&[1, 2, 3, 4], 3, |_, &x| x * x);
-/// assert_eq!(squares, vec![1, 4, 9, 16]);
-/// ```
-pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = workers.clamp(1, items.len().max(1));
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        local.push((i, f(i, &items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            // aide-lint: allow(no-panic, panic-reach): a worker panic
-            // must propagate to the caller, not be swallowed into a
-            // partial result
-            indexed.extend(h.join().expect("parallel_map worker panicked"));
-        }
-    });
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, r)| r).collect()
-}
 
 /// A mutual-exclusion lock whose guard access never fails.
 #[derive(Default)]
@@ -481,37 +416,6 @@ mod tests {
         l.write().push(2);
         assert_eq!(*l.read(), vec![1, 2]);
         assert_eq!(l.into_inner(), vec![1, 2]);
-    }
-
-    #[test]
-    fn parallel_map_orders_results() {
-        let items: Vec<usize> = (0..97).collect();
-        let serial = parallel_map(&items, 1, |i, &x| i * 1000 + x);
-        for workers in [2, 3, 8, 200] {
-            assert_eq!(parallel_map(&items, workers, |i, &x| i * 1000 + x), serial);
-        }
-    }
-
-    #[test]
-    fn parallel_map_empty_and_tiny() {
-        let none: Vec<u8> = Vec::new();
-        assert!(parallel_map(&none, 4, |_, &x| x).is_empty());
-        assert_eq!(parallel_map(&[9], 4, |_, &x| x + 1), vec![10]);
-    }
-
-    #[test]
-    fn parallel_map_actually_runs_concurrently() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..64).collect();
-        parallel_map(&items, 4, |_, _| {
-            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-            peak.fetch_max(now, Ordering::SeqCst);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            live.fetch_sub(1, Ordering::SeqCst);
-        });
-        assert!(peak.load(Ordering::SeqCst) >= 2, "no overlap observed");
     }
 
     /// Runs `f` on its own thread so a panicking lock-order check cannot

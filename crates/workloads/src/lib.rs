@@ -7,6 +7,8 @@
 //! full-replacement pages like the daily Dilbert strip, noisy CGI pages,
 //! and the paragraph-to-list reformattings §5.1 worries about.
 //!
+//! - [`adversarial`]: page pairs that defeat anchored alignment, for
+//!   tests that bound the cost of hostile input.
 //! - [`rng`]: a small deterministic PRNG (splitmix64-seeded xorshift),
 //!   so every experiment is reproducible bit-for-bit. `rand` is
 //!   deliberately not used here: its stream changes across major
@@ -23,6 +25,7 @@
 //! - [`usenix`]: reconstructed USENIX home pages for the Figure 2
 //!   reproduction.
 
+pub mod adversarial;
 pub mod edits;
 pub mod evolve;
 pub mod openloop;
