@@ -68,14 +68,21 @@ fn bench_stages(c: &mut Criterion) {
     // The stages of one cold diff on the cold-dig page shape (8KB, a
     // two-sentence in-place edit): alignment alone, then `diff_tokens`
     // on pre-tokenized streams (alignment plus rendering), so the
-    // render cost is the difference between the two rows.
+    // render cost is the difference between the two rows. The 8KB full
+    // replacement's alignment — one gap the size of the page — sits
+    // beside it.
     use aide_htmldiff::compare::{compare_tokens, CompareOptions};
     use aide_htmldiff::present::diff_tokens;
     let (old, new) = pair(8 * 1024, EditModel::InPlaceEdit { sentences: 2 });
     let (old_t, new_t) = (tokenize(&old), tokenize(&new));
+    let (old_r, new_r) = pair(8 * 1024, EditModel::FullReplace);
+    let (old_rt, new_rt) = (tokenize(&old_r), tokenize(&new_r));
     let mut group = c.benchmark_group("compare_tokens");
     group.bench_function("8kb_inplace", |b| {
         b.iter(|| black_box(compare_tokens(&old_t, &new_t, &CompareOptions::default())));
+    });
+    group.bench_function("8kb_replace", |b| {
+        b.iter(|| black_box(compare_tokens(&old_rt, &new_rt, &CompareOptions::default())));
     });
     group.finish();
     let mut group = c.benchmark_group("render");

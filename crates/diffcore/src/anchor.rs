@@ -40,6 +40,12 @@
 //!    its tie-breaks match the full DP. Without it, an all-markup page
 //!    with one inserted break would be a single quadratic gap.
 //!
+//! Steps 1 and 2 are [`plan_anchors`]: they read class ids and
+//! `verify_eq`, never `score`, and hand back the gap rectangles
+//! ([`AnchorPlan::gaps`]) before anything is scored, so a caller whose
+//! probes read per-token tables builds them for the gap tokens alone.
+//! Step 3 is [`AnchorPlan::align`]; [`anchored_weighted_lcs`] runs both.
+//!
 //! # Exactness
 //!
 //! Output equality with the naive DP rests on one premise: **a token
@@ -160,7 +166,8 @@ impl AnchorStats {
 const DENSE_CELL_LIMIT: usize = 1 << 24;
 
 /// Computes a maximum-weight alignment of `0..a_ids.len()` against
-/// `0..b_ids.len()` by anchored decomposition.
+/// `0..b_ids.len()` by anchored decomposition: [`plan_anchors`], then
+/// [`AnchorPlan::align`].
 ///
 /// * `a_ids` / `b_ids` — per-token class hashes. Equal ids must be
 ///   necessary for the tokens to be interchangeable (identical content,
@@ -181,17 +188,46 @@ pub fn anchored_weighted_lcs(
     score: &impl Fn(usize, usize) -> u64,
     verify_eq: &impl Fn(usize, usize) -> bool,
 ) -> (Vec<(usize, usize)>, AnchorStats) {
+    plan_anchors(a_ids, b_ids, cfg, verify_eq).align(a_ids, b_ids, a_unit, b_unit, score, verify_eq)
+}
+
+/// How [`plan_anchors`] split the problem, before anything is scored:
+/// the verified common suffix, the forced middle anchors, and the gap
+/// rectangles between them that still need a DP. A caller whose score
+/// probes read per-token tables can build them for the tokens of
+/// [`AnchorPlan::gaps`] only, since no other token is ever probed.
+#[derive(Debug)]
+pub struct AnchorPlan {
+    cfg: AnchorConfig,
+    n: usize,
+    m: usize,
+    /// Forced middle anchors, strictly increasing in both components.
+    anchors: Vec<(usize, usize)>,
+    /// Trim and anchor statistics; [`AnchorPlan::align`] adds the gaps'.
+    stats: AnchorStats,
+}
+
+/// Trims the verified common suffix and chooses the middle anchors (steps
+/// 1 and 2 of the module docs), calling `verify_eq` but never a score.
+/// See [`anchored_weighted_lcs`] for the arguments.
+pub fn plan_anchors(
+    a_ids: &[u64],
+    b_ids: &[u64],
+    cfg: &AnchorConfig,
+    verify_eq: &impl Fn(usize, usize) -> bool,
+) -> AnchorPlan {
     let n = a_ids.len();
     let m = b_ids.len();
-    assert_eq!(n, a_unit.len(), "a_unit must parallel a_ids");
-    assert_eq!(m, b_unit.len(), "b_unit must parallel b_ids");
-    let mut stats = AnchorStats {
-        full_cells: n.saturating_mul(m),
-        ..AnchorStats::default()
+    let mut plan = AnchorPlan {
+        cfg: *cfg,
+        n,
+        m,
+        anchors: Vec::new(),
+        stats: AnchorStats {
+            full_cells: n.saturating_mul(m),
+            ..AnchorStats::default()
+        },
     };
-    if n == 0 || m == 0 {
-        return (Vec::new(), stats);
-    }
 
     // 1. Trim the common suffix (see the module docs for why only the
     // suffix is backtrack-exact).
@@ -203,52 +239,99 @@ pub fn anchored_weighted_lcs(
     {
         suffix += 1;
     }
-    stats.suffix = suffix;
+    plan.stats.suffix = suffix;
 
-    let mid_a = 0..n - suffix;
-    let mid_b = 0..m - suffix;
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    let (mid_a, mid_b) = (0..n - suffix, 0..m - suffix);
+    let cells = mid_a.len().saturating_mul(mid_b.len());
+    if cells <= cfg.small_cells {
+        return plan;
+    }
+    let (chain, crossed) = find_anchors(a_ids, b_ids, mid_a.clone(), mid_b.clone(), verify_eq);
+    plan.stats.crossed_anchors = crossed;
+    if crossed > 0 {
+        // Transposed content: forcing any of these anchors could cost
+        // weight the full DP would keep. One gap, no forcing.
+        return plan;
+    }
+    // Density gate: forcing anchors is only trusted in the anchor-dense
+    // regime (edit-structured revisions, where confirmed anchors blanket
+    // the unchanged material). A sparse chain amid churn — a full
+    // replacement that happens to keep one image tag — is exactly where
+    // the weighted DP can route *around* a verified unique pair, so those
+    // anchors are withheld and the middle runs as one exact gap.
+    let min_side = mid_a.len().min(mid_b.len());
+    if chain.len() * 1000 < MIN_DENSITY_PERMILLE * min_side {
+        plan.stats.gated_anchors = chain.len();
+    } else {
+        plan.stats.anchors = chain.len();
+        plan.anchors = chain;
+    }
+    plan
+}
 
-    if !mid_a.is_empty() && !mid_b.is_empty() {
-        let cells = mid_a.len().saturating_mul(mid_b.len());
-        let mut anchors = if cells <= cfg.small_cells {
-            Vec::new()
+impl AnchorPlan {
+    /// The forced middle anchors, strictly increasing; every one passed
+    /// `verify_eq`.
+    pub fn anchors(&self) -> &[(usize, usize)] {
+        &self.anchors
+    }
+
+    /// Length of the verified common suffix: the last `suffix()` tokens
+    /// of each side pair up in order.
+    pub fn suffix(&self) -> usize {
+        self.stats.suffix
+    }
+
+    /// Every gap in order, one before each anchor and one after the last
+    /// (none when either middle side is empty); a gap may have one empty
+    /// side.
+    fn all_gaps(&self) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
+        let (end_a, end_b) = (self.n - self.suffix(), self.m - self.suffix());
+        let count = if end_a == 0 || end_b == 0 {
+            0
         } else {
-            let (chain, crossed) =
-                find_anchors(a_ids, b_ids, mid_a.clone(), mid_b.clone(), verify_eq);
-            stats.crossed_anchors = crossed;
-            if crossed > 0 {
-                // Transposed content: forcing any of these anchors could
-                // cost weight the full DP would keep. One gap, no forcing.
-                Vec::new()
-            } else {
-                chain
-            }
+            self.anchors.len() + 1
         };
-        // Density gate: forcing anchors is only trusted in the
-        // anchor-dense regime (edit-structured revisions, where confirmed
-        // anchors blanket the unchanged material). A sparse chain amid
-        // churn — a full replacement that happens to keep one image tag —
-        // is exactly where the weighted DP can route *around* a verified
-        // unique pair, so those anchors are withheld and the middle runs
-        // as one exact gap.
-        let min_side = mid_a.len().min(mid_b.len());
-        if anchors.len() * 1000 < MIN_DENSITY_PERMILLE * min_side {
-            stats.gated_anchors = anchors.len();
-            anchors = Vec::new();
-        }
-        stats.anchors = anchors.len();
+        (0..count).map(move |k| {
+            let (ga, gb) = match k.checked_sub(1) {
+                Some(p) => (self.anchors[p].0 + 1, self.anchors[p].1 + 1),
+                None => (0, 0),
+            };
+            let (ea, eb) = self.anchors.get(k).copied().unwrap_or((end_a, end_b));
+            (ga..ea, gb..eb)
+        })
+    }
 
-        // 2. Align the gaps in order: gap k precedes anchor k, and the
-        // final gap follows the last anchor.
-        let (mut ga, mut gb) = (mid_a.start, mid_b.start);
-        for k in 0..=anchors.len() {
-            let anchor = anchors.get(k).copied();
-            let (ea, eb) = anchor.unwrap_or((mid_a.end, mid_b.end));
-            let (ra, rb) = (ga..ea, gb..eb);
+    /// The gap rectangles a DP will align, in order: the only places
+    /// [`AnchorPlan::align`] calls `score`.
+    pub fn gaps(&self) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
+        self.all_gaps()
+            .filter(|(ra, rb)| !ra.is_empty() && !rb.is_empty())
+    }
+
+    /// Aligns every gap (step 3 of the module docs) and stitches the
+    /// gaps, anchors and suffix into one alignment. The ids and
+    /// `verify_eq` must be the ones the plan was made with.
+    pub fn align(
+        &self,
+        a_ids: &[u64],
+        b_ids: &[u64],
+        a_unit: &[bool],
+        b_unit: &[bool],
+        score: &impl Fn(usize, usize) -> u64,
+        verify_eq: &impl Fn(usize, usize) -> bool,
+    ) -> (Vec<(usize, usize)>, AnchorStats) {
+        assert_eq!(self.n, a_unit.len(), "a_unit must parallel a_ids");
+        assert_eq!(self.m, b_unit.len(), "b_unit must parallel b_ids");
+        let mut stats = self.stats;
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        // Gap k precedes anchor k, and the final gap follows the last
+        // anchor.
+        for (k, (ra, rb)) in self.all_gaps().enumerate() {
             stats.gap_cells += ra.len().saturating_mul(rb.len());
-            let (mut chunk, path) =
-                align_gap(ra, rb, a_ids, b_ids, a_unit, b_unit, cfg, score, verify_eq);
+            let (mut chunk, path) = align_gap(
+                ra, rb, a_ids, b_ids, a_unit, b_unit, &self.cfg, score, verify_eq,
+            );
             match path {
                 GapPath::Empty => {}
                 GapPath::Dense => stats.dense_gaps += 1,
@@ -256,18 +339,13 @@ pub fn anchored_weighted_lcs(
                 GapPath::Hirschberg => stats.hirschberg_gaps += 1,
             }
             pairs.append(&mut chunk);
-            if let Some((ai, bj)) = anchor {
-                pairs.push((ai, bj));
-                (ga, gb) = (ai + 1, bj + 1);
-            }
+            pairs.extend(self.anchors.get(k).copied());
         }
         stats.gaps = stats.dense_gaps + stats.banded_gaps + stats.hirschberg_gaps;
+        let suffix = self.suffix();
+        pairs.extend((0..suffix).map(|k| (self.n - suffix + k, self.m - suffix + k)));
+        (pairs, stats)
     }
-
-    for k in 0..suffix {
-        pairs.push((n - suffix + k, m - suffix + k));
-    }
-    (pairs, stats)
 }
 
 /// Unique-id anchor pairs in the middle region: ids occurring exactly
@@ -289,7 +367,7 @@ fn find_anchors(
         b_idx: usize,
     }
     let (end_a, end_b) = (mid_a.end, mid_b.end);
-    let mut occ: HashMap<u64, Occ> = HashMap::new();
+    let mut occ: HashMap<u64, Occ> = HashMap::with_capacity(mid_a.len() + mid_b.len());
     for i in mid_a {
         let e = occ.entry(a_ids[i]).or_default();
         e.a_count += 1;
@@ -306,7 +384,24 @@ fn find_anchors(
         .map(|o| (o.a_idx, o.b_idx))
         .collect();
     cands.sort_unstable();
-    cands.retain(|&(i, j)| verify_eq(i, j));
+    // Each a-token's standing as a unique pair: not one, one that failed
+    // `verify_eq`, or a verified one. A pair `(x, y)` with equal ids is
+    // its id's unique pair exactly when `standing[x]` is not `NotUnique`.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Standing {
+        NotUnique,
+        Failed,
+        Verified,
+    }
+    let mut standing = vec![Standing::NotUnique; end_a];
+    for &(i, j) in &cands {
+        standing[i] = if verify_eq(i, j) {
+            Standing::Verified
+        } else {
+            Standing::Failed
+        };
+    }
+    cands.retain(|&(i, _)| standing[i] == Standing::Verified);
     // Context confirmation: keep only anchors whose verified-identical
     // neighborhood contains *another unique pair* (or extends to a region
     // corner) on at least one side. A unique pair stranded inside churn —
@@ -319,13 +414,17 @@ fn find_anchors(
     // filler token matches every other — so the walk skips through
     // verified filler pairs until it reaches a unique pair (confirmed), a
     // mismatch (not confirmed), or the walk cap (not confirmed; a longer
-    // filler run carries no more meaning than a short one).
-    let pair_eq = |i: usize, j: usize| a_ids[i] == b_ids[j] && verify_eq(i, j);
-    let unique_pair = |i: usize, j: usize| {
-        a_ids[i] == b_ids[j]
-            && occ
-                .get(&a_ids[i])
-                .is_some_and(|o| o.a_count == 1 && o.b_count == 1)
+    // filler run carries no more meaning than a short one). `step` is one
+    // pair of a walk: `Some(verdict)` ends it, `None` walks on.
+    let step = |x: usize, y: usize| -> Option<bool> {
+        if a_ids[x] != b_ids[y] {
+            return Some(false);
+        }
+        match standing[x] {
+            Standing::Verified => Some(true),
+            Standing::Failed => Some(false),
+            Standing::NotUnique => (!verify_eq(x, y)).then_some(false),
+        }
     };
     const CONFIRM_WALK_CAP: usize = 32;
     let confirmed_back = |i: usize, j: usize| {
@@ -333,11 +432,11 @@ fn find_anchors(
             if i < k && j < k {
                 return true; // verified run reaches the region corner
             }
-            if i < k || j < k || !pair_eq(i - k, j - k) {
+            if i < k || j < k {
                 return false;
             }
-            if unique_pair(i - k, j - k) {
-                return true;
+            if let Some(verdict) = step(i - k, j - k) {
+                return verdict;
             }
         }
         false
@@ -347,11 +446,11 @@ fn find_anchors(
             if i + k == end_a && j + k == end_b {
                 return true;
             }
-            if i + k >= end_a || j + k >= end_b || !pair_eq(i + k, j + k) {
+            if i + k >= end_a || j + k >= end_b {
                 return false;
             }
-            if unique_pair(i + k, j + k) {
-                return true;
+            if let Some(verdict) = step(i + k, j + k) {
+                return verdict;
             }
         }
         false

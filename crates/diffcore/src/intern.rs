@@ -42,16 +42,6 @@ impl<T: Hash + Eq + Clone> Interner<T> {
         *self.map.entry(token).or_insert(next)
     }
 
-    /// Interns every element of `seq`, preserving order.
-    pub fn intern_seq(&mut self, seq: impl IntoIterator<Item = T>) -> Vec<u32> {
-        seq.into_iter().map(|t| self.intern(t)).collect()
-    }
-
-    /// Returns the id for `token` if it has been interned.
-    pub fn get(&self, token: &T) -> Option<u32> {
-        self.map.get(token).copied()
-    }
-
     /// Number of distinct tokens interned.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -61,15 +51,6 @@ impl<T: Hash + Eq + Clone> Interner<T> {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-}
-
-/// Interns two sequences with a shared table, so equal tokens across the
-/// two sides receive equal ids.
-pub fn intern_pair<T: Hash + Eq + Clone>(a: &[T], b: &[T]) -> (Vec<u32>, Vec<u32>) {
-    let mut interner = Interner::new();
-    let ia = a.iter().map(|t| interner.intern(t.clone())).collect();
-    let ib = b.iter().map(|t| interner.intern(t.clone())).collect();
-    (ia, ib)
 }
 
 #[cfg(test)]
@@ -87,31 +68,9 @@ mod tests {
     }
 
     #[test]
-    fn get_without_insert() {
-        let mut i = Interner::new();
-        i.intern("present");
-        assert_eq!(i.get(&"present"), Some(0));
-        assert_eq!(i.get(&"absent"), None);
-    }
-
-    #[test]
-    fn pair_sharing() {
-        let (a, b) = intern_pair(&["x", "y", "x"], &["y", "x", "z"]);
-        assert_eq!(a, vec![0, 1, 0]);
-        assert_eq!(b, vec![1, 0, 2]);
-    }
-
-    #[test]
     fn empty_interner() {
         let i: Interner<String> = Interner::new();
         assert!(i.is_empty());
         assert_eq!(i.len(), 0);
-    }
-
-    #[test]
-    fn intern_seq_preserves_order() {
-        let mut i = Interner::new();
-        let ids = i.intern_seq(vec!["a", "b", "a", "c"]);
-        assert_eq!(ids, vec![0, 1, 0, 2]);
     }
 }

@@ -18,7 +18,9 @@
 //!   common suffix, split the middle at verified unique-hash anchor
 //!   tokens (patience-style), and align only the gaps with the same
 //!   canonical backtrack, so the result is pair-for-pair identical to
-//!   the full DP on edit-structured inputs.
+//!   the full DP on edit-structured inputs. The trim and anchors are
+//!   planned before any score probe, so a caller can prepare per-token
+//!   score data for the gap tokens alone.
 //! - [`scratch`]: per-thread buffer pools reused across diffs (DP
 //!   tables, score rows, token arenas).
 //! - [`myers`]: the Myers `O((N+M)D)` greedy diff for plain equality

@@ -8,8 +8,8 @@
 //! - Unified diff of identical inputs is empty; a text always equals
 //!   itself under `diff_lines`.
 //! - The anchored fast path returns the *same pairs* as the full DP on
-//!   edit-structured token streams, for any worker count and any
-//!   decomposition config.
+//!   edit-structured token streams, for any decomposition config, even
+//!   when distinct tokens share class ids.
 
 use aide_diffcore::anchor::{anchored_weighted_lcs, AnchorConfig};
 use aide_diffcore::lcs::{alignment_weight, lcs_pairs, weighted_lcs_dp, weighted_lcs_hirschberg};
@@ -243,6 +243,48 @@ proptest! {
             let (pairs, _) =
                 anchored_weighted_lcs(&a, &b, &unit_a, &unit_b, &cfg, &score, &verify);
             prop_assert_eq!(&pairs, &dp, "config {:?}", cfg);
+        }
+    }
+
+    #[test]
+    fn anchored_equals_dp_with_colliding_class_ids(ab in edit_structured_pair()) {
+        // The score and `verify_eq` see the true tokens; the class ids
+        // collide in two ways. Folded onto five values, nearly every id
+        // collides and anchors all but vanish. Remapped at the edit
+        // sites, each id the edits added takes the class id of one they
+        // removed, so the edits leave unique class-id pairs whose tokens
+        // differ — exactly what only `verify_eq` can turn away. A
+        // collision may cost the decomposition its anchors, never the
+        // output.
+        let (a, b) = ab;
+        let removed: Vec<u64> = a.iter().copied().filter(|x| !b.contains(x)).collect();
+        let added: Vec<u64> = b.iter().copied().filter(|x| !a.contains(x)).collect();
+        let at_edit_site = |x: u64| {
+            added
+                .iter()
+                .position(|&y| y == x)
+                .and_then(|k| removed.get(k).copied())
+                .unwrap_or(x)
+        };
+        let score = |i: usize, j: usize| u64::from(a[i] == b[j]);
+        let verify = |i: usize, j: usize| a[i] == b[j];
+        let unit_a = vec![true; a.len()];
+        let unit_b = vec![true; b.len()];
+        let dp = weighted_lcs_dp(a.len(), b.len(), &score);
+        let folds: [&dyn Fn(u64) -> u64; 2] = [&|x| x % 5, &at_edit_site];
+        for class in folds {
+            let class_a: Vec<u64> = a.iter().map(|&x| class(x)).collect();
+            let class_b: Vec<u64> = b.iter().map(|&x| class(x)).collect();
+            for cfg in [
+                AnchorConfig { small_cells: 0, myers_min_cells: usize::MAX },
+                AnchorConfig { small_cells: 0, myers_min_cells: 16 },
+                AnchorConfig::default(),
+            ] {
+                let (pairs, _) = anchored_weighted_lcs(
+                    &class_a, &class_b, &unit_a, &unit_b, &cfg, &score, &verify,
+                );
+                prop_assert_eq!(&pairs, &dp, "config {:?}", cfg);
+            }
         }
     }
 

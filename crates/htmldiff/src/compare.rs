@@ -18,36 +18,40 @@
 //!
 //! # The fast path
 //!
-//! By default the outer alignment runs through the anchored
-//! decomposition of [`aide_diffcore::anchor`] over per-token metadata
-//! precomputed once per stream: a match-class hash, the cached content
-//! length, and interned `u32` ids for every sentence item and break,
-//! stored in a per-diff arena drawn from the [`aide_diffcore::scratch`]
-//! pools so back-to-back diffs reuse their allocations. The interner
-//! keys borrow words and tag fields from the token streams, so interning
-//! copies nothing, and a new sentence identical to an old one copies the
-//! old one's ids instead of interning again. Score probes are then O(1)
-//! screens plus an integer-compare inner LCS instead of deep re-walks of
-//! the item lists: a break probe is one id compare, and before any inner
-//! LCS runs, a multiset-intersection bound over each sentence's content
-//! ids — read off per-sentence bitmaps, with a merge walk over the
-//! *sorted* ids only when the bitmaps cannot settle it — proves most
-//! non-matching pairs apart (the intersection size is an upper bound on
-//! the achievable `W`, so a pair whose bound already fails the `2W/L`
-//! threshold is rejected without the DP; pairs that could match still
-//! run the exact inner LCS). The
-//! output is byte-identical to the
-//! naive full DP on edit-structured inputs (the property suite asserts
-//! it across the workload edit models); every hash equality that feeds
-//! an alignment decision is confirmed with a deep comparison first, so
-//! hash collisions cannot corrupt the result. Ablation experiments that
-//! must measure the paper's algorithm (probe counts, screen traffic) set
-//! [`CompareOptions::force_naive`], which runs the full DP with
-//! unchanged counter semantics (the screen/inner-LCS counters increment
-//! at the same probe points on every path, prune or no prune).
+//! By default the outer alignment runs in two passes. The first gives
+//! every token a match-class hash ([`token_class_hash`]) and nothing
+//! else: [`aide_diffcore::anchor::plan_anchors`] trims the common
+//! suffix and picks unique anchors on those hashes alone, confirming
+//! every hash equality it acts on with a deep comparison
+//! (sentences by derived equality, breaks by
+//! [`Tag::matches_modulo_order`]), so a hash collision can cost time but
+//! never change the output. The second pass builds score metadata only
+//! for the tokens inside the gaps the plan leaves, because no other token
+//! is ever probed: the cached content length, interned `u32` ids for
+//! every sentence item and break, and bitmap rows, stored in a per-diff
+//! arena drawn from the [`aide_diffcore::scratch`] pools so back-to-back
+//! diffs reuse their allocations. The interner, arena and bitmaps are
+//! sized to the edit, not the page. The interner keys borrow words and
+//! tag fields from the token streams, so interning copies nothing. Score
+//! probes are then O(1) screens plus an integer-compare inner LCS
+//! instead of deep re-walks of the item lists: a break probe is one id
+//! compare, and before any inner LCS runs, a multiset-intersection bound
+//! over each sentence's content ids — read off per-sentence bitmaps,
+//! with a merge walk over the *sorted* ids only when the bitmaps cannot
+//! settle it — proves most non-matching pairs apart (the intersection
+//! size is an upper bound on the achievable `W`, so a pair whose bound
+//! already fails the `2W/L` threshold is rejected without the DP; pairs
+//! that could match still run the exact inner LCS). The output is
+//! byte-identical to the naive full DP on edit-structured inputs (the
+//! property suite asserts it across the workload edit models).
+//! Ablation experiments that must measure the paper's algorithm (probe
+//! counts, screen traffic) set [`CompareOptions::force_naive`], which
+//! runs the full DP over the same metadata built for one page-sized gap,
+//! with unchanged counter semantics (the screen/inner-LCS counters
+//! increment at the same probe points on every path, prune or no prune).
 
 use crate::token::{token_class_hash, DiffToken, Inline, Sentence};
-use aide_diffcore::anchor::{anchored_weighted_lcs, AnchorConfig};
+use aide_diffcore::anchor::{plan_anchors, AnchorConfig};
 use aide_diffcore::lcs::{weighted_lcs, DP_CELL_LIMIT};
 use aide_diffcore::metrics::lcs_ratio;
 use aide_diffcore::scratch;
@@ -57,6 +61,7 @@ use aide_htmlkit::lexer::{Tag, TagKind};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 /// Tunables for the comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -240,14 +245,12 @@ impl MetaArena {
     }
 }
 
-/// Per-token comparison metadata, precomputed once per stream so score
-/// probes never re-walk item lists. Item data lives in the shared
+/// One token's comparison metadata, so score probes never re-walk item
+/// lists. Built only for gap tokens — the only ones a probe reads — and
+/// left at its default everywhere else. Item data lives in the shared
 /// [`MetaArena`]; tokens hold ranges.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct TokenMeta {
-    /// [`token_class_hash`]: equal is necessary for a maximal-weight
-    /// identical match, unequal proves tokens differ.
-    class_hash: u64,
     /// Cached [`Sentence::content_len`] (0 for breaks).
     content_len: usize,
     /// Range of this token's item ids in [`MetaArena::ids`].
@@ -265,117 +268,87 @@ struct TokenMeta {
     /// key: two breaks match iff their ids are equal. `None` for
     /// sentences.
     break_id: Option<u32>,
+    /// This token's row in [`ProbeTables::sig`].
+    row: usize,
 }
 
-impl TokenMeta {
-    fn is_break(&self) -> bool {
-        self.break_id.is_some()
-    }
-}
-
-/// Builds the metadata of `tokens`. With `earlier` — the other stream
-/// and its finished metadata — a sentence deeply equal to one of that
-/// stream's copies its item ids instead of interning every item again:
-/// equal items have equal keys, so the ids are the ones interning would
-/// assign. Between two revisions of a page that is nearly every
-/// sentence.
-fn build_meta<'t>(
-    tokens: &'t [DiffToken<'_>],
-    earlier: Option<(&[DiffToken<'_>], &[TokenMeta])>,
+/// Interns `t`'s items (or, for a break, its modulo-order key) into the
+/// arena and returns its metadata.
+fn token_meta<'t>(
+    t: &'t DiffToken<'_>,
+    row: usize,
     interner: &mut Interner<ItemKey<'t>>,
     arena: &mut MetaArena,
-) -> Vec<TokenMeta> {
-    // First sentence of `earlier` in each class.
-    let mut first_of_class: HashMap<u64, usize> = HashMap::new();
-    if let Some((_, metas)) = earlier {
-        for (k, m) in metas.iter().enumerate() {
-            if !m.is_break() {
-                first_of_class.entry(m.class_hash).or_insert(k);
+) -> TokenMeta {
+    let s = match t {
+        DiffToken::Break(tag) => {
+            // Break names are sentence-breaking and inline markup names
+            // are not, so break ids never occur among items.
+            let id = interner.intern(tag_key(tag));
+            if id as usize == arena.id_is_content.len() {
+                arena.id_is_content.push(false);
             }
+            return TokenMeta {
+                break_id: Some(id),
+                row,
+                ..TokenMeta::default()
+            };
+        }
+        DiffToken::Sentence(s) => s,
+    };
+    let items_start = arena.ids.len();
+    for it in &s.items {
+        let id = interner.intern(item_key(it));
+        if id as usize == arena.id_is_content.len() {
+            arena.id_is_content.push(it.is_content());
+        }
+        arena.ids.push(id);
+    }
+    let items_end = arena.ids.len();
+    let sorted_start = arena.sorted_content.len();
+    for k in items_start..items_end {
+        let id = arena.ids[k];
+        if arena.id_is_content[id as usize] {
+            arena.sorted_content.push(id);
         }
     }
-    tokens
-        .iter()
-        .map(|t| match t {
-            DiffToken::Break(tag) => {
-                // Break names are sentence-breaking and inline markup
-                // names are not, so break ids never occur among items.
-                let id = interner.intern(tag_key(tag));
-                if id as usize == arena.id_is_content.len() {
-                    arena.id_is_content.push(false);
-                }
-                TokenMeta {
-                    class_hash: token_class_hash(t),
-                    content_len: 0,
-                    items_start: arena.ids.len(),
-                    items_end: arena.ids.len(),
-                    sorted_start: arena.sorted_content.len(),
-                    sorted_end: arena.sorted_content.len(),
-                    max_mult: 0,
-                    break_id: Some(id),
-                }
-            }
-            DiffToken::Sentence(s) => {
-                let class_hash = token_class_hash(t);
-                let twin = earlier.and_then(|(toks, metas)| {
-                    let &k = first_of_class.get(&class_hash)?;
-                    (toks[k] == *t).then_some(metas[k])
-                });
-                if let Some(m) = twin {
-                    let items_start = arena.ids.len();
-                    arena.ids.extend_from_within(m.items_start..m.items_end);
-                    let sorted_start = arena.sorted_content.len();
-                    arena
-                        .sorted_content
-                        .extend_from_within(m.sorted_start..m.sorted_end);
-                    return TokenMeta {
-                        items_start,
-                        items_end: arena.ids.len(),
-                        sorted_start,
-                        sorted_end: arena.sorted_content.len(),
-                        ..m
-                    };
-                }
-                let items_start = arena.ids.len();
-                for it in &s.items {
-                    let id = interner.intern(item_key(it));
-                    if id as usize == arena.id_is_content.len() {
-                        arena.id_is_content.push(it.is_content());
-                    }
-                    arena.ids.push(id);
-                }
-                let items_end = arena.ids.len();
-                let sorted_start = arena.sorted_content.len();
-                for k in items_start..items_end {
-                    let id = arena.ids[k];
-                    if arena.id_is_content[id as usize] {
-                        arena.sorted_content.push(id);
-                    }
-                }
-                arena.sorted_content[sorted_start..].sort_unstable();
-                let mut max_mult = 0u64;
-                let mut run = 0u64;
-                let mut prev = None;
-                for &id in &arena.sorted_content[sorted_start..] {
-                    run = if Some(id) == prev { run + 1 } else { 1 };
-                    prev = Some(id);
-                    max_mult = max_mult.max(run);
-                }
-                TokenMeta {
-                    class_hash,
-                    // One sorted id per content item: this is
-                    // `Sentence::content_len` without a second walk.
-                    content_len: arena.sorted_content.len() - sorted_start,
-                    items_start,
-                    items_end,
-                    sorted_start,
-                    sorted_end: arena.sorted_content.len(),
-                    max_mult,
-                    break_id: None,
-                }
-            }
-        })
-        .collect()
+    arena.sorted_content[sorted_start..].sort_unstable();
+    let mut max_mult = 0u64;
+    let mut run = 0u64;
+    let mut prev = None;
+    for &id in &arena.sorted_content[sorted_start..] {
+        run = if Some(id) == prev { run + 1 } else { 1 };
+        prev = Some(id);
+        max_mult = max_mult.max(run);
+    }
+    TokenMeta {
+        // One sorted id per content item: this is
+        // `Sentence::content_len` without a second walk.
+        content_len: arena.sorted_content.len() - sorted_start,
+        items_start,
+        items_end,
+        sorted_start,
+        sorted_end: arena.sorted_content.len(),
+        max_mult,
+        break_id: None,
+        row,
+    }
+}
+
+/// Builds the metadata of the tokens in `ranges` (one stream's sides of
+/// the gaps) into `metas`, numbering their bitmap rows from `*rows` on.
+fn build_gap_meta<'t>(
+    tokens: &'t [DiffToken<'_>],
+    ranges: impl Iterator<Item = Range<usize>>,
+    metas: &mut [TokenMeta],
+    rows: &mut usize,
+    interner: &mut Interner<ItemKey<'t>>,
+    arena: &mut MetaArena,
+) {
+    for k in ranges.flatten() {
+        metas[k] = token_meta(&tokens[k], *rows, interner, arena);
+        *rows += 1;
+    }
 }
 
 /// Whether the multiset intersection of two ascending id slices — the
@@ -433,11 +406,11 @@ fn build_needed_table(mo: &[TokenMeta], mn: &[TokenMeta], threshold: f64) -> Vec
 }
 
 /// Per-compare probe acceleration tables: the prune-threshold lookup
-/// plus a per-token content-id bitmap matrix (one row per token, old
-/// stream first). Columns exist only for the content ids that occur on
-/// *both* sides, numbered densely: an id on one side only can never be
-/// set in both an old and a new row, so leaving it out changes no AND
-/// and shortens every row. Each row has two layers of `sig_words`
+/// plus a content-id bitmap matrix with one row per gap token
+/// ([`TokenMeta::row`]). Columns exist only for the content ids that
+/// occur on *both* sides, numbered densely: an id on one side only can
+/// never be set in both an old and a new row, so leaving it out changes
+/// no AND and shortens every row. Each row has two layers of `sig_words`
 /// words: layer 1 sets a shared id's bit iff the sentence contains the
 /// id, layer 2 iff it contains it at least twice. The bitmaps are
 /// *exact*, not hashed, and the multiset intersection the merge walk
@@ -456,16 +429,15 @@ struct ProbeTables {
     needed: Vec<u64>,
     sig: Vec<u64>,
     sig_words: usize,
-    new_row_base: usize,
 }
 
 impl ProbeTables {
-    /// Upper bound on the multiset intersection of old sentence `i`'s
-    /// and new sentence `j`'s content ids, and whether it is exact.
-    fn intersection_bound(&self, i: usize, j: usize, min_mult: u64) -> (u64, bool) {
+    /// Upper bound on the multiset intersection of the content ids of
+    /// the sentences in rows `ra` and `rb`, and whether it is exact.
+    fn intersection_bound(&self, ra: usize, rb: usize, min_mult: u64) -> (u64, bool) {
         let w = self.sig_words;
-        let a = &self.sig[2 * w * i..2 * w * (i + 1)];
-        let b = &self.sig[2 * w * (self.new_row_base + j)..2 * w * (self.new_row_base + j + 1)];
+        let a = &self.sig[2 * w * ra..2 * w * (ra + 1)];
+        let b = &self.sig[2 * w * rb..2 * w * (rb + 1)];
         let common = |layer: usize| -> u64 {
             let (a, b) = (
                 &a[layer * w..(layer + 1) * w],
@@ -484,9 +456,12 @@ impl ProbeTables {
     }
 }
 
+/// Builds the tables over `rows` gap tokens. Tokens outside the gaps have
+/// no content ids, so they add no column and set no bit.
 fn build_probe_tables(
     mo: &[TokenMeta],
     mn: &[TokenMeta],
+    rows: usize,
     arena: &MetaArena,
     vocab: usize,
     threshold: f64,
@@ -515,8 +490,9 @@ fn build_probe_tables(
     let sig_words = (shared as usize).div_ceil(64);
     let mut sig = scratch::take_u64_buf();
     sig.clear();
-    sig.resize((mo.len() + mn.len()) * 2 * sig_words, 0);
-    for (row, m) in mo.iter().chain(mn.iter()).enumerate() {
+    sig.resize(rows * 2 * sig_words, 0);
+    for m in mo.iter().chain(mn.iter()) {
+        let row = m.row;
         let ids = &arena.sorted_content[m.sorted_start..m.sorted_end];
         for (k, &id) in ids.iter().enumerate() {
             let Some(col) = column[id as usize].checked_sub(1) else {
@@ -534,7 +510,6 @@ fn build_probe_tables(
         needed: build_needed_table(mo, mn, threshold),
         sig,
         sig_words,
-        new_row_base: mo.len(),
     }
 }
 
@@ -549,6 +524,9 @@ struct ScoreCounters {
 struct Scorer<'s, 'a> {
     old: &'s [DiffToken<'a>],
     new: &'s [DiffToken<'a>],
+    /// Every token's [`token_class_hash`].
+    a_hash: &'s [u64],
+    b_hash: &'s [u64],
     mo: &'s [TokenMeta],
     mn: &'s [TokenMeta],
     arena: &'s MetaArena,
@@ -558,12 +536,12 @@ struct Scorer<'s, 'a> {
 }
 
 impl Scorer<'_, '_> {
-    /// Scores token pair `(i, j)` through the precomputed metadata. Pure
-    /// (same inputs → same output); exact-match decisions gate on
-    /// hashes but confirm with deep comparison (or
-    /// interned ids, whose equality is the match predicate), so the
-    /// score function — and therefore the alignment — is
-    /// collision-proof.
+    /// Scores token pair `(i, j)`, both inside a gap, through the
+    /// precomputed metadata. Pure (same inputs → same output);
+    /// exact-match decisions gate on hashes but confirm with deep
+    /// comparison (or interned ids, whose equality is the match
+    /// predicate), so the score function — and therefore the alignment —
+    /// is collision-proof.
     #[inline]
     fn score(&self, i: usize, j: usize) -> u64 {
         // Dispatch on the compact metadata, not the token enums: a break
@@ -577,15 +555,16 @@ impl Scorer<'_, '_> {
     }
 
     fn score_sentences(&self, i: usize, j: usize) -> u64 {
-        let (mo, mn, arena, opts, tables) = (self.mo, self.mn, self.arena, self.opts, self.tables);
+        let (arena, opts, tables) = (self.arena, self.opts, self.tables);
+        let (ma, mb) = (&self.mo[i], &self.mn[j]);
         // Track screen/inner-LCS traffic for the ablation experiment.
-        let la = mo[i].content_len;
-        let lb = mn[j].content_len;
+        let la = ma.content_len;
+        let lb = mb.content_len;
         if length_screened(la, lb, opts) {
             self.counters.screened.set(self.counters.screened.get() + 1);
             return 0;
         }
-        let eq = mo[i].class_hash == mn[j].class_hash && self.old[i] == self.new[j];
+        let eq = self.a_hash[i] == self.b_hash[j] && self.old[i] == self.new[j];
         if !eq {
             self.counters.inner.set(self.counters.inner.get() + 1);
         }
@@ -611,19 +590,20 @@ impl Scorer<'_, '_> {
         // settle it exactly unless some content id repeats three times on
         // both sides; only then does a merge walk over the presorted ids
         // decide, bailing the moment the answer is known either way.
-        let (bound, exact) = tables.intersection_bound(i, j, mo[i].max_mult.min(mn[j].max_mult));
+        let (bound, exact) =
+            tables.intersection_bound(ma.row, mb.row, ma.max_mult.min(mb.max_mult));
         if bound < needed {
             return 0;
         }
         if !exact {
-            let sca = &arena.sorted_content[mo[i].sorted_start..mo[i].sorted_end];
-            let scb = &arena.sorted_content[mn[j].sorted_start..mn[j].sorted_end];
+            let sca = &arena.sorted_content[ma.sorted_start..ma.sorted_end];
+            let scb = &arena.sorted_content[mb.sorted_start..mb.sorted_end];
             if !intersection_reaches(sca, scb, needed) {
                 return 0;
             }
         }
-        let aid = &arena.ids[mo[i].items_start..mo[i].items_end];
-        let bid = &arena.ids[mn[j].items_start..mn[j].items_end];
+        let aid = &arena.ids[ma.items_start..ma.items_end];
+        let bid = &arena.ids[mb.items_start..mb.items_end];
         let pairs = weighted_lcs(aid.len(), bid.len(), &|x, y| u64::from(aid[x] == bid[y]));
         let w = pairs
             .iter()
@@ -640,12 +620,12 @@ impl Scorer<'_, '_> {
     }
 }
 
-/// Deep equality for alignment decisions: breaks modulo attribute order
-/// (their match predicate, as interned ids), sentences exactly.
-fn tokens_identical(a: &DiffToken<'_>, ma: &TokenMeta, b: &DiffToken<'_>, mb: &TokenMeta) -> bool {
-    match (ma.break_id, mb.break_id) {
-        (Some(x), Some(y)) => x == y,
-        (None, None) => a == b,
+/// Deep equality for trim and anchor decisions: breaks modulo attribute
+/// order (their match predicate), sentences exactly.
+fn tokens_identical(a: &DiffToken<'_>, b: &DiffToken<'_>) -> bool {
+    match (a, b) {
+        (DiffToken::Break(x), DiffToken::Break(y)) => x.matches_modulo_order(y),
+        (DiffToken::Sentence(x), DiffToken::Sentence(y)) => x == y,
         _ => false,
     }
 }
@@ -697,15 +677,41 @@ pub fn compare_tokens(
     new: &[DiffToken<'_>],
     opts: &CompareOptions,
 ) -> TokenAlignment {
+    // Every token's class hash: the trim and the anchors need nothing
+    // more.
+    let mut a_hash = scratch::take_u64_buf();
+    a_hash.extend(old.iter().map(token_class_hash));
+    let mut b_hash = scratch::take_u64_buf();
+    b_hash.extend(new.iter().map(token_class_hash));
+    let verify = |i: usize, j: usize| tokens_identical(&old[i], &new[j]);
+    // The naive path is the one-gap case of the same build.
+    let plan = (!opts.force_naive)
+        .then(|| plan_anchors(&a_hash, &b_hash, &AnchorConfig::default(), &verify));
+    let gaps: Vec<(Range<usize>, Range<usize>)> = match &plan {
+        Some(plan) => plan.gaps().collect(),
+        None => vec![(0..old.len(), 0..new.len())],
+    };
+
+    // Only the gap tokens are ever probed: they alone get item ids,
+    // sorted content ids and bitmap rows, so the interner, arena and
+    // tables are sized to the edit, not the page. `mo` / `mn` keep one
+    // slot per token so that a probe indexes them directly.
     let mut interner = Interner::new();
     let mut arena = MetaArena::take();
-    let mo = build_meta(old, None, &mut interner, &mut arena);
-    let mn = build_meta(new, Some((old, &mo)), &mut interner, &mut arena);
+    let mut mo = vec![TokenMeta::default(); old.len()];
+    let mut mn = vec![TokenMeta::default(); new.len()];
+    let mut rows = 0;
+    let old_gaps = gaps.iter().map(|g| g.0.clone());
+    build_gap_meta(old, old_gaps, &mut mo, &mut rows, &mut interner, &mut arena);
+    let new_gaps = gaps.iter().map(|g| g.1.clone());
+    build_gap_meta(new, new_gaps, &mut mn, &mut rows, &mut interner, &mut arena);
     let counters = ScoreCounters::default();
-    let tables = build_probe_tables(&mo, &mn, &arena, interner.len(), opts.match_threshold);
+    let tables = build_probe_tables(&mo, &mn, rows, &arena, interner.len(), opts.match_threshold);
     let scorer = Scorer {
         old,
         new,
+        a_hash: &a_hash,
+        b_hash: &b_hash,
         mo: &mo,
         mn: &mn,
         arena: &arena,
@@ -716,61 +722,69 @@ pub fn compare_tokens(
     let score = |i: usize, j: usize| scorer.score(i, j);
 
     aide_obs::counter("htmldiff.compare", 1);
-    let pairs = if opts.force_naive {
-        aide_obs::observe("htmldiff.naive.cells", (old.len() * new.len()) as u64);
-        // The naive path's one rectangle is its own "gap": classify it
-        // by the algorithm `weighted_lcs` picks for it, so the
-        // diff.fallback.* counters cover both paths.
-        if old.len().saturating_mul(new.len()) <= DP_CELL_LIMIT {
-            aide_obs::counter("diff.fallback.dense", 1);
-        } else {
-            aide_obs::counter("diff.fallback.hirschberg", 1);
+    let pairs = match &plan {
+        None => {
+            aide_obs::observe("htmldiff.naive.cells", (old.len() * new.len()) as u64);
+            // The naive path's one rectangle is its own "gap": classify
+            // it by the algorithm `weighted_lcs` picks for it, so the
+            // diff.fallback.* counters cover both paths.
+            if old.len().saturating_mul(new.len()) <= DP_CELL_LIMIT {
+                aide_obs::counter("diff.fallback.dense", 1);
+            } else {
+                aide_obs::counter("diff.fallback.hirschberg", 1);
+            }
+            naive_pairs(old.len(), new.len(), &score)
         }
-        naive_pairs(old.len(), new.len(), &score)
-    } else {
-        let mut a_ids = scratch::take_u64_buf();
-        a_ids.extend(mo.iter().map(|m| m.class_hash));
-        let mut b_ids = scratch::take_u64_buf();
-        b_ids.extend(mn.iter().map(|m| m.class_hash));
-        let a_unit: Vec<bool> = mo.iter().map(TokenMeta::is_break).collect();
-        let b_unit: Vec<bool> = mn.iter().map(TokenMeta::is_break).collect();
-        let verify = |i: usize, j: usize| tokens_identical(&old[i], &mo[i], &new[j], &mn[j]);
-        let cfg = AnchorConfig::default();
-        let (pairs, astats) =
-            anchored_weighted_lcs(&a_ids, &b_ids, &a_unit, &b_unit, &cfg, &score, &verify);
-        scratch::give_u64_buf(a_ids);
-        scratch::give_u64_buf(b_ids);
-        aide_obs::counter("diff.fallback.dense", astats.dense_gaps as u64);
-        aide_obs::counter("diff.fallback.banded", astats.banded_gaps as u64);
-        aide_obs::counter("diff.fallback.hirschberg", astats.hirschberg_gaps as u64);
-        if aide_obs::enabled() {
-            // Per-diff alignment work, in deterministic units: the
-            // virtual clock never advances during CPU work, so cell and
-            // anchor counts stand in for stage timings.
-            aide_obs::observe("htmldiff.anchor.anchors", astats.anchors as u64);
-            aide_obs::observe("htmldiff.anchor.gaps", astats.gaps as u64);
-            aide_obs::observe("htmldiff.anchor.gap_cells", astats.gap_cells as u64);
-            aide_obs::observe("htmldiff.anchor.full_cells", astats.full_cells as u64);
-            aide_obs::observe(
-                "htmldiff.anchor.coverage_permille",
-                astats.coverage_permille(),
-            );
+        Some(plan) => {
+            let a_unit: Vec<bool> = old.iter().map(DiffToken::is_break).collect();
+            let b_unit: Vec<bool> = new.iter().map(DiffToken::is_break).collect();
+            let (pairs, astats) = plan.align(&a_hash, &b_hash, &a_unit, &b_unit, &score, &verify);
+            aide_obs::counter("diff.fallback.dense", astats.dense_gaps as u64);
+            aide_obs::counter("diff.fallback.banded", astats.banded_gaps as u64);
+            aide_obs::counter("diff.fallback.hirschberg", astats.hirschberg_gaps as u64);
+            if aide_obs::enabled() {
+                // Per-diff alignment work, in deterministic units: the
+                // virtual clock never advances during CPU work, so cell,
+                // anchor and token counts stand in for stage timings.
+                aide_obs::observe("htmldiff.anchor.anchors", astats.anchors as u64);
+                aide_obs::observe("htmldiff.anchor.gaps", astats.gaps as u64);
+                aide_obs::observe("htmldiff.anchor.gap_cells", astats.gap_cells as u64);
+                aide_obs::observe("htmldiff.anchor.full_cells", astats.full_cells as u64);
+                aide_obs::observe(
+                    "htmldiff.anchor.coverage_permille",
+                    astats.coverage_permille(),
+                );
+                aide_obs::observe("htmldiff.anchor.gap_tokens", rows as u64);
+            }
+            pairs
         }
-        pairs
     };
 
-    // Matched breaks are identical by construction (the match predicate
-    // is modulo-order equality); sentence identity gates on the class
-    // hash before paying for the deep comparison.
+    // Anchor and suffix pairs were verified identical by the plan. A
+    // matched gap break is identical by construction (the match predicate
+    // is modulo-order equality); gap sentences gate on the class hash
+    // before paying for the deep comparison.
+    let (anchors, suffix) = plan
+        .as_ref()
+        .map_or((&[][..], 0), |p| (p.anchors(), p.suffix()));
+    let mut next_anchor = 0;
     let identical = pairs
         .iter()
-        .map(|&(i, j)| match (&old[i], &new[j]) {
-            (DiffToken::Break(_), DiffToken::Break(_)) => true,
-            _ => mo[i].class_hash == mn[j].class_hash && old[i] == new[j],
+        .map(|&(i, j)| {
+            if i >= old.len() - suffix {
+                return true;
+            }
+            if anchors.get(next_anchor) == Some(&(i, j)) {
+                next_anchor += 1;
+                return true;
+            }
+            old[i].is_break() || (a_hash[i] == b_hash[j] && old[i] == new[j])
         })
         .collect();
     arena.give();
     scratch::give_u64_buf(tables.sig);
+    scratch::give_u64_buf(a_hash);
+    scratch::give_u64_buf(b_hash);
     if aide_obs::enabled() {
         aide_obs::observe(
             "htmldiff.compare.inner_lcs_evals",

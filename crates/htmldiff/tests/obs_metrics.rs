@@ -90,6 +90,14 @@ fn fallback_counters_and_scratch_gauge_export_deterministically() {
     assert_eq!(snap.histograms["htmldiff.compare.inner_lcs_evals"].count, 2);
     assert_eq!(snap.histograms["htmldiff.anchor.anchors"].count, 1);
 
+    // Item metadata goes to gap tokens only. Each page is 18 tokens; the
+    // verified suffix trim takes the six after the edited sentence, and
+    // this small middle (12 × 12 cells) is one gap without anchors: 12
+    // tokens a side, where metadata for both whole pages would be 36.
+    // Only the fast path observes it.
+    let gap_tokens = &snap.histograms["htmldiff.anchor.gap_tokens"];
+    assert_eq!((gap_tokens.count, gap_tokens.sum), (1, 24));
+
     // Determinism: the whole JSON export — counters, gauges, histograms
     // — is byte-identical across replays (modulo the scratch gauge,
     // which reflects what this thread's pool had retained before the

@@ -86,7 +86,15 @@ impl Tag {
     /// Equality modulo attribute order — the comparison the paper's
     /// sentence-breaking markup match uses: "identical (modulo whitespace,
     /// case, and reordering of (variable,value) pairs)".
+    ///
+    /// Same-order equality implies a match, so the common case of two
+    /// identical tags costs one derived comparison and no allocation;
+    /// only same-name, same-kind tags whose attribute lists differ as
+    /// written pay for sorting.
     pub fn matches_modulo_order(&self, other: &Tag) -> bool {
+        if self == other {
+            return true;
+        }
         if self.name != other.name
             || self.kind != other.kind
             || self.attrs.len() != other.attrs.len()

@@ -6,10 +6,12 @@
 //! - text content survives lexing;
 //! - URL join results are well-formed (absolute path, no dot segments)
 //!   and display→parse round-trips;
-//! - entity decode of encode is the identity.
+//! - entity decode of encode is the identity;
+//! - `Tag::matches_modulo_order` (same-order shortcut first) agrees with
+//!   an always-sorting compare.
 
 use aide_htmlkit::entity::{decode_entities, encode_entities};
-use aide_htmlkit::lexer::{lex, serialize, Token};
+use aide_htmlkit::lexer::{lex, serialize, Tag, TagKind, Token};
 use aide_htmlkit::url::Url;
 use proptest::prelude::*;
 
@@ -122,5 +124,74 @@ proptest! {
                 prop_assert!(within(&s, t), "{:?} was copied out of the input", t);
             }
         }
+    }
+}
+
+/// The reference for [`Tag::matches_modulo_order`]: always sorts, never
+/// takes the same-order shortcut.
+fn sorted_match(a: &Tag, b: &Tag) -> bool {
+    let sorted = |t: &Tag| {
+        let mut attrs = t.attrs.clone();
+        attrs.sort();
+        attrs
+    };
+    a.name == b.name && a.kind == b.kind && sorted(a) == sorted(b)
+}
+
+/// Attribute lists over few names and values, so repeats and ties are
+/// common (the lexer keeps a repeated attribute name).
+fn attr_list() -> impl Strategy<Value = Vec<(String, Option<String>)>> {
+    proptest::collection::vec((0usize..3, 0usize..3), 0..6).prop_map(|v| {
+        v.into_iter()
+            .map(|(n, val)| {
+                let name = ["HREF", "SRC", "ALT"][n].to_string();
+                (name, [Some("x"), Some("y"), None][val].map(str::to_string))
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+    #[test]
+    fn modulo_order_shortcut_agrees_with_sorted_compare(
+        attrs in attr_list(),
+        other in attr_list(),
+        keys in proptest::collection::vec(0u64..3, 6..7),
+        edit in 0usize..5,
+        at in 0usize..6,
+    ) {
+        let a = Tag { name: "A".to_string(), attrs, kind: TagKind::Open };
+        // `b` is a random permutation of `a`'s attributes (a stable sort
+        // on few keys, so often the same order, which takes the
+        // shortcut)...
+        let mut order: Vec<usize> = (0..a.attrs.len()).collect();
+        order.sort_by_key(|&k| keys[k]);
+        let mut b = Tag {
+            attrs: order.iter().map(|&k| a.attrs[k].clone()).collect(),
+            ..a.clone()
+        };
+        // ...then at most one edit: a changed value or a dropped
+        // attribute at any position, a changed kind, or an unrelated
+        // attribute list.
+        let at = at % b.attrs.len().max(1);
+        match edit {
+            0 => {}
+            1 => {
+                if let Some(attr) = b.attrs.get_mut(at) {
+                    attr.1 = Some("z".to_string());
+                }
+            }
+            2 => {
+                if at < b.attrs.len() {
+                    b.attrs.remove(at);
+                }
+            }
+            3 => b.kind = TagKind::Close,
+            _ => b.attrs = other,
+        }
+        prop_assert_eq!(a.matches_modulo_order(&b), sorted_match(&a, &b));
+        prop_assert_eq!(b.matches_modulo_order(&a), sorted_match(&b, &a));
+        prop_assert!(a.matches_modulo_order(&a.clone()));
     }
 }
