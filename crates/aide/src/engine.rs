@@ -224,23 +224,6 @@ impl<R: Repository> AideEngine<R> {
         registry
     }
 
-    /// Publishes the engine's aggregate counters — simulated-web
-    /// traffic, snapshot service/lock/diff-cache stats, and
-    /// [`NetHealth`] — as gauges on the installed observability
-    /// subscriber; no-op without one. Call this right before exporting
-    /// (the gauges are export-time mirrors of the bespoke atomic
-    /// structs, not hot-path duplicates).
-    pub fn publish_obs(&self) {
-        if !aide_obs::enabled() {
-            return;
-        }
-        self.web.stats().publish_obs();
-        self.snapshot.publish_obs();
-        let health = self.net_health();
-        health.retries.publish_obs();
-        health.breaker.publish_obs();
-    }
-
     /// Adds a site-wide proxy cache with the given TTL (builder style).
     pub fn with_proxy(mut self, ttl: Duration) -> AideEngine<R> {
         self.proxy = Some(ProxyCache::new(self.web.clone(), ttl));

@@ -13,13 +13,18 @@
 //! - **replayed**: two single runs into fresh registries, whose JSON
 //!   exports must be byte-identical (the determinism contract).
 //!
-//! Prints per-run wall-clock means for the first two and the relative
-//! overhead (the ISSUE 4 target is <5%), then the full metrics dump of
-//! one instrumented run.
+//! Prints per-run wall-clock minima for the first two and the relative
+//! overhead (the target is <5%), then the full metrics dump of one
+//! instrumented run.
+//!
+//! Before the sweep it times one recorded event in isolation, at 1 and
+//! 2 threads: a bare shared `AtomicU64::fetch_add`, a counter handle
+//! and a histogram handle with a registry installed, and a handle with
+//! none.
 //!
 //! Knob: `AIDE_OBS_JSON` — path to also write the JSON export to.
 
-use aide_obs::MetricsRegistry;
+use aide_obs::{Counter, Histogram, MetricsRegistry};
 use aide_simweb::browser::Bookmark;
 use aide_simweb::fault::{FaultEpisode, FaultKind, FaultPlan};
 use aide_simweb::http::Status;
@@ -30,6 +35,8 @@ use aide_w3newer::config::ThresholdConfig;
 use aide_w3newer::retry::RetryPolicy;
 use aide_w3newer::W3Newer;
 use std::collections::HashMap;
+use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,6 +45,13 @@ const PAGES_PER_HOST: usize = 10;
 const FAULT_SEED: u64 = 42;
 const WARMUP: usize = 5;
 const REPS: u32 = 100;
+/// Events each thread records per timed micro-bench repetition.
+const EVENTS: u64 = 200_000;
+const RECORD_REPS: u32 = 15;
+
+static BARE: AtomicU64 = AtomicU64::new(0);
+static COUNTER: Counter = Counter::new("bench.record.counter");
+static HISTOGRAM: Histogram = Histogram::new("bench.record.histogram");
 
 fn build_world() -> (Clock, Web, Vec<Bookmark>, HashMap<String, Timestamp>) {
     let clock = Clock::starting_at(Timestamp::from_ymd_hms(1995, 10, 1, 9, 0, 0));
@@ -84,12 +98,10 @@ fn storm() -> FaultPlan {
         )
 }
 
-/// One full sweep: fresh world, fresh storm, robust tracker. When a
-/// subscriber is live the run's aggregates are published too, so the
-/// timed region pays the whole instrumentation bill, not just the
-/// hot-path counters. Returns nanoseconds spent in the tracker run
-/// itself — world construction is identical on both sides and
-/// excluded so it cannot mask or fake a difference.
+/// One full sweep: fresh world, fresh storm, robust tracker. Returns
+/// nanoseconds spent in the tracker run itself — world construction is
+/// identical on both sides and excluded so it cannot mask or fake a
+/// difference.
 fn sweep() -> u64 {
     let (_clock, web, hotlist, history) = build_world();
     web.install_fault_plan(storm());
@@ -99,15 +111,63 @@ fn sweep() -> u64 {
     w.flags.staleness = Duration::ZERO;
     w.flags.abort_after_consecutive_errors = None;
     let start = Instant::now();
-    let report = w.run_serial(&hotlist, &move |u| history.get(u).copied(), &web, None);
-    if aide_obs::enabled() {
-        report.net.publish_obs();
-        web.stats().publish_obs();
-    }
+    w.run_serial(&hotlist, &move |u| history.get(u).copied(), &web, None);
     start.elapsed().as_nanos() as u64
 }
 
+/// Wall-clock nanoseconds per event while `threads` threads each call
+/// `record` [`EVENTS`] times at once.
+fn ns_per_event(threads: usize, record: &(impl Fn(u64) + Sync)) -> f64 {
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| (0..EVENTS).for_each(|i| record(black_box(i))));
+        }
+    });
+    start.elapsed().as_nanos() as f64 / EVENTS as f64
+}
+
+/// The record-cost table: each case's minimum over [`RECORD_REPS`]
+/// interleaved repetitions, so host noise lands on every case alike.
+fn record_costs() {
+    let registry = Arc::new(MetricsRegistry::new());
+    let bare = |_| {
+        BARE.fetch_add(1, Ordering::Relaxed);
+    };
+    let counter = |_| COUNTER.add(1);
+    let histogram = |i: u64| HISTOGRAM.observe(i & 1_023);
+    let mut best = [[f64::MAX; 2]; 4];
+    for _ in 0..RECORD_REPS {
+        for (t, threads) in [1, 2].into_iter().enumerate() {
+            let mut keep = |case: usize, ns: f64| best[case][t] = best[case][t].min(ns);
+            keep(0, ns_per_event(threads, &bare));
+            aide_obs::install(registry.clone());
+            keep(1, ns_per_event(threads, &counter));
+            keep(2, ns_per_event(threads, &histogram));
+            aide_obs::uninstall();
+            keep(3, ns_per_event(threads, &counter));
+        }
+    }
+    println!(
+        "=== record cost (ns/event, min of {RECORD_REPS} interleaved reps, \
+         {EVENTS} events per thread) ===\n"
+    );
+    println!("{:<28}{:>10}{:>11}", "case", "1 thread", "2 threads");
+    println!("{}", "-".repeat(49));
+    let cases = [
+        "bare shared fetch_add",
+        "counter handle, obs on",
+        "histogram handle, obs on",
+        "any handle, obs off",
+    ];
+    for (name, [one, two]) in cases.iter().zip(best) {
+        println!("{name:<28}{one:>10.1}{two:>11.1}");
+    }
+    println!();
+}
+
 fn main() {
+    record_costs();
     println!(
         "=== instrumentation overhead on the fault-storm sweep \
          ({} URLs, seed {FAULT_SEED}, best of {REPS} interleaved reps) ===\n",
@@ -141,34 +201,28 @@ fn main() {
 
     // Determinism: two single runs into fresh registries must export
     // byte-identical JSON.
-    let replay = |_: u32| {
+    let replay = || {
         let r = Arc::new(MetricsRegistry::new());
         aide_obs::install(r.clone());
         sweep();
         aide_obs::uninstall();
-        r.render_json()
+        r
     };
-    let a = replay(0);
-    let b = replay(1);
+    let (single, json) = (replay(), replay().render_json());
     assert_eq!(
-        a, b,
+        single.render_json(),
+        json,
         "identically-seeded sweeps must export identical metrics"
     );
     println!("(asserted: two identically-seeded instrumented sweeps export");
     println!(
         " byte-identical JSON snapshots — {} bytes each.)\n",
-        a.len()
+        json.len()
     );
-
-    // The view from one sweep.
-    let single = Arc::new(MetricsRegistry::new());
-    aide_obs::install(single.clone());
-    sweep();
     if let Ok(path) = std::env::var("AIDE_OBS_JSON") {
-        aide_obs::dump_json_env("AIDE_OBS_JSON").expect("write AIDE_OBS_JSON dump");
+        std::fs::write(&path, &json).expect("write AIDE_OBS_JSON dump");
         eprintln!("(wrote JSON snapshot to {path})");
     }
-    aide_obs::uninstall();
     println!("=== metrics recorded by one sweep ===\n");
     print!("{}", single.render_text());
 }

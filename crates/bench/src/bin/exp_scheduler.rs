@@ -278,7 +278,6 @@ fn run_adaptive(world: &mut [UrlWorld], slots: &[u64]) -> ArmResult {
             sched.complete(ticket.id, changed, Timestamp(t));
         }
     }
-    sched.publish_gauges();
     out
 }
 

@@ -72,7 +72,7 @@ fn diff_cache_sweep() {
                     .unwrap();
                 let _ = u;
             }
-            results.push(service.service_stats().htmldiff_invocations);
+            results.push(service.snapshot_stats().htmldiff_invocations);
         }
         println!("{n_users:<8} {:>14} {:>14}", results[0], results[1]);
     }

@@ -721,17 +721,17 @@ pub fn compare_tokens(
     };
     let score = |i: usize, j: usize| scorer.score(i, j);
 
-    aide_obs::counter("htmldiff.compare", 1);
+    aide_obs::counter!("htmldiff.compare", 1);
     let pairs = match &plan {
         None => {
-            aide_obs::observe("htmldiff.naive.cells", (old.len() * new.len()) as u64);
+            aide_obs::observe!("htmldiff.naive.cells", (old.len() * new.len()) as u64);
             // The naive path's one rectangle is its own "gap": classify
             // it by the algorithm `weighted_lcs` picks for it, so the
             // diff.fallback.* counters cover both paths.
             if old.len().saturating_mul(new.len()) <= DP_CELL_LIMIT {
-                aide_obs::counter("diff.fallback.dense", 1);
+                aide_obs::counter!("diff.fallback.dense", 1);
             } else {
-                aide_obs::counter("diff.fallback.hirschberg", 1);
+                aide_obs::counter!("diff.fallback.hirschberg", 1);
             }
             naive_pairs(old.len(), new.len(), &score)
         }
@@ -739,23 +739,21 @@ pub fn compare_tokens(
             let a_unit: Vec<bool> = old.iter().map(DiffToken::is_break).collect();
             let b_unit: Vec<bool> = new.iter().map(DiffToken::is_break).collect();
             let (pairs, astats) = plan.align(&a_hash, &b_hash, &a_unit, &b_unit, &score, &verify);
-            aide_obs::counter("diff.fallback.dense", astats.dense_gaps as u64);
-            aide_obs::counter("diff.fallback.banded", astats.banded_gaps as u64);
-            aide_obs::counter("diff.fallback.hirschberg", astats.hirschberg_gaps as u64);
-            if aide_obs::enabled() {
-                // Per-diff alignment work, in deterministic units: the
-                // virtual clock never advances during CPU work, so cell,
-                // anchor and token counts stand in for stage timings.
-                aide_obs::observe("htmldiff.anchor.anchors", astats.anchors as u64);
-                aide_obs::observe("htmldiff.anchor.gaps", astats.gaps as u64);
-                aide_obs::observe("htmldiff.anchor.gap_cells", astats.gap_cells as u64);
-                aide_obs::observe("htmldiff.anchor.full_cells", astats.full_cells as u64);
-                aide_obs::observe(
-                    "htmldiff.anchor.coverage_permille",
-                    astats.coverage_permille(),
-                );
-                aide_obs::observe("htmldiff.anchor.gap_tokens", rows as u64);
-            }
+            aide_obs::counter!("diff.fallback.dense", astats.dense_gaps as u64);
+            aide_obs::counter!("diff.fallback.banded", astats.banded_gaps as u64);
+            aide_obs::counter!("diff.fallback.hirschberg", astats.hirschberg_gaps as u64);
+            // Per-diff alignment work, in deterministic units: the
+            // virtual clock never advances during CPU work, so cell,
+            // anchor and token counts stand in for stage timings.
+            aide_obs::observe!("htmldiff.anchor.anchors", astats.anchors as u64);
+            aide_obs::observe!("htmldiff.anchor.gaps", astats.gaps as u64);
+            aide_obs::observe!("htmldiff.anchor.gap_cells", astats.gap_cells as u64);
+            aide_obs::observe!("htmldiff.anchor.full_cells", astats.full_cells as u64);
+            aide_obs::observe!(
+                "htmldiff.anchor.coverage_permille",
+                astats.coverage_permille(),
+            );
+            aide_obs::observe!("htmldiff.anchor.gap_tokens", rows as u64);
             pairs
         }
     };
@@ -785,19 +783,17 @@ pub fn compare_tokens(
     scratch::give_u64_buf(tables.sig);
     scratch::give_u64_buf(a_hash);
     scratch::give_u64_buf(b_hash);
-    if aide_obs::enabled() {
-        aide_obs::observe(
-            "htmldiff.compare.inner_lcs_evals",
-            counters.inner.get() as u64,
-        );
-        aide_obs::observe(
-            "htmldiff.compare.screened_out",
-            counters.screened.get() as u64,
-        );
-        // Pooled scratch capacity on this thread after the diff — the
-        // arena-reuse health gauge.
-        aide_obs::gauge("diff.scratch.bytes", scratch::retained_bytes() as u64);
-    }
+    aide_obs::observe!(
+        "htmldiff.compare.inner_lcs_evals",
+        counters.inner.get() as u64,
+    );
+    aide_obs::observe!(
+        "htmldiff.compare.screened_out",
+        counters.screened.get() as u64
+    );
+    // Pooled scratch capacity on this thread after the diff — the
+    // arena-reuse health gauge.
+    aide_obs::gauge!("diff.scratch.bytes", scratch::retained_bytes() as u64);
     TokenAlignment {
         alignment: Alignment::new(pairs, old.len(), new.len()),
         identical,

@@ -87,10 +87,8 @@ pub fn tokenize(html: &str) -> Vec<DiffToken<'_>> {
         }
     }
     flush(&mut current, &mut out);
-    if aide_obs::enabled() {
-        aide_obs::counter("htmldiff.tokenize", 1);
-        aide_obs::observe("htmldiff.tokenize.tokens", out.len() as u64);
-    }
+    aide_obs::counter!("htmldiff.tokenize", 1);
+    aide_obs::observe!("htmldiff.tokenize.tokens", out.len() as u64);
     out
 }
 

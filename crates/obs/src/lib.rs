@@ -1,17 +1,17 @@
 //! Deterministic observability for the AIDE pipeline: metrics and spans.
 //!
-//! This crate is the measurement layer ISSUE 4 asked for — a
-//! zero-dependency (std-only, mirroring how `aide_util::sync` replaced
-//! parking_lot) registry of **counters**, **gauges**, and fixed-bucket
-//! **histograms**, plus lightweight **span** records driven by the
-//! repository's virtual clock. It has two jobs:
+//! A zero-dependency (std-only, mirroring how `aide_util::sync`
+//! replaced parking_lot) registry of **counters**, **gauges**, and
+//! fixed-bucket **histograms**, plus lightweight **span** records driven
+//! by the repository's virtual clock. It has two jobs:
 //!
-//! 1. **Cost nothing when off.** Instrumentation sites across the
-//!    workspace call the free functions in this crate
-//!    ([`counter`], [`observe`], [`span`], …). With no subscriber
-//!    installed each call is a single relaxed atomic load and an
-//!    immediate return, and every report, diff, and experiment output
-//!    stays byte-identical to an uninstrumented build.
+//! 1. **Cost nothing when off.** Instrumentation sites record through
+//!    typed handles ([`Counter`], [`Gauge`], [`Histogram`], usually via
+//!    the [`counter!`], [`gauge!`] and [`observe!`] macros) and through
+//!    [`span`]. With no subscriber installed each site is a single
+//!    relaxed atomic load and an immediate return, and every report,
+//!    diff, and experiment output stays byte-identical to an
+//!    uninstrumented build.
 //! 2. **Be deterministic when on.** All recorded quantities are derived
 //!    from deterministic work (token counts, DP cells, retry backoff
 //!    computed from seeded jitter, virtual-clock seconds) — never from
@@ -24,11 +24,14 @@
 //! # Architecture
 //!
 //! The global subscriber follows the `log`/`tracing` pattern: a process
-//! holds at most one [`MetricsRegistry`] installed via [`install`], and
-//! instrumented code records through free functions that bail out on a
-//! single `AtomicBool` when nothing is installed. Tests and tools that
-//! want isolation instead create a private `MetricsRegistry` and record
-//! into it directly — the registry API and the global API are the same.
+//! holds at most one [`MetricsRegistry`] installed via [`install`]. A
+//! handle resolves its name to a slot in a process-wide table once;
+//! every registry is one fixed array of atomics indexed by slot, so a
+//! record with a subscriber installed is the enabled load, a
+//! thread-local check of the cached registry and one atomic add — no
+//! lock, no string hash. Stat structs hold [`CounterCell`]s, which also
+//! keep a per-instance total. Tests wanting isolation record into a
+//! private registry ([`MetricsRegistry::add`] and friends).
 //!
 //! Because this crate must sit *below* `aide-util` in the dependency
 //! graph (everything links it), it cannot see the virtual `Clock` type;
@@ -43,8 +46,8 @@
 //!
 //! let registry = Arc::new(MetricsRegistry::new());
 //! let previous = aide_obs::install(registry.clone());
-//! aide_obs::counter("demo.widgets", 3);
-//! aide_obs::observe("demo.sizes", 42);
+//! aide_obs::counter!("demo.widgets", 3);
+//! aide_obs::observe!("demo.sizes", 42);
 //! aide_obs::span("demo.run", 100, 160);
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counters["demo.widgets"], 3);
@@ -55,9 +58,9 @@
 
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 
 /// Default histogram bucket upper bounds: roughly exponential, wide
 /// enough for token counts, DP cell counts, and backoff seconds alike.
@@ -83,30 +86,25 @@ pub struct SpanEvent {
     pub end_secs: u64,
 }
 
-/// A fixed-bucket histogram: monotone upper bounds plus an overflow
-/// bucket, a total count, and a running sum.
+/// A fixed-bucket histogram's storage: monotone upper bounds, one
+/// count per bucket plus an overflow bucket, and a running sum. The
+/// total count is the buckets' sum, so a record is two atomic adds.
 #[derive(Debug)]
-struct Histogram {
+struct Buckets {
     /// Strictly increasing bucket upper bounds (inclusive).
-    bounds: Vec<u64>,
-    /// One counter per bound plus a final overflow bucket.
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
+    bounds: &'static [u64],
+    /// One counter per bound, the overflow bucket, then the sum.
+    cells: Box<[AtomicU64]>,
 }
 
-impl Histogram {
-    fn new(bounds: &[u64]) -> Histogram {
+impl Buckets {
+    fn new(bounds: &'static [u64]) -> Buckets {
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly increasing"
         );
-        Histogram {
-            bounds: bounds.to_vec(),
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
+        let cells = (0..bounds.len() + 2).map(|_| AtomicU64::new(0)).collect();
+        Buckets { bounds, cells }
     }
 
     fn observe(&self, value: u64) {
@@ -115,21 +113,22 @@ impl Histogram {
             .iter()
             .position(|&b| value <= b)
             .unwrap_or(self.bounds.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.cells[idx].fetch_add(1, Ordering::Relaxed);
+        self.cells[self.bounds.len() + 1].fetch_add(value, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
+        let mut buckets: Vec<u64> = self
+            .cells
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let sum = buckets.pop().unwrap_or(0);
         HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
+            bounds: self.bounds.to_vec(),
+            count: buckets.iter().sum(),
+            buckets,
+            sum,
         }
     }
 }
@@ -192,7 +191,7 @@ impl HistogramSnapshot {
 pub struct MetricsSnapshot {
     /// Monotone event counts.
     pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins values published at export time.
+    /// Last-write-wins occupancy values, set where they change.
     pub gauges: BTreeMap<String, u64>,
     /// Distributions of per-event quantities.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
@@ -205,7 +204,7 @@ impl MetricsSnapshot {
     ///
     /// ```text
     /// counter w3newer.url.changed 3
-    /// gauge snapshot.diff_cache.hits 17
+    /// gauge snapshot.page_cache.entries 17
     /// histogram htmldiff.tokenize.tokens count=4 sum=5120 mean=1280 buckets=[...]
     /// span w3newer.run 100..160
     /// ```
@@ -335,51 +334,264 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// FNV-1a. Metric names are short (~20-byte) dotted identifiers chosen
-/// by this workspace, not attacker-controlled keys, so the default
-/// SipHash's DoS resistance buys nothing here and its per-record cost
-/// is the single largest term in the enabled hot path.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
 }
 
-impl std::hash::Hasher for Fnv {
-    fn finish(&self) -> u64 {
-        self.0
+/// Slots in every registry: the most distinct metrics one process can
+/// record.
+const SLOTS: usize = 512;
+const UNRESOLVED: u32 = u32::MAX;
+
+/// Process-wide slot table: entry `i` names slot `i` of every registry.
+/// Append-only, so a resolved slot never moves.
+static NAMES: Mutex<Vec<(&'static str, Kind)>> = Mutex::new(Vec::new());
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A metric name and kind plus its slot, resolved on first use.
+#[derive(Debug)]
+struct Key {
+    name: &'static str,
+    kind: Kind,
+    slot: AtomicU32,
+}
+
+impl Key {
+    const fn new(name: &'static str, kind: Kind) -> Key {
+        let slot = AtomicU32::new(UNRESOLVED);
+        Key { name, kind, slot }
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+    #[inline]
+    fn slot(&self) -> usize {
+        match self.slot.load(Ordering::Relaxed) {
+            UNRESOLVED => self.resolve(),
+            slot => slot as usize,
         }
     }
+
+    #[cold]
+    fn resolve(&self) -> usize {
+        let mut names = lock(&NAMES);
+        let entry = (self.name, self.kind);
+        let slot = names.iter().position(|&e| e == entry).unwrap_or_else(|| {
+            assert!(names.len() < SLOTS, "more than {SLOTS} metric names");
+            names.push(entry);
+            names.len() - 1
+        });
+        self.slot.store(slot as u32, Ordering::Relaxed);
+        slot
+    }
 }
 
-type FnvMap<V> = HashMap<String, V, std::hash::BuildHasherDefault<Fnv>>;
+/// A named monotone event count, usually declared by [`counter!`].
+#[derive(Debug)]
+pub struct Counter(Key);
+
+impl Counter {
+    /// A handle on the counter `name`.
+    pub const fn new(name: &'static str) -> Counter {
+        Counter(Key::new(name, Kind::Counter))
+    }
+
+    /// Adds `n` on the installed subscriber; no-op without one.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        with(|r| r.add(self, n));
+    }
+}
+
+/// A named last-write-wins value (occupancy: entries, bytes, workers),
+/// usually declared by [`gauge!`].
+#[derive(Debug)]
+pub struct Gauge(Key);
+
+impl Gauge {
+    /// A handle on the gauge `name`.
+    pub const fn new(name: &'static str) -> Gauge {
+        Gauge(Key::new(name, Kind::Gauge))
+    }
+
+    /// Sets the value on the installed subscriber; no-op without one.
+    #[inline]
+    pub fn set(&self, value: u64) {
+        with(|r| r.set(self, value));
+    }
+}
+
+/// A named fixed-bucket distribution, usually declared by [`observe!`].
+#[derive(Debug)]
+pub struct Histogram(Key, &'static [u64]);
+
+impl Histogram {
+    /// A handle on the histogram `name` with [`DEFAULT_BOUNDS`].
+    pub const fn new(name: &'static str) -> Histogram {
+        Histogram::with_bounds(name, DEFAULT_BOUNDS)
+    }
+
+    /// A handle on the histogram `name` with `bounds`, which must be
+    /// strictly increasing. A registry takes a histogram's bounds from
+    /// the first handle that records it.
+    pub const fn with_bounds(name: &'static str, bounds: &'static [u64]) -> Histogram {
+        Histogram(Key::new(name, Kind::Histogram), bounds)
+    }
+
+    /// Records `value` on the installed subscriber; no-op without one.
+    #[inline]
+    pub fn observe(&self, value: u64) {
+        with(|r| r.observe(self, value));
+    }
+}
+
+/// A counter with an instance-local total, the field type of the
+/// per-instance stat structs: [`CounterCell::add`] bumps the total that
+/// [`CounterCell::get`] reads and the installed registry's counter.
+#[derive(Debug)]
+pub struct CounterCell(AtomicU64, Counter);
+
+impl CounterCell {
+    /// A zeroed cell counting into `name`. A registry installed at
+    /// creation lists the counter from then on, at zero until the first
+    /// event.
+    pub fn new(name: &'static str) -> CounterCell {
+        let cell = CounterCell(AtomicU64::new(0), Counter::new(name));
+        cell.1.add(0);
+        cell
+    }
+
+    /// Adds `n` to this instance and to the installed subscriber.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+        self.1.add(n);
+    }
+
+    /// This instance's total.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// `counter!("name", n)`: adds `n` through a call-site `static`
+/// [`Counter`]; `n` is evaluated only while a subscriber is installed.
+#[macro_export]
+macro_rules! counter {
+    ($name:literal, $n:expr $(,)?) => {
+        if $crate::enabled() {
+            static HANDLE: $crate::Counter = $crate::Counter::new($name);
+            HANDLE.add($n);
+        }
+    };
+}
+
+/// `gauge!("name", value)`: sets a call-site `static` [`Gauge`]; the
+/// value is evaluated only while a subscriber is installed.
+#[macro_export]
+macro_rules! gauge {
+    ($name:literal, $value:expr $(,)?) => {
+        if $crate::enabled() {
+            static HANDLE: $crate::Gauge = $crate::Gauge::new($name);
+            HANDLE.set($value);
+        }
+    };
+}
+
+/// `observe!("name", value[, bounds])`: records into a call-site
+/// `static` [`Histogram`] ([`DEFAULT_BOUNDS`] unless `bounds` is given);
+/// the value is evaluated only while a subscriber is installed.
+#[macro_export]
+macro_rules! observe {
+    ($name:literal, $value:expr $(,)?) => {
+        $crate::observe!($name, $value, $crate::DEFAULT_BOUNDS)
+    };
+    ($name:literal, $value:expr, $bounds:expr $(,)?) => {
+        if $crate::enabled() {
+            static HANDLE: $crate::Histogram = $crate::Histogram::with_bounds($name, $bounds);
+            HANDLE.observe($value);
+        }
+    };
+}
+
+/// Declares a stat struct as [`CounterCell`]s plus its plain-value
+/// view: each field is a cell counting into the named metric, the cell
+/// struct gets a `Default` naming them and a `snapshot()` returning the
+/// plain struct, whose `pub u64` fields carry the same names and docs.
+#[macro_export]
+macro_rules! stat_cells {
+    (
+        $(#[$plain_meta:meta])*
+        $plain_vis:vis struct $plain:ident;
+        $(#[$meta:meta])*
+        $vis:vis struct $cells:ident {
+            $($(#[$field_meta:meta])* $field:ident: $name:literal,)*
+        }
+    ) => {
+        $(#[$plain_meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        $plain_vis struct $plain {
+            $($(#[$field_meta])* pub $field: u64,)*
+        }
+
+        $(#[$meta])*
+        #[derive(Debug)]
+        $vis struct $cells {
+            $($(#[$field_meta])* $vis $field: $crate::CounterCell,)*
+        }
+
+        impl Default for $cells {
+            fn default() -> $cells {
+                $cells {
+                    $($field: $crate::CounterCell::new($name),)*
+                }
+            }
+        }
+
+        impl $cells {
+            /// Plain-value copy of the totals.
+            $vis fn snapshot(&self) -> $plain {
+                $plain {
+                    $($field: self.$field.get(),)*
+                }
+            }
+        }
+    };
+}
+
+/// One counter or gauge slot of a registry.
+#[derive(Debug, Default)]
+struct Slot {
+    value: AtomicU64,
+    /// Recorded in this registry; snapshots list only seen slots.
+    seen: AtomicBool,
+}
 
 /// A registry of counters, gauges, histograms, and spans.
 ///
-/// Metrics are created lazily on first use and keyed by name; snapshots
-/// and exports iterate names in sorted order, so serialized output is
-/// independent of registration and recording order. All recording
+/// One fixed array of slots, indexed by the process-wide slot of each
+/// handle's name; snapshots list the slots this registry saw, sorted by
+/// name, so exports are independent of recording order. All recording
 /// methods take `&self` and are safe to call from many threads.
-///
-/// Internally the maps are hashed, not ordered — a record is one hash
-/// lookup, not a string-compare tree walk — and
-/// [`snapshot`](MetricsRegistry::snapshot) sorts into `BTreeMap`s at
-/// export time, which is where the determinism contract actually lives.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsRegistry {
-    counters: RwLock<FnvMap<Arc<AtomicU64>>>,
-    gauges: RwLock<FnvMap<Arc<AtomicU64>>>,
-    histograms: RwLock<FnvMap<Arc<Histogram>>>,
+    slots: Box<[Slot]>,
+    histograms: Box<[OnceLock<Box<Buckets>>]>,
     spans: Mutex<Vec<SpanEvent>>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> MetricsRegistry {
+        MetricsRegistry {
+            slots: (0..SLOTS).map(|_| Slot::default()).collect(),
+            histograms: (0..SLOTS).map(|_| OnceLock::new()).collect(),
+            spans: Mutex::default(),
+        }
+    }
 }
 
 fn read_lock<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
@@ -396,101 +608,73 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `delta` to the counter `name`, creating it at zero first if
-    /// needed.
-    pub fn counter(&self, name: &str, delta: u64) {
-        // Record in place under the read guard — the common case pays
-        // one hash lookup and one atomic add, no `Arc` refcount
-        // traffic. (The guard is released before the miss path takes
-        // the write lock: the `if let` has no else branch.)
-        if let Some(c) = read_lock(&self.counters).get(name) {
-            c.fetch_add(delta, Ordering::Relaxed);
-            return;
+    /// Adds `n` to `counter` in this registry.
+    #[inline]
+    pub fn add(&self, counter: &Counter, n: u64) {
+        let slot = &self.slots[counter.0.slot()];
+        // A non-zero total means an earlier add already marked the slot,
+        // so the common case touches the slot's cache line once.
+        if slot.value.fetch_add(n, Ordering::Relaxed) == 0 {
+            slot.seen.store(true, Ordering::Relaxed);
         }
-        write_lock(&self.counters)
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Sets the gauge `name` to `value` (last write wins).
-    pub fn gauge(&self, name: &str, value: u64) {
-        if let Some(g) = read_lock(&self.gauges).get(name) {
-            g.store(value, Ordering::Relaxed);
-            return;
-        }
-        write_lock(&self.gauges)
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .store(value, Ordering::Relaxed);
+    /// Sets `gauge` to `value` in this registry (last write wins).
+    #[inline]
+    pub fn set(&self, gauge: &Gauge, value: u64) {
+        let slot = &self.slots[gauge.0.slot()];
+        slot.value.store(value, Ordering::Relaxed);
+        slot.seen.store(true, Ordering::Relaxed);
     }
 
-    /// Records `value` into the histogram `name` using
-    /// [`DEFAULT_BOUNDS`].
-    pub fn observe(&self, name: &str, value: u64) {
-        self.observe_with(name, value, DEFAULT_BOUNDS);
-    }
-
-    /// Records `value` into the histogram `name`, creating it with
-    /// `bounds` on first use. A histogram's bounds are fixed at
-    /// creation; later calls with different bounds record into the
-    /// existing buckets.
+    /// Records `value` into `histogram` in this registry.
     ///
     /// # Panics
     ///
-    /// Panics if a new histogram's `bounds` are not strictly
-    /// increasing.
-    pub fn observe_with(&self, name: &str, value: u64, bounds: &[u64]) {
-        // Same shape as `counter`: record under the read guard, and
-        // release it (end of the else-less `if let`) before the miss
-        // path takes the write lock — an `if let … else` here would
-        // hold the read guard into the else branch and self-deadlock.
-        if let Some(h) = read_lock(&self.histograms).get(name) {
-            h.observe(value);
-            return;
-        }
-        write_lock(&self.histograms)
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::new(bounds)))
+    /// Panics if a new histogram's bounds are not strictly increasing.
+    #[inline]
+    pub fn observe(&self, histogram: &Histogram, value: u64) {
+        self.histograms[histogram.0.slot()]
+            .get_or_init(|| Box::new(Buckets::new(histogram.1)))
             .observe(value);
     }
 
     /// Records a completed span. `start_secs`/`end_secs` are virtual
     /// clock readings supplied by the caller.
     pub fn span(&self, name: &str, start_secs: u64, end_secs: u64) {
-        self.spans
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(SpanEvent {
-                name: name.to_string(),
-                start_secs,
-                end_secs,
-            });
+        lock(&self.spans).push(SpanEvent {
+            name: name.to_string(),
+            start_secs,
+            end_secs,
+        });
     }
 
     /// Takes a plain-value snapshot; spans come back sorted by
     /// `(name, start, end)` so the result is order-independent.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = read_lock(&self.counters)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect();
-        let gauges = read_lock(&self.gauges)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect();
-        let histograms = read_lock(&self.histograms)
-            .iter()
-            .map(|(k, h)| (k.clone(), h.snapshot()))
-            .collect();
-        let mut spans = self.spans.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        spans.sort();
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-            spans,
+        let mut snap = MetricsSnapshot {
+            spans: lock(&self.spans).clone(),
+            ..MetricsSnapshot::default()
+        };
+        snap.spans.sort();
+        for (i, &(name, kind)) in lock(&NAMES).iter().enumerate() {
+            let slot = &self.slots[i];
+            let value = slot.value.load(Ordering::Relaxed);
+            let seen = slot.seen.load(Ordering::Relaxed);
+            match (kind, self.histograms[i].get()) {
+                (Kind::Counter, _) if seen => {
+                    snap.counters.insert(name.to_string(), value);
+                }
+                (Kind::Gauge, _) if seen => {
+                    snap.gauges.insert(name.to_string(), value);
+                }
+                (Kind::Histogram, Some(h)) => {
+                    snap.histograms.insert(name.to_string(), h.snapshot());
+                }
+                _ => {}
+            }
         }
+        snap
     }
 
     /// Shorthand for `snapshot().render_text()`.
@@ -554,11 +738,16 @@ pub fn current() -> Option<Arc<MetricsRegistry>> {
     read_lock(&SUBSCRIBER).clone()
 }
 
+/// Runs `f` on the installed subscriber, if any. The check is inlined
+/// at every site; the thread-local lookup behind it is not.
 #[inline]
 fn with<F: FnOnce(&MetricsRegistry)>(f: F) {
-    if !enabled() {
-        return;
+    if enabled() {
+        with_installed(f);
     }
+}
+
+fn with_installed<F: FnOnce(&MetricsRegistry)>(f: F) {
     let mut f = Some(f);
     let handled = CACHED
         .try_with(|cache| {
@@ -588,62 +777,11 @@ fn with<F: FnOnce(&MetricsRegistry)>(f: F) {
     }
 }
 
-/// Adds `delta` to counter `name` on the installed subscriber; no-op
-/// without one.
-#[inline]
-pub fn counter(name: &str, delta: u64) {
-    with(|r| r.counter(name, delta));
-}
-
-/// Sets gauge `name` to `value` on the installed subscriber; no-op
-/// without one.
-#[inline]
-pub fn gauge(name: &str, value: u64) {
-    with(|r| r.gauge(name, value));
-}
-
-/// Records `value` into histogram `name` ([`DEFAULT_BOUNDS`]) on the
-/// installed subscriber; no-op without one.
-#[inline]
-pub fn observe(name: &str, value: u64) {
-    with(|r| r.observe(name, value));
-}
-
-/// Records `value` into histogram `name` with explicit `bounds` on the
-/// installed subscriber; no-op without one.
-#[inline]
-pub fn observe_with(name: &str, value: u64, bounds: &[u64]) {
-    with(|r| r.observe_with(name, value, bounds));
-}
-
 /// Records a completed span on the installed subscriber; no-op without
 /// one. Timestamps are virtual-clock seconds from the caller's clock.
 #[inline]
 pub fn span(name: &str, start_secs: u64, end_secs: u64) {
     with(|r| r.span(name, start_secs, end_secs));
-}
-
-/// If the environment variable `var` names a path, writes the installed
-/// subscriber's JSON snapshot there and returns `true`. Mirrors the
-/// `AIDE_FAULT_DUMP` convention used by the fault-tolerance suite; the
-/// conventional variable is `AIDE_OBS_JSON`.
-// aide-lint: allow(vfs-boundary): the dump writes outside the archive's
-// durability contract — a diagnostics file the crash suite never reads
-pub fn dump_json_env(var: &str) -> std::io::Result<bool> {
-    // aide-lint: allow(determinism): the AIDE_OBS_JSON escape hatch is
-    // the documented env-driven dump convention (§4g); callers opt in
-    let Ok(path) = std::env::var(var) else {
-        return Ok(false);
-    };
-    if path.is_empty() {
-        return Ok(false);
-    }
-    let Some(reg) = current() else {
-        return Ok(false);
-    };
-    // aide-lint: allow(vfs-boundary): same diagnostics escape hatch
-    std::fs::write(&path, reg.render_json())?;
-    Ok(true)
 }
 
 #[cfg(test)]
@@ -653,9 +791,10 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot_sorted() {
         let r = MetricsRegistry::new();
-        r.counter("b.two", 2);
-        r.counter("a.one", 1);
-        r.counter("b.two", 3);
+        let (one, two) = (Counter::new("a.one"), Counter::new("b.two"));
+        r.add(&two, 2);
+        r.add(&one, 1);
+        r.add(&two, 3);
         let s = r.snapshot();
         let names: Vec<&String> = s.counters.keys().collect();
         assert_eq!(names, ["a.one", "b.two"]);
@@ -665,16 +804,18 @@ mod tests {
     #[test]
     fn gauges_last_write_wins() {
         let r = MetricsRegistry::new();
-        r.gauge("g", 10);
-        r.gauge("g", 7);
+        let g = Gauge::new("g");
+        r.set(&g, 10);
+        r.set(&g, 7);
         assert_eq!(r.snapshot().gauges["g"], 7);
     }
 
     #[test]
     fn histogram_buckets_partition_observations() {
         let r = MetricsRegistry::new();
+        let h = Histogram::with_bounds("h", &[1, 10, 1000]);
         for v in [0, 1, 2, 3, 100, 2_000_000] {
-            r.observe_with("h", v, &[1, 10, 1000]);
+            r.observe(&h, v);
         }
         let h = &r.snapshot().histograms["h"];
         assert_eq!(h.buckets, vec![2, 2, 1, 1]);
@@ -687,7 +828,7 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn histogram_rejects_unsorted_bounds() {
         let r = MetricsRegistry::new();
-        r.observe_with("bad", 1, &[10, 5]);
+        r.observe(&Histogram::with_bounds("bad", &[10, 5]), 1);
     }
 
     #[test]
@@ -704,14 +845,15 @@ mod tests {
 
     #[test]
     fn text_and_json_are_deterministic_across_recording_order() {
+        let (a, b, h) = (Counter::new("a"), Counter::new("b"), Histogram::new("h"));
         let ab = MetricsRegistry::new();
-        ab.counter("a", 1);
-        ab.counter("b", 2);
-        ab.observe("h", 3);
+        ab.add(&a, 1);
+        ab.add(&b, 2);
+        ab.observe(&h, 3);
         let ba = MetricsRegistry::new();
-        ba.observe("h", 3);
-        ba.counter("b", 2);
-        ba.counter("a", 1);
+        ba.observe(&h, 3);
+        ba.add(&b, 2);
+        ba.add(&a, 1);
         assert_eq!(ab.render_text(), ba.render_text());
         assert_eq!(ab.render_json(), ba.render_json());
     }
@@ -722,11 +864,12 @@ mod tests {
     }
 
     #[test]
-    fn global_free_functions_are_inert_without_subscriber() {
+    fn handles_are_inert_without_subscriber() {
         // Must not panic or record anywhere.
-        counter("x", 1);
-        gauge("x", 1);
-        observe("x", 1);
+        counter!("x", 1);
+        gauge!("x", 1);
+        observe!("x", 1);
+        CounterCell::new("x").add(1);
         span("x", 0, 1);
         assert!(current().is_none() || enabled());
     }

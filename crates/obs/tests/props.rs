@@ -9,8 +9,11 @@
 //! - each observation lands in the *correct* bucket (first bound `>=`
 //!   value, else overflow), checked against a naive reference;
 //! - snapshots are insensitive to recording order.
+//!
+//! Every case records through a [`Histogram`] handle built with the
+//! generated bounds.
 
-use aide_obs::MetricsRegistry;
+use aide_obs::{Histogram, MetricsRegistry};
 use proptest::prelude::*;
 
 /// Sorted, deduplicated, non-empty bounds.
@@ -20,6 +23,12 @@ fn bounds_strategy() -> impl Strategy<Value = Vec<u64>> {
         v.dedup();
         v
     })
+}
+
+/// A handle on `h` with `bounds`. Handles take `'static` bounds; each
+/// generated case leaks its few words.
+fn handle(bounds: &[u64]) -> Histogram {
+    Histogram::with_bounds("h", Box::leak(bounds.to_vec().into_boxed_slice()))
 }
 
 /// Reference bucketing: index of the first bound `>=` value, else the
@@ -39,9 +48,9 @@ proptest! {
         bounds in bounds_strategy(),
         values in proptest::collection::vec(0u64..20_000, 0..60),
     ) {
-        let r = MetricsRegistry::new();
+        let (r, h) = (MetricsRegistry::new(), handle(&bounds));
         for &v in &values {
-            r.observe_with("h", v, &bounds);
+            r.observe(&h, v);
         }
         let snap = r.snapshot();
         if values.is_empty() {
@@ -62,10 +71,10 @@ proptest! {
         bounds in bounds_strategy(),
         values in proptest::collection::vec(0u64..20_000, 1..60),
     ) {
-        let r = MetricsRegistry::new();
+        let (r, h) = (MetricsRegistry::new(), handle(&bounds));
         let mut want = vec![0u64; bounds.len() + 1];
         for &v in &values {
-            r.observe_with("h", v, &bounds);
+            r.observe(&h, v);
             want[reference_bucket(&bounds, v)] += 1;
         }
         prop_assert_eq!(r.snapshot().histograms["h"].buckets.clone(), want);
@@ -76,13 +85,14 @@ proptest! {
         bounds in bounds_strategy(),
         values in proptest::collection::vec(0u64..20_000, 1..40),
     ) {
+        let h = handle(&bounds);
         let fwd = MetricsRegistry::new();
         for &v in &values {
-            fwd.observe_with("h", v, &bounds);
+            fwd.observe(&h, v);
         }
         let rev = MetricsRegistry::new();
         for &v in values.iter().rev() {
-            rev.observe_with("h", v, &bounds);
+            rev.observe(&h, v);
         }
         prop_assert_eq!(fwd.snapshot(), rev.snapshot());
         prop_assert_eq!(fwd.render_json(), rev.render_json());

@@ -276,7 +276,7 @@ impl Archive {
             .position(|m| m.id == rev)
             .ok_or(ArchiveError::NoSuchRevision(rev))?;
         // Deltas applied, i.e. the checkout's distance from the head.
-        aide_obs::observe(
+        aide_obs::observe!(
             "rcs.checkout.chain",
             (self.reverse_deltas.len() - pos) as u64,
         );

@@ -206,6 +206,7 @@ impl AdaptiveScheduler {
         st.by_url.insert(url.to_string(), id);
         st.book.rate(url); // materialize the prior
         st.wheel.insert(id, now.0);
+        set_gauges(st);
         id
     }
 
@@ -225,14 +226,14 @@ impl AdaptiveScheduler {
         let mut fired = std::mem::take(&mut st.fired);
         fired.clear();
         st.wheel.advance_to(now.0, &mut fired, &mut ops);
-        aide_obs::counter("sched.fired", fired.len() as u64);
+        aide_obs::counter!("sched.fired", fired.len() as u64);
         // File each wakeup: parked hosts absorb theirs, the rest go to
         // the gain queues.
         for &id in &fired {
             let host = st.urls[id as usize].host as usize;
             if st.hosts[host].parked {
                 st.hosts[host].waiting.push_back(id);
-                aide_obs::counter("sched.requeue.parked", 1);
+                aide_obs::counter!("sched.requeue.parked", 1);
             } else {
                 let p = st.book.p_changed_at(&st.urls[id as usize].url, now);
                 st.ready.push(gain_class(p), id);
@@ -250,17 +251,17 @@ impl AdaptiveScheduler {
             let host = entry.host as usize;
             if st.hosts[host].parked {
                 st.hosts[host].waiting.push_back(id);
-                aide_obs::counter("sched.requeue.parked", 1);
+                aide_obs::counter!("sched.requeue.parked", 1);
                 continue;
             }
             if st.hosts[host].busy {
                 st.hosts[host].waiting.push_back(id);
-                aide_obs::counter("sched.defer.host_busy", 1);
+                aide_obs::counter!("sched.defer.host_busy", 1);
                 continue;
             }
             st.hosts[host].busy = true;
             let p = st.book.p_changed_at(&st.urls[id as usize].url, now);
-            aide_obs::observe_with("sched.gain.millionths", p, GAIN_BOUNDS);
+            aide_obs::observe!("sched.gain.millionths", p, GAIN_BOUNDS);
             tickets.push(PollTicket {
                 id,
                 url: st.urls[id as usize].url.clone(),
@@ -268,13 +269,14 @@ impl AdaptiveScheduler {
                 gain_millionths: p,
             });
         }
-        aide_obs::counter("sched.dequeue", tickets.len() as u64);
-        aide_obs::observe("sched.dequeue.ops", ops.touches());
-        aide_obs::observe_with(
+        aide_obs::counter!("sched.dequeue", tickets.len() as u64);
+        aide_obs::observe!("sched.dequeue.ops", ops.touches());
+        aide_obs::observe!(
             "sched.budget.utilization_permille",
             tickets.len() as u64 * 1_000 / budget as u64,
             UTIL_BOUNDS,
         );
+        set_gauges(st);
         tickets
     }
 
@@ -299,6 +301,7 @@ impl AdaptiveScheduler {
         }
         let dt = self.reschedule_secs(st, &url);
         st.wheel.insert(id, now.0 + dt);
+        set_gauges(st);
     }
 
     /// Seconds until `url`'s expected gain reaches the target, clamped
@@ -318,7 +321,8 @@ impl AdaptiveScheduler {
         if let Some(&h) = st.by_host.get(host) {
             if !st.hosts[h as usize].parked {
                 st.hosts[h as usize].parked = true;
-                aide_obs::counter("sched.host.parked", 1);
+                aide_obs::counter!("sched.host.parked", 1);
+                set_gauges(st);
             }
         }
     }
@@ -333,13 +337,14 @@ impl AdaptiveScheduler {
                 return;
             }
             st.hosts[h as usize].parked = false;
-            aide_obs::counter("sched.host.released", 1);
+            aide_obs::counter!("sched.host.released", 1);
             let mut waiting = std::mem::take(&mut st.hosts[h as usize].waiting);
-            aide_obs::counter("sched.host.requeued", waiting.len() as u64);
+            aide_obs::counter!("sched.host.requeued", waiting.len() as u64);
             for id in waiting.drain(..) {
                 let p = st.book.p_changed_at(&st.urls[id as usize].url, now);
                 st.ready.push(gain_class(p), id);
             }
+            set_gauges(st);
         }
     }
 
@@ -368,8 +373,8 @@ impl AdaptiveScheduler {
             }
         };
         match decision {
-            Gate::Poll { .. } => aide_obs::counter("sched.poll.admitted", 1),
-            Gate::Skip { .. } => aide_obs::counter("sched.poll.gated", 1),
+            Gate::Poll { .. } => aide_obs::counter!("sched.poll.admitted", 1),
+            Gate::Skip { .. } => aide_obs::counter!("sched.poll.gated", 1),
         }
         decision
     }
@@ -395,29 +400,27 @@ impl AdaptiveScheduler {
         let (_held, st) = self.locked();
         st.book.emit()
     }
+}
 
-    /// Exports occupancy gauges: wheel entries, ready-queue length,
-    /// parked hosts, tracked URLs.
-    pub fn publish_gauges(&self) {
-        if !aide_obs::enabled() {
-            return;
-        }
-        let (_held, st) = self.locked();
-        aide_obs::gauge("sched.wheel.entries", st.wheel.len() as u64);
-        aide_obs::gauge("sched.ready.len", st.ready.len() as u64);
-        let parked = st.hosts.iter().filter(|h| h.parked).count();
-        aide_obs::gauge("sched.hosts.parked", parked as u64);
-        aide_obs::gauge("sched.urls.tracked", st.urls.len() as u64);
-    }
+/// Sets the occupancy gauges; called at the end of every call that
+/// changes the wheel, the ready queues, the parked set or the URL table.
+fn set_gauges(st: &State) {
+    aide_obs::gauge!("sched.wheel.entries", st.wheel.len() as u64);
+    aide_obs::gauge!("sched.ready.len", st.ready.len() as u64);
+    aide_obs::gauge!(
+        "sched.hosts.parked",
+        st.hosts.iter().filter(|h| h.parked).count() as u64
+    );
+    aide_obs::gauge!("sched.urls.tracked", st.urls.len() as u64);
 }
 
 /// `RateBook::observe` plus the verdict counters.
 fn observe_counted(book: &mut RateBook, url: &str, changed: bool, now: Timestamp) {
     book.observe(url, changed, now);
     if changed {
-        aide_obs::counter("sched.observe.changed", 1);
+        aide_obs::counter!("sched.observe.changed", 1);
     } else {
-        aide_obs::counter("sched.observe.unchanged", 1);
+        aide_obs::counter!("sched.observe.unchanged", 1);
     }
 }
 

@@ -29,6 +29,7 @@ use aide::cgi::parse_query;
 use aide::engine::AideEngine;
 use aide_htmldiff::Options as DiffOptions;
 use aide_htmlkit::entity::encode_entities;
+use aide_obs::CounterCell;
 use aide_rcs::archive::{RevId, RevisionMeta};
 use aide_rcs::repo::{MemRepository, Repository};
 use aide_simweb::wire::{error_response, Limits, RequestParser, WireRequest, WireResponse};
@@ -36,7 +37,7 @@ use aide_snapshot::{CacheStats, PageCache};
 use aide_util::checksum::fnv1a64;
 use aide_util::time::Timestamp;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Tuning knobs for one server instance.
@@ -61,41 +62,40 @@ impl Default for ServeConfig {
     }
 }
 
-/// Server counters, mirrored to `serve.*` obs metrics at the moment
-/// they change and readable as plain atomics in tests.
-#[derive(Debug, Default)]
+/// Server counters: per-server totals that tests read without a
+/// metrics registry, each event counted once into the `serve.*`
+/// counters as well.
+#[derive(Debug)]
 pub struct ServeStats {
-    requests: AtomicU64,
-    not_modified: AtomicU64,
-    parse_errors: AtomicU64,
-    connections: AtomicU64,
-    bytes_out: AtomicU64,
+    requests: CounterCell,
+    not_modified: CounterCell,
+    connections: CounterCell,
+}
+
+impl Default for ServeStats {
+    fn default() -> ServeStats {
+        ServeStats {
+            requests: CounterCell::new("serve.requests"),
+            not_modified: CounterCell::new("serve.not_modified"),
+            connections: CounterCell::new("serve.connections"),
+        }
+    }
 }
 
 impl ServeStats {
     /// Requests answered (any status).
     pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
+        self.requests.get()
     }
 
     /// `If-None-Match` hits answered 304.
     pub fn not_modified(&self) -> u64 {
-        self.not_modified.load(Ordering::Relaxed)
-    }
-
-    /// Connections that died of a protocol error.
-    pub fn parse_errors(&self) -> u64 {
-        self.parse_errors.load(Ordering::Relaxed)
+        self.not_modified.get()
     }
 
     /// Connections served.
     pub fn connections(&self) -> u64 {
-        self.connections.load(Ordering::Relaxed)
-    }
-
-    /// Response bytes written.
-    pub fn bytes_out(&self) -> u64 {
-        self.bytes_out.load(Ordering::Relaxed)
+        self.connections.get()
     }
 }
 
@@ -155,8 +155,7 @@ impl<R: Repository> AideServer<R> {
     /// pipelining, and never panics — a malformed stream earns one
     /// error response and a close.
     pub fn handle_connection<C: Connection>(&self, conn: &mut C) -> ConnOutcome {
-        self.stats.connections.fetch_add(1, Ordering::Relaxed);
-        aide_obs::counter("serve.connections", 1);
+        self.stats.connections.add(1);
         let mut parser = RequestParser::with_limits(self.cfg.limits);
         let mut buf = [0u8; 4096];
         let mut served = 0usize;
@@ -181,8 +180,7 @@ impl<R: Repository> AideServer<R> {
                     Ok(None) => break,
                     Err(e) => {
                         protocol_error = true;
-                        self.stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-                        aide_obs::counter("serve.parse_error", 1);
+                        aide_obs::counter!("serve.parse_error", 1);
                         let resp = self.finish(error_response(e.status(), &e.to_string()));
                         let _ = self.write(conn, &resp, false);
                         break 'conn;
@@ -196,8 +194,7 @@ impl<R: Repository> AideServer<R> {
                     // just the end of the conversation.
                     if parser.buffered() > 0 {
                         protocol_error = true;
-                        self.stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-                        aide_obs::counter("serve.parse_error", 1);
+                        aide_obs::counter!("serve.parse_error", 1);
                         let resp = self.finish(error_response(400, "truncated request"));
                         let _ = self.write(conn, &resp, false);
                     }
@@ -207,7 +204,7 @@ impl<R: Repository> AideServer<R> {
                 Err(ConnError::Reset) => break,
             }
         }
-        aide_obs::observe("serve.requests_per_conn", served as u64);
+        aide_obs::observe!("serve.requests_per_conn", served as u64);
         ConnOutcome {
             requests: served,
             protocol_error,
@@ -244,20 +241,6 @@ impl<R: Repository> AideServer<R> {
         slots.into_iter().filter_map(|s| s.into_inner()).collect()
     }
 
-    /// Publishes aggregate server counters as gauges on the installed
-    /// obs subscriber (no-op without one), alongside the engine's own.
-    pub fn publish_obs(&self) {
-        if !aide_obs::enabled() {
-            return;
-        }
-        aide_obs::gauge("serve.total.requests", self.stats.requests());
-        aide_obs::gauge("serve.total.not_modified", self.stats.not_modified());
-        aide_obs::gauge("serve.total.parse_errors", self.stats.parse_errors());
-        aide_obs::gauge("serve.total.connections", self.stats.connections());
-        aide_obs::gauge("serve.total.bytes_out", self.stats.bytes_out());
-        self.engine.publish_obs();
-    }
-
     fn write<C: Connection>(
         &self,
         conn: &mut C,
@@ -265,21 +248,18 @@ impl<R: Repository> AideServer<R> {
         head_only: bool,
     ) -> Result<(), ConnError> {
         let bytes = resp.serialize(head_only);
-        self.stats
-            .bytes_out
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        aide_obs::counter!("serve.total.bytes_out", bytes.len() as u64);
         conn.write_all(&bytes)
     }
 
     /// Stamps the headers every response carries.
     fn finish(&self, resp: WireResponse) -> WireResponse {
-        let class = match resp.status / 100 {
-            2 => "serve.http.2xx",
-            3 => "serve.http.3xx",
-            4 => "serve.http.4xx",
-            _ => "serve.http.5xx",
-        };
-        aide_obs::counter(class, 1);
+        match resp.status / 100 {
+            2 => aide_obs::counter!("serve.http.2xx", 1),
+            3 => aide_obs::counter!("serve.http.3xx", 1),
+            4 => aide_obs::counter!("serve.http.4xx", 1),
+            _ => aide_obs::counter!("serve.http.5xx", 1),
+        }
         resp.header("Server", "aide-serve/0.1")
             .header("Date", &self.engine.clock().now().to_http_date())
     }
@@ -287,8 +267,7 @@ impl<R: Repository> AideServer<R> {
     /// Routes one parsed request to a response. Infallible by design:
     /// every failure mode is an HTTP error page.
     pub fn respond(&self, req: &WireRequest) -> WireResponse {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        aide_obs::counter("serve.requests", 1);
+        self.stats.requests.add(1);
         match req.method.as_str() {
             "GET" | "HEAD" => {}
             "POST" => {
@@ -376,8 +355,7 @@ impl<R: Repository> AideServer<R> {
         render: impl FnOnce() -> Result<String, WireResponse>,
     ) -> WireResponse {
         if if_none_match_hits(req, etag) {
-            self.stats.not_modified.fetch_add(1, Ordering::Relaxed);
-            aide_obs::counter("serve.not_modified", 1);
+            self.stats.not_modified.add(1);
             return WireResponse::new(304).header("ETag", &format!("\"{etag}\""));
         }
         match render() {

@@ -19,42 +19,26 @@ use aide_util::time::{Clock, Timestamp};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Global request accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NetStats {
-    /// All requests attempted (including failures).
-    pub requests: u64,
-    /// HEAD requests attempted.
-    pub heads: u64,
-    /// GET requests attempted.
-    pub gets: u64,
-    /// POST requests attempted.
-    pub posts: u64,
-    /// Requests that failed at the network level.
-    pub net_errors: u64,
-    /// `file:` accesses (cheap `stat` calls, not network traffic).
-    pub file_stats: u64,
-    /// Requests whose outcome was altered by an installed
-    /// [`FaultPlan`] (every kind: errors, 5xx, slowness, truncation).
-    pub faults_injected: u64,
-}
-
-impl NetStats {
-    /// Publishes every field as a `simweb.*` gauge on the installed
-    /// observability subscriber; no-op without one. Export-time
-    /// publishing keeps the request hot path free of per-field
-    /// instrumentation.
-    pub fn publish_obs(&self) {
-        if !aide_obs::enabled() {
-            return;
-        }
-        aide_obs::gauge("simweb.requests", self.requests);
-        aide_obs::gauge("simweb.heads", self.heads);
-        aide_obs::gauge("simweb.gets", self.gets);
-        aide_obs::gauge("simweb.posts", self.posts);
-        aide_obs::gauge("simweb.net_errors", self.net_errors);
-        aide_obs::gauge("simweb.file_stats", self.file_stats);
-        aide_obs::gauge("simweb.faults_injected", self.faults_injected);
+aide_obs::stat_cells! {
+    /// Global request accounting.
+    pub struct NetStats;
+    /// The cells behind [`NetStats`].
+    struct NetCells {
+        /// All requests attempted (including failures).
+        requests: "simweb.requests",
+        /// HEAD requests attempted.
+        heads: "simweb.heads",
+        /// GET requests attempted.
+        gets: "simweb.gets",
+        /// POST requests attempted.
+        posts: "simweb.posts",
+        /// Requests that failed at the network level.
+        net_errors: "simweb.net_errors",
+        /// `file:` accesses (cheap `stat` calls, not network traffic).
+        file_stats: "simweb.file_stats",
+        /// Requests whose outcome was altered by an installed
+        /// [`FaultPlan`] (every kind: errors, 5xx, slowness, truncation).
+        faults_injected: "simweb.faults_injected",
     }
 }
 
@@ -74,7 +58,7 @@ struct WebState {
     local_files: BTreeMap<String, (String, Timestamp)>,
     /// When false, every network request fails (local connectivity loss).
     network_up: bool,
-    stats: NetStats,
+    stats: NetCells,
     /// Scripted fault injection, layered over the static knobs.
     fault_plan: Option<FaultPlan>,
     /// Per-(host, path+query) request counters: the draw index fed to the
@@ -239,8 +223,8 @@ impl Web {
 
         if url.scheme == "file" {
             // Local stat/read: no network, cannot fail with net errors.
-            let mut st = self.state.lock();
-            st.stats.file_stats += 1;
+            let st = self.state.lock();
+            st.stats.file_stats.add(1);
             return Ok(match st.local_files.get(&url.path) {
                 Some((content, mtime)) => Response {
                     status: Status::Ok,
@@ -269,28 +253,28 @@ impl Web {
 
         let mut st = self.state.lock();
         let st = &mut *st;
-        st.stats.requests += 1;
+        st.stats.requests.add(1);
         match req.method {
-            Method::Head => st.stats.heads += 1,
-            Method::Get => st.stats.gets += 1,
-            Method::Post => st.stats.posts += 1,
+            Method::Head => st.stats.heads.add(1),
+            Method::Get => st.stats.gets.add(1),
+            Method::Post => st.stats.posts.add(1),
         }
         if !st.network_up {
-            st.stats.net_errors += 1;
+            st.stats.net_errors.add(1);
             return Err(NetError::HostUnreachable(url.host.clone()));
         }
         let path = resource_key(&url);
         let Some(server) = st.servers.get_mut(&url.host) else {
-            st.stats.net_errors += 1;
+            st.stats.net_errors.add(1);
             return Err(NetError::UnknownHost(url.host.clone()));
         };
         match server.state() {
             ServerState::Down => {
-                st.stats.net_errors += 1;
+                st.stats.net_errors.add(1);
                 return Err(NetError::ConnectionRefused(url.host.clone()));
             }
             ServerState::Slow { delay_secs } if delay_secs >= req.timeout_secs => {
-                st.stats.net_errors += 1;
+                st.stats.net_errors.add(1);
                 return Err(NetError::Timeout);
             }
             _ => {}
@@ -312,28 +296,28 @@ impl Web {
         };
         match fault {
             Some(FaultKind::Timeout) => {
-                st.stats.faults_injected += 1;
-                st.stats.net_errors += 1;
-                aide_obs::counter("simweb.fault.timeout", 1);
+                st.stats.faults_injected.add(1);
+                st.stats.net_errors.add(1);
+                aide_obs::counter!("simweb.fault.timeout", 1);
                 return Err(NetError::Timeout);
             }
             Some(FaultKind::ConnectionRefused) => {
-                st.stats.faults_injected += 1;
-                st.stats.net_errors += 1;
-                aide_obs::counter("simweb.fault.connection_refused", 1);
+                st.stats.faults_injected.add(1);
+                st.stats.net_errors.add(1);
+                aide_obs::counter!("simweb.fault.connection_refused", 1);
                 return Err(NetError::ConnectionRefused(url.host.clone()));
             }
             Some(FaultKind::HostUnreachable) => {
-                st.stats.faults_injected += 1;
-                st.stats.net_errors += 1;
-                aide_obs::counter("simweb.fault.host_unreachable", 1);
+                st.stats.faults_injected.add(1);
+                st.stats.net_errors.add(1);
+                aide_obs::counter!("simweb.fault.host_unreachable", 1);
                 return Err(NetError::HostUnreachable(url.host.clone()));
             }
             Some(FaultKind::Slow { delay_secs }) => {
-                st.stats.faults_injected += 1;
-                aide_obs::counter("simweb.fault.slow", 1);
+                st.stats.faults_injected.add(1);
+                aide_obs::counter!("simweb.fault.slow", 1);
                 if delay_secs >= req.timeout_secs {
-                    st.stats.net_errors += 1;
+                    st.stats.net_errors.add(1);
                     return Err(NetError::Timeout);
                 }
                 // Latency below the client timeout: the response still
@@ -344,8 +328,8 @@ impl Web {
                 status,
                 retry_after_secs,
             }) => {
-                st.stats.faults_injected += 1;
-                aide_obs::counter("simweb.fault.transient", 1);
+                st.stats.faults_injected.add(1);
+                aide_obs::counter!("simweb.fault.transient", 1);
                 return Ok(Response {
                     status,
                     last_modified: None,
@@ -371,8 +355,8 @@ impl Web {
                     keep -= 1;
                 }
                 resp.body.truncate(keep);
-                st.stats.faults_injected += 1;
-                aide_obs::counter("simweb.fault.truncated", 1);
+                st.stats.faults_injected.add(1);
+                aide_obs::counter!("simweb.fault.truncated", 1);
             }
         }
         Ok(resp)
@@ -403,7 +387,7 @@ impl Web {
 
     /// Accumulated global counters.
     pub fn stats(&self) -> NetStats {
-        self.state.lock().stats
+        self.state.lock().stats.snapshot()
     }
 
     /// Per-server counters for `host`.
@@ -418,7 +402,7 @@ impl Web {
     /// Resets global and per-server counters.
     pub fn reset_stats(&self) {
         let mut st = self.state.lock();
-        st.stats = NetStats::default();
+        st.stats = NetCells::default();
         for s in st.servers.values_mut() {
             s.reset_stats();
         }

@@ -21,39 +21,49 @@
 //! only for the map operation itself, never while rendering, per the
 //! lock-ordering invariant in [`crate::locks`].
 
+use aide_obs::CounterCell;
 use aide_util::checksum::fnv1a64;
 use aide_util::sync::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Number of independently locked shards.
 const SHARDS: usize = 16;
 
-/// Cache counters, kept as plain atomics so tests can assert on them
-/// without installing a metrics registry; each event is also counted as
-/// `snapshot.page_cache.{hit,miss,eviction}`.
-#[derive(Debug, Default)]
+/// Cache counters: per-cache totals that tests read without a metrics
+/// registry, each event counted once into
+/// `snapshot.page_cache.{hit,miss,eviction}` as well.
+#[derive(Debug)]
 pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    hits: CounterCell,
+    misses: CounterCell,
+    evictions: CounterCell,
+}
+
+impl Default for CacheStats {
+    fn default() -> CacheStats {
+        CacheStats {
+            hits: CounterCell::new("snapshot.page_cache.hit"),
+            misses: CounterCell::new("snapshot.page_cache.miss"),
+            evictions: CounterCell::new("snapshot.page_cache.eviction"),
+        }
+    }
 }
 
 impl CacheStats {
     /// Lookups answered from the cache.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
     /// Lookups that found nothing.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
     /// Entries pushed out by the byte budget.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.evictions.get()
     }
 
     /// Hit ratio in `[0, 1]`.
@@ -126,11 +136,9 @@ impl PageCache {
             })
         };
         if found.is_some() {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            aide_obs::counter("snapshot.page_cache.hit", 1);
+            self.stats.hits.add(1);
         } else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            aide_obs::counter("snapshot.page_cache.miss", 1);
+            self.stats.misses.add(1);
         }
         found
     }
@@ -166,9 +174,10 @@ impl PageCache {
             shard.entries.insert(key.to_string(), Entry { page, tick });
         }
         if evicted > 0 {
-            self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
-            aide_obs::counter("snapshot.page_cache.eviction", evicted);
+            self.stats.evictions.add(evicted);
         }
+        aide_obs::gauge!("snapshot.page_cache.entries", self.len() as u64);
+        aide_obs::gauge!("snapshot.page_cache.bytes", self.bytes() as u64);
     }
 
     /// The page under `key`, or the one `render` produces, stored for

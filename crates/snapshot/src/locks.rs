@@ -53,19 +53,6 @@ use std::sync::{Arc, Condvar, Mutex};
 
 const SHARDS: usize = 64;
 
-/// Counters for lock behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LockStats {
-    /// Lock acquisitions.
-    pub acquisitions: u64,
-    /// Acquisitions that had to wait (the lock was held).
-    pub contended: u64,
-    /// Single-flight executions that performed the work.
-    pub flights: u64,
-    /// Single-flight executions that reused a concurrent caller's work.
-    pub piggybacked: u64,
-}
-
 /// One queued named lock: a flag plus a wait queue.
 #[derive(Default)]
 struct RawLock {
@@ -105,12 +92,20 @@ struct Shard {
     flights: Mutex<HashMap<String, (u64, String)>>,
 }
 
-#[derive(Default)]
-struct Counters {
-    acquisitions: AtomicU64,
-    contended: AtomicU64,
-    flights: AtomicU64,
-    piggybacked: AtomicU64,
+aide_obs::stat_cells! {
+    /// Counters for lock behaviour.
+    pub struct LockStats;
+    /// The cells behind [`LockStats`].
+    struct Counters {
+        /// Lock acquisitions.
+        acquisitions: "snapshot.locks.acquisitions",
+        /// Acquisitions that had to wait (the lock was held).
+        contended: "snapshot.locks.contended",
+        /// Single-flight executions that performed the work.
+        flights: "snapshot.locks.flights",
+        /// Single-flight executions that reused a concurrent caller's work.
+        piggybacked: "snapshot.locks.piggybacked",
+    }
 }
 
 struct TableInner {
@@ -192,15 +187,9 @@ impl LockTable {
                 .unwrap_or_else(|e| e.into_inner());
             locks.entry(key.to_string()).or_default().clone()
         };
-        self.inner
-            .counters
-            .acquisitions
-            .fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.acquisitions.add(1);
         if handle.acquire() {
-            self.inner
-                .counters
-                .contended
-                .fetch_add(1, Ordering::Relaxed);
+            self.inner.counters.contended.add(1);
         }
         NamedGuard {
             raw: handle,
@@ -239,10 +228,7 @@ impl LockTable {
                     let v = value.clone();
                     drop(flights);
                     drop(guard);
-                    self.inner
-                        .counters
-                        .piggybacked
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.inner.counters.piggybacked.add(1);
                     return v;
                 }
             }
@@ -254,7 +240,7 @@ impl LockTable {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(key.to_string(), (generation, value.clone()));
-        self.inner.counters.flights.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.flights.add(1);
         drop(guard);
         value
     }
@@ -266,12 +252,7 @@ impl LockTable {
 
     /// Counters (a consistent-enough snapshot; each field is exact).
     pub fn stats(&self) -> LockStats {
-        LockStats {
-            acquisitions: self.inner.counters.acquisitions.load(Ordering::Relaxed),
-            contended: self.inner.counters.contended.load(Ordering::Relaxed),
-            flights: self.inner.counters.flights.load(Ordering::Relaxed),
-            piggybacked: self.inner.counters.piggybacked.load(Ordering::Relaxed),
-        }
+        self.inner.counters.snapshot()
     }
 }
 

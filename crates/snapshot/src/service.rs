@@ -52,7 +52,7 @@ use aide_util::sync::RwLock;
 use aide_util::time::{Clock, Timestamp};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A user identifier — an email address in the open model, an opaque
@@ -151,27 +151,21 @@ pub struct DiffOutcome {
     pub from_cache: bool,
 }
 
-/// Service counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServiceStats {
-    /// Times HtmlDiff actually executed (cache misses).
-    pub htmldiff_invocations: u64,
-    /// Remember operations performed.
-    pub remembers: u64,
-    /// Remember operations that stored nothing (unchanged page).
-    pub unchanged_remembers: u64,
-    /// Archive loads the repository reported as corrupt and the service
-    /// degraded to "not archived" instead of failing the request.
-    pub degraded_loads: u64,
-}
-
-/// Lock-free counter cells behind [`ServiceStats`].
-#[derive(Default)]
-struct StatCells {
-    htmldiff_invocations: AtomicU64,
-    remembers: AtomicU64,
-    unchanged_remembers: AtomicU64,
-    degraded_loads: AtomicU64,
+aide_obs::stat_cells! {
+    /// Service counters.
+    pub struct ServiceStats;
+    /// Lock-free counter cells behind [`ServiceStats`].
+    struct StatCells {
+        /// Times HtmlDiff actually executed (cache misses).
+        htmldiff_invocations: "snapshot.htmldiff_invocations",
+        /// Remember operations performed.
+        remembers: "snapshot.remember",
+        /// Remember operations that stored nothing (unchanged page).
+        unchanged_remembers: "snapshot.remember.unchanged",
+        /// Archive loads the repository reported as corrupt and the service
+        /// degraded to "not archived" instead of failing the request.
+        degraded_loads: "snapshot.degraded.corrupt",
+    }
 }
 
 /// Sentinel for "no concurrency cap".
@@ -318,8 +312,7 @@ impl<R: Repository> SnapshotService<R> {
         match self.repo.load(url) {
             Ok(found) => Ok(found),
             Err(RepoError::Corrupt { .. }) => {
-                self.stats.degraded_loads.fetch_add(1, Ordering::Relaxed);
-                aide_obs::counter("snapshot.degraded.corrupt", 1);
+                self.stats.degraded_loads.add(1);
                 Ok(None)
             }
             Err(e) => Err(e.into()),
@@ -374,19 +367,11 @@ impl<R: Repository> SnapshotService<R> {
         let _user_guard = self.locks.lock(&LockTable::user_key(&user.0));
         self.controls
             .update(user, |c| c.entry(url).record(outcome.rev(), now));
-        self.stats.remembers.fetch_add(1, Ordering::Relaxed);
+        self.stats.remembers.add(1);
         if !outcome.is_new() {
-            self.stats
-                .unchanged_remembers
-                .fetch_add(1, Ordering::Relaxed);
+            self.stats.unchanged_remembers.add(1);
         }
-        if aide_obs::enabled() {
-            aide_obs::counter("snapshot.remember", 1);
-            if !outcome.is_new() {
-                aide_obs::counter("snapshot.remember.unchanged", 1);
-            }
-            aide_obs::observe("snapshot.remember.body_bytes", body.len() as u64);
-        }
+        aide_obs::observe!("snapshot.remember.body_bytes", body.len() as u64);
         Ok(RememberOutcome {
             rev: outcome.rev(),
             stored_new_revision: outcome.is_new(),
@@ -430,19 +415,16 @@ impl<R: Repository> SnapshotService<R> {
         opts: &DiffOptions,
     ) -> Result<DiffOutcome, ServiceError> {
         let _slot = self.admit()?;
-        aide_obs::counter("snapshot.diff", 1);
+        aide_obs::counter!("snapshot.diff", 1);
         let key = diff_key(url, from, to, opts);
         let (html, from_cache) = self
             .pages
             .get_or_render(&key, || self.render_diff(url, from, to, opts))?;
-        aide_obs::counter(
-            if from_cache {
-                "snapshot.diff.cache_hit.primary"
-            } else {
-                "snapshot.diff.cache_miss"
-            },
-            1,
-        );
+        if from_cache {
+            aide_obs::counter!("snapshot.diff.cache_hit.primary", 1);
+        } else {
+            aide_obs::counter!("snapshot.diff.cache_miss", 1);
+        }
         Ok(DiffOutcome {
             html: html.to_string(),
             from,
@@ -465,22 +447,20 @@ impl<R: Repository> SnapshotService<R> {
             .ok_or_else(|| ServiceError::NeverArchived(url.to_string()))?;
         let old = archive.checkout(from)?;
         let new = archive.checkout(to)?;
-        if aide_obs::enabled() {
-            // Chain length of the older checkout dominates archive cost:
-            // RCS reverse deltas make the head free and ancient
-            // revisions linear in their distance from it.
-            aide_obs::observe(
-                "snapshot.diff.delta_chain",
-                u64::from(archive.head().0.saturating_sub(from.0)),
-            );
-        }
+        // Chain length of the older checkout dominates archive cost:
+        // RCS reverse deltas make the head free and ancient revisions
+        // linear in their distance from it.
+        aide_obs::observe!(
+            "snapshot.diff.delta_chain",
+            u64::from(archive.head().0.saturating_sub(from.0)),
+        );
         drop(archive);
         let mut labeled = opts.clone();
         labeled.old_label = from.to_string();
         labeled.new_label = to.to_string();
         let old_tokens = tokenize(&old);
         let new_tokens = tokenize(&new);
-        aide_obs::observe(
+        aide_obs::observe!(
             "snapshot.diff.tokens",
             (old_tokens.len() + new_tokens.len()) as u64,
         );
@@ -489,9 +469,7 @@ impl<R: Repository> SnapshotService<R> {
         // serving many diff requests reuses one set of buffers across
         // calls; the pool's footprint is visible as `diff.scratch.bytes`.
         let result = diff_tokens(&old_tokens, &new_tokens, &labeled);
-        self.stats
-            .htmldiff_invocations
-            .fetch_add(1, Ordering::Relaxed);
+        self.stats.htmldiff_invocations.add(1);
         Ok(result.html)
     }
 
@@ -502,7 +480,7 @@ impl<R: Repository> SnapshotService<R> {
         user: &UserId,
         url: &str,
     ) -> Result<Vec<(RevisionMeta, bool)>, ServiceError> {
-        aide_obs::counter("snapshot.history", 1);
+        aide_obs::counter!("snapshot.history", 1);
         let archive = self
             .load_degraded(url)?
             .ok_or_else(|| ServiceError::NeverArchived(url.to_string()))?;
@@ -523,7 +501,7 @@ impl<R: Repository> SnapshotService<R> {
     /// relative links resolve against the original location (§4.1).
     /// Rendered once per `(url, rev)` and then served from the page cache.
     pub fn view(&self, url: &str, rev: RevId) -> Result<String, ServiceError> {
-        aide_obs::counter("snapshot.view", 1);
+        aide_obs::counter!("snapshot.view", 1);
         let (page, _) = self.pages.get_or_render(&format!("v|{url}|{rev}"), || {
             let body = self.revision_text(url, rev)?;
             Ok::<_, ServiceError>(match Url::parse(url) {
@@ -612,17 +590,7 @@ impl<R: Repository> SnapshotService<R> {
     /// A consistent-enough snapshot of the service counters, read from
     /// atomics without taking any lock.
     pub fn snapshot_stats(&self) -> ServiceStats {
-        ServiceStats {
-            htmldiff_invocations: self.stats.htmldiff_invocations.load(Ordering::Relaxed),
-            remembers: self.stats.remembers.load(Ordering::Relaxed),
-            unchanged_remembers: self.stats.unchanged_remembers.load(Ordering::Relaxed),
-            degraded_loads: self.stats.degraded_loads.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Service counters (alias of [`SnapshotService::snapshot_stats`]).
-    pub fn service_stats(&self) -> ServiceStats {
-        self.snapshot_stats()
+        self.stats.snapshot()
     }
 
     /// The page cache behind [`SnapshotService::diff_versions`] and
@@ -635,30 +603,6 @@ impl<R: Repository> SnapshotService<R> {
     /// Page-cache counters (the one cache, whatever it holds).
     pub fn diff_cache_stats(&self) -> &CacheStats {
         self.pages.stats()
-    }
-
-    /// Publishes the service's aggregate counters — [`ServiceStats`],
-    /// [`LockStats`](crate::locks::LockStats), and the page cache's size —
-    /// as `snapshot.*` gauges on the installed observability subscriber;
-    /// no-op without one. The bespoke atomic structs remain the source
-    /// of truth; this mirrors them into the registry at export time so
-    /// the hot paths stay uninstrumented.
-    pub fn publish_obs(&self) {
-        if !aide_obs::enabled() {
-            return;
-        }
-        let s = self.snapshot_stats();
-        aide_obs::gauge("snapshot.remembers", s.remembers);
-        aide_obs::gauge("snapshot.unchanged_remembers", s.unchanged_remembers);
-        aide_obs::gauge("snapshot.htmldiff_invocations", s.htmldiff_invocations);
-        aide_obs::gauge("snapshot.degraded_loads", s.degraded_loads);
-        let l = self.locks.stats();
-        aide_obs::gauge("snapshot.locks.acquisitions", l.acquisitions);
-        aide_obs::gauge("snapshot.locks.contended", l.contended);
-        aide_obs::gauge("snapshot.locks.flights", l.flights);
-        aide_obs::gauge("snapshot.locks.piggybacked", l.piggybacked);
-        aide_obs::gauge("snapshot.page_cache.entries", self.pages.len() as u64);
-        aide_obs::gauge("snapshot.page_cache.bytes", self.pages.bytes() as u64);
     }
 }
 

@@ -267,10 +267,10 @@ impl DiskRepository {
             }
         }
 
-        aide_obs::counter("store.recovery", 1);
-        aide_obs::counter("store.recovery.frames", frames_replayed);
-        aide_obs::counter("store.recovery.torn_frames", torn_frames);
-        aide_obs::counter("store.recovery.truncated_bytes", truncated_bytes);
+        aide_obs::counter!("store.recovery", 1);
+        aide_obs::counter!("store.recovery.frames", frames_replayed);
+        aide_obs::counter!("store.recovery.torn_frames", torn_frames);
+        aide_obs::counter!("store.recovery.truncated_bytes", truncated_bytes);
 
         Ok(DiskRepository {
             wal: Wal::new(vfs.clone(), wal_path, wal_len),
@@ -451,8 +451,8 @@ impl DiskRepository {
             sh.version += 1;
         }
         self.wal.reset(&pause)?;
-        aide_obs::counter("store.checkpoint", 1);
-        aide_obs::counter("store.checkpoint.bytes_moved", moved_bytes);
+        aide_obs::counter!("store.checkpoint", 1);
+        aide_obs::counter!("store.checkpoint.bytes_moved", moved_bytes);
         Ok(())
     }
 
@@ -529,8 +529,8 @@ impl DiskRepository {
         for e in sh.index.values_mut() {
             e.prior_seg = false;
         }
-        aide_obs::counter("store.compaction", 1);
-        aide_obs::counter(
+        aide_obs::counter!("store.compaction", 1);
+        aide_obs::counter!(
             "store.compaction.reclaimed_bytes",
             old_total.saturating_sub(out.len() as u64),
         );
@@ -649,7 +649,7 @@ impl Repository for DiskRepository {
                     return match fail {
                         ReadFail::Vfs(e) => Err(RepoError::Storage(e)),
                         ReadFail::Corrupt(detail) => {
-                            aide_obs::counter("store.load.corrupt", 1);
+                            aide_obs::counter!("store.load.corrupt", 1);
                             Err(RepoError::corrupt(key, detail))
                         }
                     };
@@ -702,8 +702,8 @@ impl Repository for DiskRepository {
             );
             Self::cache_insert(&self.opts, &mut sh, key, Arc::new(archive.clone()));
         }
-        aide_obs::counter("store.append", 1);
-        aide_obs::counter("store.append.bytes", flen as u64);
+        aide_obs::counter!("store.append", 1);
+        aide_obs::counter!("store.append.bytes", flen as u64);
         self.after_write(si)
     }
 
@@ -733,7 +733,7 @@ impl Repository for DiskRepository {
             }
             sh.cache.remove(key);
         }
-        aide_obs::counter("store.remove", 1);
+        aide_obs::counter!("store.remove", 1);
         self.after_write(si)?;
         Ok(true)
     }
@@ -812,7 +812,7 @@ pub fn spawn_compactor(repo: &Arc<DiskRepository>) -> CompactorHandle {
             guard.pending = false;
         }
         if r.maintenance().is_err() {
-            aide_obs::counter("store.maintenance.errors", 1);
+            aide_obs::counter!("store.maintenance.errors", 1);
         }
     });
     CompactorHandle {

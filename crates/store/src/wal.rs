@@ -165,9 +165,9 @@ impl Wal {
                 match result {
                     Ok(()) => {
                         st.flushed_before = batch_end;
-                        aide_obs::counter("store.wal.append.bytes", batch.len() as u64);
-                        aide_obs::counter("store.wal.fsync", 1);
-                        aide_obs::observe("store.wal.batch_frames", frames);
+                        aide_obs::counter!("store.wal.append.bytes", batch.len() as u64);
+                        aide_obs::counter!("store.wal.fsync", 1);
+                        aide_obs::observe!("store.wal.batch_frames", frames);
                     }
                     Err(e) => {
                         st.broken = Some(e);

@@ -18,7 +18,6 @@ use aide_util::checksum::fnv1a64;
 use aide_util::sync::Mutex;
 use aide_util::time::{Duration, Timestamp};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const SHARDS: usize = 16;
 
@@ -71,46 +70,22 @@ enum HostState {
     },
 }
 
-/// Counters for breaker activity, snapshot with
-/// [`CircuitBreaker::stats`].
-#[derive(Debug, Default)]
-struct BreakerCounters {
-    opened: AtomicU64,
-    reopened: AtomicU64,
-    closed: AtomicU64,
-    denials: AtomicU64,
-    probes: AtomicU64,
-}
-
-/// Plain-value view of breaker activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BreakerStats {
-    /// Circuits tripped open from closed.
-    pub opened: u64,
-    /// Probes that failed, re-opening with a doubled cool-down.
-    pub reopened: u64,
-    /// Circuits closed again after a successful probe.
-    pub closed: u64,
-    /// Requests denied without touching the network.
-    pub denials: u64,
-    /// Half-open probes admitted.
-    pub probes: u64,
-}
-
-impl BreakerStats {
-    /// Publishes every field as a `w3newer.breaker.*` gauge on the
-    /// installed observability subscriber; no-op without one. The
-    /// breaker's own atomics stay the source of truth — this mirrors
-    /// them into the registry at export time.
-    pub fn publish_obs(&self) {
-        if !aide_obs::enabled() {
-            return;
-        }
-        aide_obs::gauge("w3newer.breaker.opened", self.opened);
-        aide_obs::gauge("w3newer.breaker.reopened", self.reopened);
-        aide_obs::gauge("w3newer.breaker.closed", self.closed);
-        aide_obs::gauge("w3newer.breaker.denials", self.denials);
-        aide_obs::gauge("w3newer.breaker.probes", self.probes);
+aide_obs::stat_cells! {
+    /// Plain-value view of breaker activity.
+    pub struct BreakerStats;
+    /// Counters for breaker activity, snapshot with
+    /// [`CircuitBreaker::stats`].
+    struct BreakerCounters {
+        /// Circuits tripped open from closed.
+        opened: "w3newer.breaker.transition.opened",
+        /// Probes that failed, re-opening with a doubled cool-down.
+        reopened: "w3newer.breaker.transition.reopened",
+        /// Circuits closed again after a successful probe.
+        closed: "w3newer.breaker.transition.closed",
+        /// Requests denied without touching the network.
+        denials: "w3newer.breaker.denials",
+        /// Half-open probes admitted.
+        probes: "w3newer.breaker.probes",
     }
 }
 
@@ -152,15 +127,15 @@ impl CircuitBreaker {
             HostState::Open { until, cooldown } => {
                 if now >= until {
                     *state = HostState::HalfOpen { cooldown };
-                    self.counters.probes.fetch_add(1, Ordering::Relaxed);
+                    self.counters.probes.add(1);
                     Admission::Probe
                 } else {
-                    self.counters.denials.fetch_add(1, Ordering::Relaxed);
+                    self.counters.denials.add(1);
                     Admission::Denied
                 }
             }
             HostState::HalfOpen { .. } => {
-                self.counters.denials.fetch_add(1, Ordering::Relaxed);
+                self.counters.denials.add(1);
                 Admission::Denied
             }
         }
@@ -172,8 +147,7 @@ impl CircuitBreaker {
         match shard.get_mut(host) {
             Some(state @ HostState::HalfOpen { .. }) => {
                 *state = HostState::Closed { fails: 0 };
-                self.counters.closed.fetch_add(1, Ordering::Relaxed);
-                aide_obs::counter("w3newer.breaker.transition.closed", 1);
+                self.counters.closed.add(1);
             }
             Some(HostState::Closed { fails }) => *fails = 0,
             // A success while open can only come from a request admitted
@@ -196,8 +170,7 @@ impl CircuitBreaker {
                         until: now + self.config.cooldown,
                         cooldown: self.config.cooldown,
                     };
-                    self.counters.opened.fetch_add(1, Ordering::Relaxed);
-                    aide_obs::counter("w3newer.breaker.transition.opened", 1);
+                    self.counters.opened.add(1);
                 } else {
                     *state = HostState::Closed { fails };
                 }
@@ -210,8 +183,7 @@ impl CircuitBreaker {
                     until: now + doubled,
                     cooldown: doubled,
                 };
-                self.counters.reopened.fetch_add(1, Ordering::Relaxed);
-                aide_obs::counter("w3newer.breaker.transition.reopened", 1);
+                self.counters.reopened.add(1);
             }
             // Already open: nothing to escalate.
             HostState::Open { .. } => {}
@@ -229,13 +201,7 @@ impl CircuitBreaker {
 
     /// Plain-value copy of the activity counters.
     pub fn stats(&self) -> BreakerStats {
-        BreakerStats {
-            opened: self.counters.opened.load(Ordering::Relaxed),
-            reopened: self.counters.reopened.load(Ordering::Relaxed),
-            closed: self.counters.closed.load(Ordering::Relaxed),
-            denials: self.counters.denials.load(Ordering::Relaxed),
-            probes: self.counters.probes.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 }
 

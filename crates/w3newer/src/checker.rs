@@ -393,13 +393,11 @@ impl W3Newer {
 
         let now = web.clock().now();
         let stats_before = self.stats.snapshot();
-        if aide_obs::enabled() {
-            aide_obs::gauge("w3newer.pool.workers", pool as u64);
-            // Host-group sizes are the deterministic proxy for per-host
-            // queue pressure: a worker serializes each group.
-            for g in &groups {
-                aide_obs::observe("w3newer.pool.host_group_urls", g.len() as u64);
-            }
+        aide_obs::gauge!("w3newer.pool.workers", pool as u64);
+        // Host-group sizes are the deterministic proxy for per-host
+        // queue pressure: a worker serializes each group.
+        for g in &groups {
+            aide_obs::observe!("w3newer.pool.host_group_urls", g.len() as u64);
         }
         let this = &*self;
         let next = AtomicUsize::new(0);
@@ -821,7 +819,7 @@ impl W3Newer {
         message: &str,
         now: Timestamp,
     ) -> UrlStatus {
-        self.stats.bump(&self.stats.degraded);
+        self.stats.degraded.add(1);
         let count_as_checked = self.flags.errors_count_as_checked;
         let rec = cache.entry(url);
         rec.degraded_count += 1;
@@ -877,7 +875,7 @@ impl W3Newer {
             if let (Some(b), Some(h)) = (&self.breaker, host) {
                 if b.admit(h, clock.now()) == Admission::Denied {
                     if robust {
-                        self.stats.bump(&self.stats.breaker_denied);
+                        self.stats.breaker_denied.add(1);
                     }
                     return Err(FetchFailure::CircuitOpen {
                         host: h.to_string(),
@@ -885,13 +883,13 @@ impl W3Newer {
                 }
             }
             if robust {
-                self.stats.bump(&self.stats.attempts);
+                self.stats.attempts.add(1);
             }
             let failure = match web.request(req) {
                 Ok(resp) => {
                     if resp.is_transient_failure() {
                         if robust {
-                            self.stats.bump(&self.stats.http_failures);
+                            self.stats.http_failures.add(1);
                         }
                         TransientFailure::Http {
                             status: resp.status,
@@ -905,7 +903,7 @@ impl W3Newer {
                         // a corrupted transfer: checksumming it would
                         // manufacture a phantom "change".
                         if robust {
-                            self.stats.bump(&self.stats.truncated);
+                            self.stats.truncated.add(1);
                         }
                         TransientFailure::Truncated {
                             expected: resp.content_length,
@@ -916,14 +914,14 @@ impl W3Newer {
                             b.record_success(h);
                         }
                         if robust && attempt > 1 {
-                            self.stats.bump(&self.stats.recovered);
+                            self.stats.recovered.add(1);
                         }
                         return Ok(resp);
                     }
                 }
                 Err(e) => {
                     if robust {
-                        self.stats.bump(&self.stats.net_failures);
+                        self.stats.net_failures.add(1);
                     }
                     if !retryable_net_error(&e) {
                         if let (Some(b), Some(h)) = (&self.breaker, host) {
@@ -939,7 +937,7 @@ impl W3Newer {
             }
             if attempt >= self.retry.max_attempts {
                 if robust && self.retry.enabled() {
-                    self.stats.bump(&self.stats.exhausted);
+                    self.stats.exhausted.add(1);
                 }
                 return Err(FetchFailure::Exhausted(failure));
             }
@@ -952,19 +950,17 @@ impl W3Newer {
                 delay = delay.max(Duration::seconds(secs));
             }
             if slept + delay > self.retry.budget {
-                self.stats.bump(&self.stats.exhausted);
+                self.stats.exhausted.add(1);
                 return Err(FetchFailure::Exhausted(failure));
             }
             // `delay` is computed from seeded jitter (plus any
             // Retry-After floor), so this histogram is deterministic
             // even when workers interleave.
-            aide_obs::observe("w3newer.retry.backoff_secs", delay.as_secs());
+            aide_obs::observe!("w3newer.retry.backoff_secs", delay.as_secs());
             clock.advance(delay);
             slept = slept + delay;
-            self.stats.bump(&self.stats.retries);
-            self.stats
-                .slept_secs
-                .fetch_add(delay.as_secs(), Ordering::Relaxed);
+            self.stats.retries.add(1);
+            self.stats.slept_secs.add(delay.as_secs());
         }
     }
 }
@@ -981,55 +977,49 @@ fn obs_record_entries(entries: &[UrlReport]) {
     if !aide_obs::enabled() {
         return;
     }
-    // Aggregate locally and emit one counter call per distinct name:
-    // a hotlist has hundreds of entries but only ~16 possible names,
-    // and each emit is a registry lock round-trip.
-    let mut counts: std::collections::BTreeMap<&'static str, u64> = Default::default();
-    let mut bump = |name: &'static str| *counts.entry(name).or_insert(0) += 1;
     for e in entries {
         match &e.status {
             UrlStatus::Changed { source, .. } => {
-                bump("w3newer.url.changed");
-                bump(obs_source_name(*source));
+                aide_obs::counter!("w3newer.url.changed", 1);
+                obs_record_source(*source);
             }
             UrlStatus::Unchanged { source } => {
-                bump("w3newer.url.unchanged");
-                bump(obs_source_name(*source));
+                aide_obs::counter!("w3newer.url.unchanged", 1);
+                obs_record_source(*source);
             }
             UrlStatus::NotChecked { reason } => {
-                bump("w3newer.url.not_checked");
-                bump(obs_skip_name(*reason));
+                aide_obs::counter!("w3newer.url.not_checked", 1);
+                obs_record_skip(*reason);
             }
-            UrlStatus::RobotExcluded => bump("w3newer.url.robot_excluded"),
-            UrlStatus::Error { .. } => bump("w3newer.url.error"),
-            UrlStatus::Degraded { .. } => bump("w3newer.url.degraded"),
+            UrlStatus::RobotExcluded => aide_obs::counter!("w3newer.url.robot_excluded", 1),
+            UrlStatus::Error { .. } => aide_obs::counter!("w3newer.url.error", 1),
+            UrlStatus::Degraded { .. } => aide_obs::counter!("w3newer.url.degraded", 1),
         }
     }
-    for (name, n) in counts {
-        aide_obs::counter(name, n);
-    }
 }
 
-/// Counter name for how a verdict was reached (§3's decision ladder).
-fn obs_source_name(source: CheckSource) -> &'static str {
+/// Counts how a verdict was reached (§3's decision ladder).
+fn obs_record_source(source: CheckSource) {
     match source {
-        CheckSource::Cache => "w3newer.source.cache",
-        CheckSource::ProxyCache => "w3newer.source.proxy_cache",
-        CheckSource::Head => "w3newer.source.head",
-        CheckSource::GetChecksum => "w3newer.source.get_checksum",
-        CheckSource::FileStat => "w3newer.source.file_stat",
+        CheckSource::Cache => aide_obs::counter!("w3newer.source.cache", 1),
+        CheckSource::ProxyCache => aide_obs::counter!("w3newer.source.proxy_cache", 1),
+        CheckSource::Head => aide_obs::counter!("w3newer.source.head", 1),
+        CheckSource::GetChecksum => aide_obs::counter!("w3newer.source.get_checksum", 1),
+        CheckSource::FileStat => aide_obs::counter!("w3newer.source.file_stat", 1),
     }
 }
 
-/// Counter name for why a URL was skipped without network traffic.
-fn obs_skip_name(reason: SkipReason) -> &'static str {
+/// Counts why a URL was skipped without network traffic.
+fn obs_record_skip(reason: SkipReason) {
     match reason {
-        SkipReason::NeverThreshold => "w3newer.skip.never_threshold",
-        SkipReason::RecentlyVisited => "w3newer.skip.recently_visited",
-        SkipReason::CheckedRecently => "w3newer.skip.checked_recently",
-        SkipReason::HostError => "w3newer.skip.host_error",
-        SkipReason::RunAborted => "w3newer.skip.run_aborted",
-        SkipReason::BelowExpectedGain => "w3newer.skip.below_expected_gain",
+        SkipReason::NeverThreshold => aide_obs::counter!("w3newer.skip.never_threshold", 1),
+        SkipReason::RecentlyVisited => aide_obs::counter!("w3newer.skip.recently_visited", 1),
+        SkipReason::CheckedRecently => aide_obs::counter!("w3newer.skip.checked_recently", 1),
+        SkipReason::HostError => aide_obs::counter!("w3newer.skip.host_error", 1),
+        SkipReason::RunAborted => aide_obs::counter!("w3newer.skip.run_aborted", 1),
+        SkipReason::BelowExpectedGain => {
+            aide_obs::counter!("w3newer.skip.below_expected_gain", 1)
+        }
     }
 }
 

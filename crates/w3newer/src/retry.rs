@@ -22,7 +22,6 @@ use aide_simweb::http::{NetError, Status};
 use aide_util::checksum::fnv1a64;
 use aide_util::rng::Rng;
 use aide_util::time::Duration;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Exponential backoff with deterministic jitter, capped attempts and a
 /// per-check sleep budget.
@@ -184,82 +183,34 @@ pub fn retryable_net_error(e: &NetError) -> bool {
     }
 }
 
-/// Atomic counters for the retry layer, shared across a tracker's
-/// worker pipelines. Snapshot with [`RetryStats::snapshot`].
-#[derive(Debug, Default)]
-pub struct RetryStats {
-    /// Requests issued through the retry layer (every attempt).
-    pub attempts: AtomicU64,
-    /// Attempts beyond the first for some request.
-    pub retries: AtomicU64,
-    /// Requests that succeeded after at least one retry.
-    pub recovered: AtomicU64,
-    /// Requests that ran out of attempts or budget.
-    pub exhausted: AtomicU64,
-    /// Failed attempts that were network errors (terminal or not).
-    pub net_failures: AtomicU64,
-    /// Failed attempts that were transient HTTP statuses (500/503).
-    pub http_failures: AtomicU64,
-    /// Failed attempts with truncated bodies.
-    pub truncated: AtomicU64,
-    /// Total seconds slept (virtual clock) across all retries.
-    pub slept_secs: AtomicU64,
-    /// Report entries downgraded to stale/degraded.
-    pub degraded: AtomicU64,
-    /// Requests denied by an open circuit (no traffic issued).
-    pub breaker_denied: AtomicU64,
-}
-
-impl RetryStats {
-    /// Plain-value copy of the counters.
-    pub fn snapshot(&self) -> RetrySnapshot {
-        RetrySnapshot {
-            attempts: self.attempts.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            recovered: self.recovered.load(Ordering::Relaxed),
-            exhausted: self.exhausted.load(Ordering::Relaxed),
-            net_failures: self.net_failures.load(Ordering::Relaxed),
-            http_failures: self.http_failures.load(Ordering::Relaxed),
-            truncated: self.truncated.load(Ordering::Relaxed),
-            slept_secs: self.slept_secs.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            breaker_denied: self.breaker_denied.load(Ordering::Relaxed),
-        }
+aide_obs::stat_cells! {
+    /// Plain-value view of [`RetryStats`] — comparable, copyable, and the
+    /// type embedded in [`RunReport`](crate::checker::RunReport).
+    pub struct RetrySnapshot;
+    /// Counters for the retry layer, shared across a tracker's worker
+    /// pipelines. Snapshot with [`RetryStats::snapshot`].
+    pub struct RetryStats {
+        /// Requests issued through the retry layer (every attempt).
+        attempts: "w3newer.retry.attempts",
+        /// Attempts beyond the first for some request.
+        retries: "w3newer.retry.retries",
+        /// Requests that succeeded after at least one retry.
+        recovered: "w3newer.retry.recovered",
+        /// Requests that ran out of attempts or budget.
+        exhausted: "w3newer.retry.exhausted",
+        /// Failed attempts that were network errors (terminal or not).
+        net_failures: "w3newer.retry.net_failures",
+        /// Failed attempts that were transient HTTP statuses (500/503).
+        http_failures: "w3newer.retry.http_failures",
+        /// Failed attempts with truncated bodies.
+        truncated: "w3newer.retry.truncated",
+        /// Total seconds slept (virtual clock) across all retries.
+        slept_secs: "w3newer.retry.slept_secs",
+        /// Report entries downgraded to stale/degraded.
+        degraded: "w3newer.retry.degraded",
+        /// Requests denied by an open circuit (no traffic issued).
+        breaker_denied: "w3newer.retry.breaker_denied",
     }
-
-    fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn bump(&self, counter: &AtomicU64) {
-        Self::add(counter, 1);
-    }
-}
-
-/// Plain-value view of [`RetryStats`] — comparable, copyable, and the
-/// type embedded in [`RunReport`](crate::checker::RunReport).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RetrySnapshot {
-    /// Requests issued through the retry layer (every attempt).
-    pub attempts: u64,
-    /// Attempts beyond the first for some request.
-    pub retries: u64,
-    /// Requests that succeeded after at least one retry.
-    pub recovered: u64,
-    /// Requests that ran out of attempts or budget.
-    pub exhausted: u64,
-    /// Failed attempts that were network errors.
-    pub net_failures: u64,
-    /// Failed attempts that were transient HTTP statuses.
-    pub http_failures: u64,
-    /// Failed attempts with truncated bodies.
-    pub truncated: u64,
-    /// Total seconds slept (virtual clock) across all retries.
-    pub slept_secs: u64,
-    /// Report entries downgraded to stale/degraded.
-    pub degraded: u64,
-    /// Requests denied by an open circuit.
-    pub breaker_denied: u64,
 }
 
 impl RetrySnapshot {
@@ -299,26 +250,6 @@ impl RetrySnapshot {
     /// off or never touched.
     pub fn is_zero(&self) -> bool {
         *self == RetrySnapshot::default()
-    }
-
-    /// Publishes every field as a `w3newer.retry.*` gauge on the
-    /// installed observability subscriber; no-op without one. This
-    /// wires the existing atomic [`RetryStats`] into the metrics
-    /// registry without duplicating counts on the fetch hot path.
-    pub fn publish_obs(&self) {
-        if !aide_obs::enabled() {
-            return;
-        }
-        aide_obs::gauge("w3newer.retry.attempts", self.attempts);
-        aide_obs::gauge("w3newer.retry.retries", self.retries);
-        aide_obs::gauge("w3newer.retry.recovered", self.recovered);
-        aide_obs::gauge("w3newer.retry.exhausted", self.exhausted);
-        aide_obs::gauge("w3newer.retry.net_failures", self.net_failures);
-        aide_obs::gauge("w3newer.retry.http_failures", self.http_failures);
-        aide_obs::gauge("w3newer.retry.truncated", self.truncated);
-        aide_obs::gauge("w3newer.retry.slept_secs", self.slept_secs);
-        aide_obs::gauge("w3newer.retry.degraded", self.degraded);
-        aide_obs::gauge("w3newer.retry.breaker_denied", self.breaker_denied);
     }
 }
 
@@ -398,11 +329,11 @@ mod tests {
     #[test]
     fn snapshot_delta_and_sum() {
         let s = RetryStats::default();
-        s.bump(&s.attempts);
-        s.bump(&s.attempts);
-        s.bump(&s.retries);
+        s.attempts.add(1);
+        s.attempts.add(1);
+        s.retries.add(1);
         let a = s.snapshot();
-        s.bump(&s.attempts);
+        s.attempts.add(1);
         let b = s.snapshot();
         let d = b.since(&a);
         assert_eq!(d.attempts, 1);

@@ -157,7 +157,7 @@ fn diff_cache_dedups_concurrent_renderings() {
         outputs.windows(2).all(|w| w[0] == w[1]),
         "all renderings identical"
     );
-    let stats = service.service_stats();
+    let stats = service.snapshot_stats();
     assert!(
         stats.htmldiff_invocations <= 3,
         "HtmlDiff ran {} times for 12 concurrent requests",

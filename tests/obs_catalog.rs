@@ -5,12 +5,12 @@
 //! ships undocumented. This suite greps both directions:
 //!
 //! - every name in the catalog tables (after `{a,b,c}` expansion) must
-//!   still exist in some `crates/*/src` source — as a full string
-//!   literal, or (for names assembled at runtime, like
-//!   `capacity.latency_us.{kind}`) as its dotted prefix plus its final
-//!   segment;
-//! - every *literal* metric name recorded through the `aide_obs`
-//!   emission APIs must appear in the catalog.
+//!   still exist in some `crates/*/src` source as a full string
+//!   literal;
+//! - every metric name declared through the `aide_obs` handle APIs —
+//!   the `counter!`/`gauge!`/`observe!` macros, `static` handle
+//!   declarations, `CounterCell` constructors and `stat_cells!` fields —
+//!   must appear in the catalog.
 //!
 //! Names are compared as plain strings, so this needs no registry at
 //! runtime and cannot be fooled by code that never executes in tests.
@@ -117,7 +117,6 @@ const NAMESPACES: &[&str] = &[
     "store.",
     "serve.",
     "sched.",
-    "capacity.",
 ];
 
 fn in_namespace(name: &str) -> bool {
@@ -127,22 +126,12 @@ fn in_namespace(name: &str) -> bool {
 #[test]
 fn every_documented_metric_exists_in_code() {
     let sources = rs_sources();
-    let found = |needle: &str| sources.iter().any(|(_, text)| text.contains(needle));
-    let mut stale = Vec::new();
-    for name in doc_catalog() {
-        if found(&name) {
-            continue;
-        }
-        // Runtime-assembled names: the dotted prefix and the final
-        // segment must both still exist somewhere.
-        let Some((prefix, last)) = name.rsplit_once('.') else {
-            stale.push(name);
-            continue;
-        };
-        if !(found(prefix) && found(last)) {
-            stale.push(name);
-        }
-    }
+    // Every handle is declared with its full name as a literal.
+    let found = |name: &str| {
+        let quoted = format!("\"{name}\"");
+        sources.iter().any(|(_, text)| text.contains(&quoted))
+    };
+    let stale: Vec<String> = doc_catalog().into_iter().filter(|n| !found(n)).collect();
     assert!(
         stale.is_empty(),
         "OBSERVABILITY.md documents metrics no source file mentions \
@@ -150,13 +139,48 @@ fn every_documented_metric_exists_in_code() {
     );
 }
 
+/// What precedes a metric name in a handle declaration: the call-site
+/// macros, the handle and cell constructors, and a `stat_cells!` field
+/// (`requests: "serve.requests",`).
+const DECLARATIONS: &[&str] = &[
+    ":",
+    "counter!(",
+    "gauge!(",
+    "observe!(",
+    "Counter::new(",
+    "Gauge::new(",
+    "Histogram::new(",
+    "Histogram::with_bounds(",
+    "CounterCell::new(",
+];
+
+/// Metric names in `text` declared through [`DECLARATIONS`] that lie in
+/// a documented namespace but are missing from `catalog`.
+fn undocumented_in(text: &str, catalog: &BTreeSet<String>) -> Vec<String> {
+    let mut out = Vec::new();
+    for call in DECLARATIONS {
+        for (at, _) in text.match_indices(call) {
+            // rustfmt may break the arguments onto the next line.
+            let Some(lit) = text[at + call.len()..].trim_start().strip_prefix('"') else {
+                continue;
+            };
+            let Some(end) = lit.find('"') else { continue };
+            let name = &lit[..end];
+            if name.contains('.')
+                && name.chars().all(is_name_char)
+                && in_namespace(name)
+                && !catalog.contains(name)
+            {
+                out.push(name.to_string());
+            }
+        }
+    }
+    out
+}
+
 #[test]
 fn every_emitted_metric_literal_is_documented() {
     let catalog = doc_catalog();
-    // Emission APIs whose first argument is the metric name; covers
-    // both the free functions (`aide_obs::counter(...)`) and the
-    // registry methods (`reg.counter(...)`).
-    let calls = ["counter(\"", "gauge(\"", "observe(\"", "observe_with(\""];
     let mut undocumented = Vec::new();
     for (path, text) in rs_sources() {
         // The obs crate's own sources use placeholder names in API
@@ -164,18 +188,8 @@ fn every_emitted_metric_literal_is_documented() {
         if path.components().any(|c| c.as_os_str() == "obs") {
             continue;
         }
-        for call in calls {
-            for (at, _) in text.match_indices(call) {
-                let lit = &text[at + call.len()..];
-                let Some(end) = lit.find('"') else { continue };
-                let name = &lit[..end];
-                if !name.contains('.') || !name.chars().all(is_name_char) {
-                    continue;
-                }
-                if in_namespace(name) && !catalog.contains(name) {
-                    undocumented.push(format!("{name} ({})", path.display()));
-                }
-            }
+        for name in undocumented_in(&text, &catalog) {
+            undocumented.push(format!("{name} ({})", path.display()));
         }
     }
     undocumented.sort();
@@ -184,5 +198,34 @@ fn every_emitted_metric_literal_is_documented() {
         undocumented.is_empty(),
         "metric names recorded in code but missing from the \
          OBSERVABILITY.md catalog: {undocumented:?}"
+    );
+}
+
+#[test]
+fn an_undocumented_handle_is_reported() {
+    let catalog = doc_catalog();
+    let source = r#"
+        static REQUESTS: aide_obs::Counter = aide_obs::Counter::new("serve.requests");
+        static BOGUS: aide_obs::Counter = aide_obs::Counter::new("serve.not_in_the_catalog");
+        aide_obs::stat_cells! {
+            struct Cells => Plain {
+                requests: "serve.requests",
+                bogus: "serve.cell_missing",
+            }
+        }
+        fn f() {
+            aide_obs::counter!(
+                "serve.also_missing",
+                1
+            );
+        }
+    "#;
+    assert_eq!(
+        undocumented_in(source, &catalog),
+        [
+            "serve.cell_missing",
+            "serve.also_missing",
+            "serve.not_in_the_catalog"
+        ]
     );
 }

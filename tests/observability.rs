@@ -90,16 +90,14 @@ fn robust_tracker() -> W3Newer {
 }
 
 /// One instrumented storm run: fresh world, fresh registry, serial
-/// tracker pass, aggregates published, subscriber removed again.
+/// tracker pass, subscriber removed again.
 fn instrumented_storm(seed: u64) -> MetricsSnapshot {
     let registry = Arc::new(MetricsRegistry::new());
     aide_obs::install(registry.clone());
     let (_clock, web, hotlist, history) = quiet_world();
     web.install_fault_plan(storm_plan(seed));
     let mut w = robust_tracker();
-    let report = w.run_serial(&hotlist, &move |u| history.get(u).copied(), &web, None);
-    report.net.publish_obs();
-    web.stats().publish_obs();
+    w.run_serial(&hotlist, &move |u| history.get(u).copied(), &web, None);
     aide_obs::uninstall();
     registry.snapshot()
 }
@@ -119,13 +117,13 @@ fn same_seed_storms_record_identical_metrics() {
 
     // The run actually measured something at every layer it touched.
     assert!(snap_a.counters["simweb.fault.timeout"] > 0);
-    assert!(snap_a.gauges["simweb.requests"] > 0);
+    assert!(snap_a.counters["simweb.requests"] > 0);
     assert!(snap_a.counters["w3newer.url.unchanged"] > 0);
     assert!(
         snap_a.histograms.contains_key("w3newer.retry.backoff_secs"),
         "the storm forced backoff sleeps"
     );
-    assert!(snap_a.gauges["w3newer.retry.attempts"] > 0);
+    assert!(snap_a.counters["w3newer.retry.attempts"] > 0);
     assert!(snap_a
         .spans
         .iter()
@@ -187,7 +185,6 @@ fn instrumented_pipeline() -> MetricsSnapshot {
     assert!(again.from_cache);
     engine.history("fred", url).unwrap();
     engine.view(url, v1).unwrap();
-    engine.publish_obs();
     aide_obs::uninstall();
     registry.snapshot()
 }
@@ -217,8 +214,7 @@ fn pipeline_metrics_cover_every_layer_and_replay_identically() {
     assert!(snap_a.histograms.contains_key("snapshot.diff.delta_chain"));
     assert!(snap_a.histograms.contains_key("rcs.checkout.chain"));
     assert!(snap_a.spans.iter().any(|s| s.name == "aide.run_tracker"));
-    assert_eq!(snap_a.gauges["snapshot.remembers"], 2);
-    assert_eq!(snap_a.gauges["snapshot.htmldiff_invocations"], 1);
+    assert_eq!(snap_a.counters["snapshot.htmldiff_invocations"], 1);
 }
 
 #[test]
