@@ -27,6 +27,9 @@ cargo run -q -p aide-analysis --bin aide-lint -- --root . --emit sarif \
 echo "== cargo test"
 cargo test -q
 
+echo "== release lock wrappers (no checker state: std-sized guards)"
+cargo test -q --release -p aide-util --lib
+
 echo "== fault-injection determinism (same seed => byte-identical reports)"
 AIDE_FAULT_DUMP="$PWD/target/fault_report_a.html" \
     cargo test -q -p aide --test fault_tolerance >/dev/null

@@ -17,7 +17,7 @@ use aide_simweb::net::Web;
 use aide_simweb::proxy::ProxyCache;
 use aide_snapshot::service::{DiffOutcome, RememberOutcome, ServiceError, SnapshotService, UserId};
 use aide_util::checksum::fnv1a64;
-use aide_util::sync::{Mutex, RwLock};
+use aide_util::sync::{lockrank, Mutex, RwLock};
 use aide_util::time::{Clock, Duration};
 use aide_w3newer::breaker::{BreakerConfig, BreakerStats, CircuitBreaker};
 use aide_w3newer::checker::RunReport;
@@ -81,7 +81,9 @@ const PAGE_CACHE_BYTES: usize = 8 << 20;
 /// Registered users in a sharded map. Each user's mutable state sits
 /// behind its own mutex, so trackers for different users run fully in
 /// parallel; the shard guard only protects the map and is never held
-/// across a tracker run.
+/// across a tracker run. The per-user mutex is of the `user` lock
+/// class (rank 20): a run holds it while an adaptive tracker takes the
+/// scheduler's `sched` lock (22).
 struct UserTable {
     shards: Vec<RwLock<HashMap<UserId, Arc<Mutex<UserState>>>>>,
 }
@@ -102,7 +104,7 @@ impl UserTable {
     fn insert(&self, id: UserId, state: UserState) {
         self.shard(&id)
             .write()
-            .insert(id, Arc::new(Mutex::new(state)));
+            .insert(id, Arc::new(Mutex::with_class(&lockrank::USER, state)));
     }
 
     fn get(&self, id: &UserId) -> Option<Arc<Mutex<UserState>>> {
@@ -200,10 +202,6 @@ impl<R: Repository> AideEngine<R> {
             }
         }
         let breaker = match &*self.robustness.lock() {
-            // aide-lint: allow(lock-order-interproc): name-based call
-            // resolution aliases CircuitBreaker::stats with the
-            // shard-locking Repository::stats; this receiver is the
-            // breaker, which takes no lock at all
             Some((_, b)) => b.stats(),
             None => BreakerStats::default(),
         };
@@ -314,10 +312,6 @@ impl<R: Repository> AideEngine<R> {
         let hotlist = state.browser.hotlist();
         let browser = state.browser.clone();
         let start = self.web.clock().now_secs();
-        // aide-lint: allow(lock-order-interproc): the run holds only
-        // this user's state mutex; the scheduler lock it reaches is an
-        // independent leaf subsystem that never calls back into the
-        // engine, so no cycle through user state is possible
         let report = state.tracker.run(
             &hotlist,
             &move |url| browser.last_visited(url),
@@ -465,6 +459,29 @@ mod tests {
         let h = e.history("fred@att.com", "http://www.usenix.org/").unwrap();
         assert_eq!(h.len(), 2);
         assert!(h.iter().all(|(_, seen)| *seen));
+    }
+
+    #[test]
+    fn adaptive_tracker_feeds_the_scheduler_under_the_user_lock() {
+        use aide_sched::{AdaptiveScheduler, PriorRules, SchedulerConfig};
+        use aide_w3newer::SchedulePolicy;
+        let e = engine();
+        let b = e.register_user("fred@att.com", ThresholdConfig::default());
+        b.add_bookmark("USENIX", "http://www.usenix.org/");
+        let sched = Arc::new(AdaptiveScheduler::new(
+            SchedulerConfig::default(),
+            PriorRules::default(),
+        ));
+        let state = e.users.get(&UserId::new("fred@att.com")).unwrap();
+        state.lock().tracker.schedule = SchedulePolicy::Adaptive(sched.clone());
+        // One host, so the run checks it on this thread: the scheduler's
+        // `sched` lock is taken while fred's `user` mutex is held.
+        let r = e.run_tracker("fred@att.com").unwrap();
+        assert_eq!(r.entries.len(), 1);
+        assert!(
+            sched.url_rate_nanohz("http://www.usenix.org/").is_some(),
+            "the baseline poll must reach the estimator"
+        );
     }
 
     #[test]

@@ -23,10 +23,6 @@ pub const LINTS: &[LintInfo] = &[
         description: "HashMap/HashSet iteration must not flow into formatting or serialization unsorted",
     },
     LintInfo {
-        name: "lock-order",
-        description: "nested lock acquisitions must follow the shared lock-rank table (DESIGN.md §4h)",
-    },
-    LintInfo {
         name: "no-panic",
         description: "library code must not unwrap/expect/panic; return typed errors or carry a waiver",
     },
@@ -37,18 +33,6 @@ pub const LINTS: &[LintInfo] = &[
     LintInfo {
         name: "vfs-boundary",
         description: "std::fs/std::io stay behind the Vfs trait; only crates/store/src/vfs.rs touches the real filesystem",
-    },
-    LintInfo {
-        name: "lock-order-interproc",
-        description: "no call path from a lock-holding region may transitively acquire an equal-or-lower-rank lock",
-    },
-    LintInfo {
-        name: "blocking-while-locked",
-        description: "no fsync/condvar-wait/channel-recv/sleep may be reached while an exclusive lock is held",
-    },
-    LintInfo {
-        name: "panic-reach",
-        description: "public entry points of the engine crates must not transitively reach an unwaived panic site",
     },
 ];
 
@@ -94,23 +78,6 @@ pub fn panic_checked(rel: &str) -> bool {
         return false;
     }
     !rel.contains("/src/bin/") && !rel.ends_with("/src/main.rs")
-}
-
-/// Whether `rel` belongs to a crate whose public functions are
-/// `panic-reach` entry points: the engine crates a host program drives
-/// directly. Binary targets may abort on bad input and are excluded,
-/// as is everything `panic_checked` already exempts.
-pub fn panic_entry(rel: &str) -> bool {
-    const ENTRY_CRATES: &[&str] = &[
-        "crates/rcs/src/",
-        "crates/snapshot/src/",
-        "crates/diffcore/src/",
-        "crates/htmldiff/src/",
-        "crates/store/src/",
-        "crates/sched/src/",
-        "crates/serve/src/",
-    ];
-    ENTRY_CRATES.iter().any(|p| rel.starts_with(p)) && panic_checked(rel)
 }
 
 /// Whether the VFS-boundary lint covers `rel`. Library code must route

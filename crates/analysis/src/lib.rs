@@ -1,88 +1,55 @@
 //! `aide-lint`: a zero-third-party-dependency static-analysis pass that
-//! machine-checks the workspace's load-bearing invariants.
+//! machine-checks the workspace's load-bearing source invariants.
 //!
-//! PRs 1–4 accumulated contracts that until now existed only as prose
-//! and tests: the per-key lock-ordering discipline (DESIGN.md §4d/§4h),
-//! the byte-identical-output and deterministic-when-on contracts
-//! (§4e–§4g), and the virtual-clock rule that nothing outside
+//! The byte-identical-output and deterministic-when-on contracts
+//! (DESIGN.md §4e–§4g), the virtual-clock rule that nothing outside
 //! `crates/util/src/time.rs` and the bench harness may touch wall-clock
-//! time. This crate walks every `crates/*/src` tree with its own
-//! lightweight Rust lexer (raw strings, nested block comments, lifetime
-//! vs char-literal disambiguation) and enforces five lint families:
+//! time, and the rule that durable I/O stays behind the `Vfs` seam are
+//! properties of the source text, with no runtime equivalent. This
+//! crate walks every `crates/*/src` tree with its own lightweight Rust
+//! lexer (raw strings, nested block comments, lifetime vs char-literal
+//! disambiguation) and enforces five per-file lint families:
 //!
-//! | lint          | contract                                                        |
-//! |---------------|-----------------------------------------------------------------|
-//! | `determinism` | no `SystemTime`/`Instant`/`thread_rng`/`std::env` off-allowlist |
-//! | `hash-iter`   | no unsorted `HashMap`/`HashSet` iteration into rendered output  |
-//! | `lock-order`  | nested acquisitions follow the shared lock-rank table           |
-//! | `no-panic`    | no `unwrap`/`expect`/`panic!` in library code                   |
-//! | `seqcst`      | stat counters use `Relaxed`, not `SeqCst`                       |
+//! | lint           | contract                                                        |
+//! |----------------|-----------------------------------------------------------------|
+//! | `determinism`  | no `SystemTime`/`Instant`/`thread_rng`/`std::env` off-allowlist |
+//! | `hash-iter`    | no unsorted `HashMap`/`HashSet` iteration into rendered output  |
+//! | `no-panic`     | no `unwrap`/`expect`/`panic!` in library code                   |
+//! | `seqcst`       | stat counters use `Relaxed`, not `SeqCst`                       |
+//! | `vfs-boundary` | `std::fs`/`std::io` stay behind the `Vfs` trait                 |
+//!
+//! Lock discipline is not linted: the debug-build checker in
+//! `aide_util::sync::lockrank` enforces it on every acquisition.
 //!
 //! Deliberate exceptions carry inline `// aide-lint: allow(lint): why`
 //! waivers, which the tool parses, applies, counts (`--waivers`), and
 //! caps in CI (`--max-waivers`). See LINTS.md for the catalog.
 
-pub mod callgraph;
 pub mod config;
-pub mod interproc;
-pub mod items;
 pub mod lexer;
 pub mod lints;
 pub mod report;
 pub mod scope;
-pub mod summaries;
 pub mod waivers;
 
 use config::Config;
 use lints::Finding;
-use report::{GraphStats, Report, UnusedWaiver};
+use report::{Report, UnusedWaiver};
 use scope::FileMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Lints a set of files together: the per-file lexical lints plus the
-/// interprocedural families (which need the whole set to build the call
-/// graph). Vendored files are skipped. Waivers are parsed per file and
-/// applied to whichever findings anchor there, whatever pass produced
-/// them.
+/// Lints a set of files, skipping vendored ones, and applies each
+/// file's waivers to the findings anchored there.
 pub fn lint_sources(sources: &[(String, String)], cfg: &Config) -> Report {
-    let files: Vec<FileMap> = sources
-        .iter()
-        .filter(|(rel, _)| !config::is_vendored(rel))
-        .map(|(rel, src)| FileMap::new(rel, src))
-        .collect();
-    let mut by_file: Vec<Vec<Finding>> = files.iter().map(|fm| lints::lint_file(fm, cfg)).collect();
-
-    let index: std::collections::BTreeMap<String, usize> = files
-        .iter()
-        .enumerate()
-        .map(|(i, fm)| (fm.rel.clone(), i))
-        .collect();
-    let ws = interproc::analyze(files);
-    for f in interproc::lint_graph(&ws, cfg) {
-        if let Some(&i) = index.get(&f.file) {
-            by_file[i].push(f);
-        }
-    }
-
-    let mut report = Report {
-        files: ws.files.len(),
-        graph: GraphStats {
-            functions: ws.fns.len(),
-            calls_resolved: ws.graph.resolved,
-            calls_unresolved: ws.graph.unresolved,
-            calls_denied: ws.graph.denied,
-        },
-        ..Report::default()
-    };
-    for (i, fm) in ws.files.iter().enumerate() {
-        let mut raw = std::mem::take(&mut by_file[i]);
-        raw.sort_by(|a, b| (a.line, a.col, a.lint).cmp(&(b.line, b.col, b.lint)));
-        raw.dedup();
+    let mut report = Report::default();
+    for (rel, src) in sources.iter().filter(|(rel, _)| !config::is_vendored(rel)) {
+        let fm = FileMap::new(rel, src);
+        report.files += 1;
         let waivers = waivers::parse(&fm.comments);
         let mut used = vec![false; waivers.len()];
-        for f in raw {
+        for f in lints::lint_file(&fm, cfg) {
             let mut hit = false;
             for (k, w) in waivers.iter().enumerate() {
                 if w.applies_to == f.line && w.lints.iter().any(|l| l == f.lint) {
@@ -116,9 +83,7 @@ pub fn lint_sources(sources: &[(String, String)], cfg: &Config) -> Report {
 }
 
 /// Lints one file's source text under its repo-relative path, applying
-/// waivers. Returns `(active, waived, unused_waivers)`. Interprocedural
-/// families see a one-file call graph — cross-file paths need
-/// [`lint_sources`].
+/// waivers. Returns `(active, waived, unused_waivers)`.
 pub fn lint_source(
     rel: &str,
     src: &str,
@@ -150,9 +115,7 @@ fn rs_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Lints every `crates/*/src` tree under `root` (the workspace root),
-/// building one whole-workspace call graph for the interprocedural
-/// families.
+/// Lints every `crates/*/src` tree under `root` (the workspace root).
 pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Report> {
     let crates_dir = root.join("crates");
     let mut members: Vec<PathBuf> = fs::read_dir(&crates_dir)?

@@ -1,4 +1,4 @@
-//! The six lint passes. Each works purely on the masked source (see
+//! The five lint passes. Each works purely on the masked source (see
 //! [`crate::lexer`]) plus the structural indexes in [`crate::scope`].
 //!
 //! These are *lexical* checks: they trade type-level precision for zero
@@ -9,7 +9,6 @@
 
 use crate::config::{panic_checked, vfs_boundary_checked, wallclock_allowed, Config};
 use crate::scope::{ident_occurrences, FileMap};
-use aide_util::sync::lockrank;
 
 /// One diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,9 +36,6 @@ pub fn lint_file(fm: &FileMap, cfg: &Config) -> Vec<Finding> {
     }
     if cfg.enabled("hash-iter") {
         hash_iter(fm, &mut out);
-    }
-    if cfg.enabled("lock-order") {
-        lock_order(fm, &mut out);
     }
     if cfg.enabled("no-panic") {
         no_panic(fm, &mut out);
@@ -332,7 +328,7 @@ fn declared_name(seg: &str) -> Option<String> {
 /// Walks the method-call chain leftward from the `.` at `dot_at`,
 /// collecting the base identifiers (`self.diff_cache.shard(url).lock()`
 /// → `["lock", "shard", "diff_cache", "self"]`-ish, minus `self`).
-pub(crate) fn receiver_chain(masked: &str, dot_at: usize) -> Vec<String> {
+fn receiver_chain(masked: &str, dot_at: usize) -> Vec<String> {
     let b = masked.as_bytes();
     let mut idents = Vec::new();
     let mut i = dot_at;
@@ -384,312 +380,6 @@ pub(crate) fn receiver_chain(masked: &str, dot_at: usize) -> Vec<String> {
 }
 
 // ---------------------------------------------------------------- lint 3
-
-#[derive(Debug, Clone)]
-struct HeldGuard {
-    class: &'static lockrank::LockClass,
-    receiver: String,
-    /// Names the guard is reachable through (destructuring can bind it
-    /// under several, e.g. `let (g, h) = …`); `drop(name)` releases when
-    /// `name` is any of them.
-    names: Vec<String>,
-    depth: usize,
-    line: u32,
-}
-
-fn lock_order(fm: &FileMap, out: &mut Vec<Finding>) {
-    for f in &fm.fns {
-        if fm.in_test(f.body.0) {
-            continue;
-        }
-        lock_order_fn(fm, f.body, out);
-    }
-}
-
-/// Classifies one acquisition site; `None` means "not an acquisition".
-pub(crate) fn classify_acquisition(masked: &str, at: usize, stmt: &str) -> Option<&'static str> {
-    let after = &masked[at..];
-    if after.starts_with(".lock()") || after.starts_with(".read()") || after.starts_with(".write()")
-    {
-        return Some("structure");
-    }
-    if after.starts_with(".once(") {
-        return Some("flight");
-    }
-    if after.starts_with(".lock_shard(") {
-        // aide-store's shard acquisition (rank-checked mutex per shard).
-        return Some("store");
-    }
-    if after.starts_with(".lock(") {
-        // Named lock with a key argument.
-        if stmt.contains("url_key") {
-            return Some("url");
-        }
-        if stmt.contains("user_key") {
-            return Some("user");
-        }
-        return Some("flight");
-    }
-    None
-}
-
-fn lock_order_fn(fm: &FileMap, body: (usize, usize), out: &mut Vec<Finding>) {
-    let masked = &fm.masked;
-    let b = masked.as_bytes();
-
-    // Pre-collect acquisition and drop sites inside the body.
-    let mut events: Vec<usize> = Vec::new();
-    for pat in [".lock(", ".lock_shard(", ".read()", ".write()", ".once("] {
-        let mut from = body.0;
-        while let Some(pos) = masked[from..body.1].find(pat) {
-            let at = from + pos;
-            events.push(at);
-            from = at + pat.len();
-        }
-    }
-    events.sort_unstable();
-    events.dedup();
-
-    let mut held: Vec<HeldGuard> = Vec::new();
-    let mut depth = 0usize;
-    let mut ev = events.iter().peekable();
-    let mut i = body.0;
-    while i < body.1 {
-        // Handle any acquisition event at this offset.
-        if let Some(&&at) = ev.peek() {
-            if at == i {
-                ev.next();
-                let (stmt_start, stmt_end) = statement_bounds(masked, body, at);
-                let stmt = &masked[stmt_start..stmt_end];
-                if let Some(class_name) = classify_acquisition(masked, at, stmt) {
-                    let class = lockrank::class(class_name).unwrap_or(&lockrank::TABLE[0]);
-                    let receiver = normalize(&receiver_text(masked, at, stmt_start));
-                    let (line, _) = fm.line_col(at);
-                    for g in &held {
-                        if g.class.rank > class.rank {
-                            push(
-                                fm,
-                                out,
-                                at,
-                                "lock-order",
-                                format!(
-                                    "lock-order inversion: acquiring `{}` (rank {}) while `{}` (rank {}) from line {} is held",
-                                    class.name, class.rank, g.class.name, g.class.rank, g.line
-                                ),
-                                "acquire locks in ascending rank order (flight, url, user, sched, wal, store, then structure guards); \
-                                 see the shared rank table in aide_util::sync::lockrank",
-                            );
-                        } else if class.exclusive && g.class.name == class.name {
-                            push(
-                                fm,
-                                out,
-                                at,
-                                "lock-order",
-                                format!(
-                                    "second `{}` lock acquired while the one from line {} is still held",
-                                    class.name, g.line
-                                ),
-                                "hold at most one lock of each named kind; drop the first guard before taking another",
-                            );
-                        } else if class.name == "structure"
-                            && g.class.name == "structure"
-                            && !g.receiver.is_empty()
-                            && g.receiver == receiver
-                        {
-                            push(
-                                fm,
-                                out,
-                                at,
-                                "lock-order",
-                                format!(
-                                    "re-acquiring `{}` while the guard from line {} is still held (self-deadlock)",
-                                    receiver, g.line
-                                ),
-                                "reuse the existing guard instead of locking the same structure twice",
-                            );
-                        }
-                    }
-                    let names = crate::scope::bound_names(stmt);
-                    if !names.is_empty() && binding_holds_guard(masked, at, (stmt_start, stmt_end))
-                    {
-                        // An `if let` / `while let` guard scopes to the
-                        // block that follows, not the enclosing one.
-                        let guard_depth = if crate::scope::is_conditional_binding(stmt) {
-                            depth + 1
-                        } else {
-                            depth
-                        };
-                        held.push(HeldGuard {
-                            class,
-                            receiver,
-                            names,
-                            depth: guard_depth,
-                            line,
-                        });
-                    }
-                }
-            }
-        }
-        match b[i] {
-            b'{' => depth += 1,
-            b'}' => {
-                depth = depth.saturating_sub(1);
-                held.retain(|g| g.depth <= depth);
-            }
-            b'd' if masked[i..].starts_with("drop(") => {
-                let arg_end = masked[i + 5..body.1]
-                    .find(')')
-                    .map(|p| i + 5 + p)
-                    .unwrap_or(body.1);
-                let arg = normalize(&masked[i + 5..arg_end]);
-                held.retain(|g| !g.names.iter().any(|n| n == &arg));
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-}
-
-/// Finds the statement containing `at` within `body`: bounded by `;`,
-/// `{`, or `}` at the statement's own nesting level.
-pub(crate) fn statement_bounds(masked: &str, body: (usize, usize), at: usize) -> (usize, usize) {
-    let b = masked.as_bytes();
-    // Backward: stop at `;`/`{`/`}` at depth 0 (counting groups we back
-    // over).
-    let mut depth = 0i32;
-    let mut start = body.0;
-    let mut i = at;
-    while i > body.0 {
-        let c = b[i - 1];
-        match c {
-            b')' | b']' => depth += 1,
-            b'(' | b'[' => depth -= 1,
-            b';' | b'{' | b'}' if depth <= 0 => {
-                start = i;
-                break;
-            }
-            _ => {}
-        }
-        i -= 1;
-    }
-    // Forward: stop at `;` or `{` or `}` at depth 0.
-    let mut depth = 0i32;
-    let mut end = body.1;
-    let mut j = at;
-    while j < body.1 {
-        match b[j] {
-            b'(' | b'[' => depth += 1,
-            b')' | b']' => depth -= 1,
-            b';' | b'{' | b'}' if depth <= 0 => {
-                end = j;
-                break;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    (start, end.max(start))
-}
-
-/// The receiver expression text before the `.` at `at` (for
-/// self-deadlock detection), bounded by the statement start.
-pub(crate) fn receiver_text(masked: &str, at: usize, stmt_start: usize) -> String {
-    let b = masked.as_bytes();
-    let mut i = at;
-    let mut depth = 0usize;
-    while i > stmt_start {
-        let c = b[i - 1];
-        match c {
-            b')' | b']' => depth += 1,
-            b'(' | b'[' => {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            }
-            b'=' | b';' | b',' | b'&' if depth == 0 => break,
-            c if c.is_ascii_whitespace() && depth == 0 => break,
-            _ => {}
-        }
-        i -= 1;
-    }
-    masked[i..at].to_string()
-}
-
-/// Whether a `let` binding whose right-hand side contains the
-/// acquisition at `at` actually binds the *guard*, as opposed to a value
-/// derived from it (`let v = m.lock().entries.get(k).cloned()` drops the
-/// temporary guard at the end of the statement). The guard survives only
-/// when nothing but unwrap-style adapters follow the lock call.
-pub(crate) fn binding_holds_guard(masked: &str, at: usize, stmt: (usize, usize)) -> bool {
-    let b = masked.as_bytes();
-    // Find the close of the acquisition call's argument list.
-    let Some(open_rel) = masked[at..stmt.1].find('(') else {
-        return true;
-    };
-    let mut i = at + open_rel;
-    let mut depth = 0usize;
-    while i < stmt.1 {
-        match b[i] {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    i += 1;
-                    break;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    // Skip chained `.unwrap()` / `.expect(…)` / `.unwrap_or_else(…)`
-    // adapters; anything else after the call means the guard is a
-    // temporary.
-    loop {
-        while i < stmt.1 && b[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if i >= stmt.1 {
-            return true;
-        }
-        if b[i] != b'.' {
-            return false;
-        }
-        let ident_start = i + 1;
-        let mut j = ident_start;
-        while j < stmt.1 && crate::lexer::is_ident_byte(b[j]) {
-            j += 1;
-        }
-        let name = &masked[ident_start..j];
-        if !matches!(name, "unwrap" | "expect" | "unwrap_or_else") {
-            return false;
-        }
-        // Skip the adapter's argument list.
-        let mut depth = 0usize;
-        i = j;
-        while i < stmt.1 {
-            match b[i] {
-                b'(' => depth += 1,
-                b')' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        i += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-    }
-}
-
-pub(crate) fn normalize(s: &str) -> String {
-    s.chars().filter(|c| !c.is_whitespace()).collect()
-}
-
-// ---------------------------------------------------------------- lint 4
 
 fn no_panic(fm: &FileMap, out: &mut Vec<Finding>) {
     if !panic_checked(&fm.rel) {
@@ -752,7 +442,7 @@ fn no_panic(fm: &FileMap, out: &mut Vec<Finding>) {
     }
 }
 
-// ---------------------------------------------------------------- lint 5
+// ---------------------------------------------------------------- lint 4
 
 fn seqcst(fm: &FileMap, out: &mut Vec<Finding>) {
     for at in ident_occurrences(&fm.masked, "SeqCst") {
@@ -771,7 +461,7 @@ fn seqcst(fm: &FileMap, out: &mut Vec<Finding>) {
     }
 }
 
-// ---------------------------------------------------------------- lint 6
+// ---------------------------------------------------------------- lint 5
 
 /// Direct-I/O paths that bypass the `Vfs` trait. Everything the storage
 /// engine persists must flow through a `Vfs` so the fault-injecting
@@ -822,60 +512,6 @@ mod tests {
         assert!(c.contains(&"shard".to_string()));
         assert!(c.contains(&"cache".to_string()));
         assert!(c.contains(&"self".to_string()));
-    }
-
-    #[test]
-    fn destructured_guard_cannot_dodge_lock_order() {
-        let src = "pub fn f(t: &LockTable, repo: &Repo) {\n\
-                   \x20   let (_held, mut sh) = repo.lock_shard(0);\n\
-                   \x20   let g = t.lock(&LockTable::url_key(\"u\"));\n\
-                   \x20   sh.touch();\n\
-                   \x20   drop(g);\n\
-                   }\n";
-        let f = run(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].lint, "lock-order");
-        assert!(f[0].message.contains("`url`"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn destructured_guard_released_by_drop() {
-        let src = "pub fn f(t: &LockTable, repo: &Repo) {\n\
-                   \x20   let (_held, sh) = repo.lock_shard(0);\n\
-                   \x20   drop(sh);\n\
-                   \x20   drop(_held);\n\
-                   \x20   let g = t.lock(&LockTable::url_key(\"u\"));\n\
-                   \x20   drop(g);\n\
-                   }\n";
-        let f = run(src);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn if_let_guard_scopes_to_its_block() {
-        let src = "pub fn f(t: &LockTable, m: &Mutex<u32>) {\n\
-                   \x20   if let Ok(g) = m.lock() {\n\
-                   \x20       g.touch();\n\
-                   \x20   }\n\
-                   \x20   let u = t.lock(&LockTable::url_key(\"u\"));\n\
-                   \x20   drop(u);\n\
-                   }\n";
-        let f = run(src);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn if_let_guard_is_held_inside_its_block() {
-        let src = "pub fn f(t: &LockTable, repo: &Repo) {\n\
-                   \x20   if let Ok(g) = repo.lock_shard(0) {\n\
-                   \x20       let u = t.lock(&LockTable::url_key(\"u\"));\n\
-                   \x20       drop(u);\n\
-                   \x20       drop(g);\n\
-                   \x20   }\n\
-                   }\n";
-        let f = run(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].lint, "lock-order");
     }
 
     #[test]

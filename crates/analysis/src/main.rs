@@ -11,7 +11,7 @@
 //! waived-violation count exceeds the committed baseline. `--budget-ms N`
 //! exits 1 if the analysis itself (excluding process startup) takes
 //! longer than N milliseconds — CI pins the committed budget so the
-//! whole-workspace fixpoint cannot quietly become a build bottleneck.
+//! analysis cannot quietly become a build bottleneck.
 //! `--json` is shorthand for `--emit json`.
 
 use aide_analysis::config::{Config, LINTS};

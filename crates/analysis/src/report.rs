@@ -15,22 +15,6 @@ pub struct UnusedWaiver {
     pub lints: Vec<String>,
 }
 
-/// Call-graph resolution accounting: how much of the workspace the
-/// interprocedural families actually see. A resolution regression (new
-/// unresolved calls) shows up as a diff in the committed JSON artifact.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct GraphStats {
-    /// Function items indexed.
-    pub functions: usize,
-    /// Call sites resolved to at least one workspace function.
-    pub calls_resolved: usize,
-    /// Call sites naming no known workspace function (std/primitive
-    /// calls, mostly).
-    pub calls_unresolved: usize,
-    /// Method-call sites skipped by the std-collision deny list.
-    pub calls_denied: usize,
-}
-
 /// The outcome of linting a tree.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -42,8 +26,6 @@ pub struct Report {
     pub unused_waivers: Vec<UnusedWaiver>,
     /// Number of files scanned.
     pub files: usize,
-    /// Call-graph resolution accounting.
-    pub graph: GraphStats,
 }
 
 impl Report {
@@ -82,14 +64,6 @@ impl Report {
             self.files,
             self.findings.len(),
             self.waived.len()
-        );
-        let _ = writeln!(
-            out,
-            "    call graph: {} fns, {} calls resolved, {} unresolved, {} denied by the std-collision policy",
-            self.graph.functions,
-            self.graph.calls_resolved,
-            self.graph.calls_unresolved,
-            self.graph.calls_denied
         );
         if !self.findings.is_empty() {
             for (lint, n) in self.findings_by_lint() {
@@ -146,11 +120,7 @@ impl Report {
         }
         let _ = write!(
             out,
-            "}},\n  \"graph\": {{\"functions\": {}, \"calls_resolved\": {}, \"calls_unresolved\": {}, \"calls_denied\": {}}},\n  \"summary\": {{\"files\": {}, \"violations\": {}, \"waived\": {}, \"unused_waivers\": {}}}\n}}\n",
-            self.graph.functions,
-            self.graph.calls_resolved,
-            self.graph.calls_unresolved,
-            self.graph.calls_denied,
+            "}},\n  \"summary\": {{\"files\": {}, \"violations\": {}, \"waived\": {}, \"unused_waivers\": {}}}\n}}\n",
             self.files,
             self.findings.len(),
             self.waived.len(),
@@ -245,7 +215,6 @@ mod tests {
         let j = r.render_json();
         assert!(j.contains("\"lint\": \"no-panic\""));
         assert!(j.contains("\"violations\": 1"));
-        assert!(j.contains("\"calls_unresolved\": 0"));
     }
 
     #[test]
@@ -255,13 +224,13 @@ mod tests {
             file: "crates/x/src/lib.rs".into(),
             line: 3,
             col: 9,
-            lint: "panic-reach",
+            lint: "seqcst",
             message: "m".into(),
             hint: "h",
         });
         let s = r.render_sarif();
         assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("\"ruleId\": \"panic-reach\""));
+        assert!(s.contains("\"ruleId\": \"seqcst\""));
         assert!(s.contains("\"startLine\": 3"));
         // Every lint family is declared as a rule.
         for l in crate::config::LINTS {

@@ -12,9 +12,6 @@ use crate::lexer::{is_ident_byte, is_raw_ident_start, lex, Comment};
 pub struct FileMap {
     /// Path relative to the repository root, with `/` separators.
     pub rel: String,
-    /// The original source (for reading string-literal contents that the
-    /// masked copy blanks, e.g. lock-class names).
-    pub src: String,
     /// The masked source (same byte offsets as the original).
     pub masked: String,
     /// All comments, in file order.
@@ -23,10 +20,6 @@ pub struct FileMap {
     pub line_starts: Vec<usize>,
     /// Byte ranges covered by `#[cfg(test)]` items.
     pub test_spans: Vec<(usize, usize)>,
-    /// Byte ranges covered by `#[cfg(debug_assertions)]` items (the
-    /// debug-only runtime checker panics by design; panic-reachability
-    /// must not count those sites).
-    pub debug_spans: Vec<(usize, usize)>,
     /// Function bodies, outermost first.
     pub fns: Vec<FnSpan>,
 }
@@ -55,16 +48,13 @@ impl FileMap {
             }
         }
         let test_spans = find_attr_spans(&masked, &["#[cfg(test)]", "#[cfg(all(test", "#[test]"]);
-        let debug_spans = find_attr_spans(&masked, &["#[cfg(debug_assertions)]"]);
         let fns = find_fns(&masked);
         FileMap {
             rel: rel.to_string(),
-            src: src.to_string(),
             masked,
             comments: lexed.comments,
             line_starts,
             test_spans,
-            debug_spans,
             fns,
         }
     }
@@ -84,11 +74,6 @@ impl FileMap {
     /// Whether `off` falls inside a `#[cfg(test)]` region.
     pub fn in_test(&self, off: usize) -> bool {
         self.test_spans.iter().any(|&(a, b)| off >= a && off < b)
-    }
-
-    /// Whether `off` falls inside a `#[cfg(debug_assertions)]` region.
-    pub fn in_debug(&self, off: usize) -> bool {
-        self.debug_spans.iter().any(|&(a, b)| off >= a && off < b)
     }
 
     /// The innermost function body containing `off`, if any.
@@ -151,7 +136,7 @@ fn attr_end(masked: &str, at: usize) -> Option<usize> {
 
 /// Returns the offset just past the `}` matching the `{` at `open`, or
 /// the end of `masked` if unbalanced.
-pub fn brace_match(masked: &str, open: usize) -> usize {
+fn brace_match(masked: &str, open: usize) -> usize {
     let b = masked.as_bytes();
     let mut depth = 0usize;
     let mut i = open;
@@ -172,7 +157,7 @@ pub fn brace_match(masked: &str, open: usize) -> usize {
 }
 
 /// Locates the spans of items (or statement-level blocks) annotated with
-/// any of `markers` (e.g. `#[cfg(test)]`, `#[cfg(debug_assertions)]`).
+/// any of `markers` (e.g. `#[cfg(test)]`).
 fn find_attr_spans(masked: &str, markers: &[&str]) -> Vec<(usize, usize)> {
     let b = masked.as_bytes();
     let mut spans = Vec::new();
@@ -269,78 +254,6 @@ fn find_fns(masked: &str) -> Vec<FnSpan> {
     out
 }
 
-/// The identifiers bound by `stmt` when it is a `let` statement
-/// (including `if let` / `while let` and destructuring patterns such as
-/// `let (g, _) = …` or `if let Ok(g) = …`) or a plain reassignment of an
-/// existing binding (`st = self.state.lock();`). Identifiers starting
-/// with an uppercase letter (enum constructors, struct names) and the
-/// pattern keywords `mut`/`ref` are not bindings and are skipped; `_`
-/// binds nothing. Returns an empty vector when nothing trackable is
-/// bound.
-pub fn bound_names(stmt: &str) -> Vec<String> {
-    let t = stmt.trim_start();
-    let t = t.strip_prefix("if ").unwrap_or(t).trim_start();
-    let t = t.strip_prefix("while ").unwrap_or(t).trim_start();
-    let pat: &str = if let Some(rest) = t.strip_prefix("let ") {
-        match rest.find('=') {
-            Some(eq) => &rest[..eq],
-            None => return Vec::new(),
-        }
-    } else {
-        // `name = rhs;` reassignment. Compound operators (`+=`, `<=`,
-        // `==`) all put a non-`=` byte where we require `=`.
-        let b = t.as_bytes();
-        let mut i = 0usize;
-        while i < b.len() && is_ident_byte(b[i]) {
-            i += 1;
-        }
-        if i == 0 {
-            return Vec::new();
-        }
-        let rest = t[i..].trim_start();
-        if !rest.starts_with('=') || rest.starts_with("==") {
-            return Vec::new();
-        }
-        &t[..i]
-    };
-    // Cut a type annotation (`let g: MutexGuard<T> = …`); the first `:`
-    // outside any pattern nesting ends the pattern proper. Struct
-    // patterns with field renames are beyond this parser.
-    let pat = pat.split(':').next().unwrap_or(pat);
-    let mut out = Vec::new();
-    let pb = pat.as_bytes();
-    let mut i = 0usize;
-    while i < pb.len() {
-        if is_ident_byte(pb[i]) {
-            let start = i;
-            while i < pb.len() && is_ident_byte(pb[i]) {
-                i += 1;
-            }
-            let name = &pat[start..i];
-            let first = name.as_bytes()[0];
-            if name != "_"
-                && name != "mut"
-                && name != "ref"
-                && !first.is_ascii_uppercase()
-                && !first.is_ascii_digit()
-                && !out.iter().any(|n| n == name)
-            {
-                out.push(name.to_string());
-            }
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Whether `stmt` is an `if let` / `while let` binding, whose bindings
-/// scope to the block that follows rather than the enclosing one.
-pub fn is_conditional_binding(stmt: &str) -> bool {
-    let t = stmt.trim_start();
-    t.starts_with("if ") || t.starts_with("while ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,41 +314,6 @@ mod tests {
     fn raw_identifier_fn_names() {
         let fm = FileMap::new("x.rs", "fn r#match(x: u32) -> u32 { x }");
         assert_eq!(fm.fns[0].name, "match");
-    }
-
-    #[test]
-    fn debug_spans_cover_cfg_blocks() {
-        let src = "pub fn f() {\n    #[cfg(debug_assertions)]\n    {\n        check();\n    }\n    #[cfg(not(debug_assertions))]\n    {\n        fast();\n    }\n}\n";
-        let fm = FileMap::new("x.rs", src);
-        let check_at = src.find("check").expect("check");
-        let fast_at = src.find("fast").expect("fast");
-        assert!(fm.in_debug(check_at));
-        assert!(!fm.in_debug(fast_at));
-    }
-
-    #[test]
-    fn bound_names_cover_destructuring() {
-        assert_eq!(bound_names("let g = m.lock()"), ["g"]);
-        assert_eq!(bound_names("let (g, _) = pair()"), ["g"]);
-        assert_eq!(
-            bound_names("let (_held, mut sh) = self.lock_shard(si)"),
-            ["_held", "sh"]
-        );
-        assert_eq!(bound_names("if let Ok(g) = m.lock()"), ["g"]);
-        assert_eq!(bound_names("while let Some(x) = it.next()"), ["x"]);
-        assert_eq!(bound_names("st = self.state.lock()"), ["st"]);
-        assert_eq!(bound_names("let g: MutexGuard<u32> = m.lock()"), ["g"]);
-        assert!(bound_names("let _ = m.lock()").is_empty());
-        assert!(bound_names("x += 1").is_empty());
-        assert!(bound_names("a == b").is_empty());
-        assert!(bound_names("m.lock().touch()").is_empty());
-    }
-
-    #[test]
-    fn conditional_bindings_detected() {
-        assert!(is_conditional_binding("if let Ok(g) = m.lock()"));
-        assert!(is_conditional_binding("  while let Some(x) = q.pop()"));
-        assert!(!is_conditional_binding("let g = m.lock()"));
     }
 
     #[test]

@@ -13,10 +13,9 @@ use aide_analysis::lint_source;
 /// crate: not vendored, not the clock allowlist, panic-checked.
 const REL: &str = "crates/fixture/src/lib.rs";
 
-/// Lint names that fire on `src` at path `rel` under the default
-/// config.
-fn fired_at(rel: &str, src: &str) -> Vec<&'static str> {
-    let (active, _, _) = lint_source(rel, src, &Config::default());
+/// Lint names that fire on `src` under the default config.
+fn fired(src: &str) -> Vec<&'static str> {
+    let (active, _, _) = lint_source(REL, src, &Config::default());
     let mut lints: Vec<&'static str> = active.iter().map(|f| f.lint).collect();
     lints.sort_unstable();
     lints.dedup();
@@ -24,29 +23,23 @@ fn fired_at(rel: &str, src: &str) -> Vec<&'static str> {
 }
 
 /// Findings on `src` with lint `except` disabled.
-fn fired_without(rel: &str, src: &str, except: &str) -> Vec<&'static str> {
+fn fired_without(src: &str, except: &str) -> Vec<&'static str> {
     let mut cfg = Config::default();
     cfg.lints.retain(|l| *l != except);
-    let (active, _, _) = lint_source(rel, src, &cfg);
+    let (active, _, _) = lint_source(REL, src, &cfg);
     active.iter().map(|f| f.lint).collect()
 }
 
 /// Asserts `pos` trips exactly `lint` (and nothing else), that
 /// disabling `lint` silences it, and that `neg` is fully clean.
 fn check_family(lint: &str, pos: &str, neg: &str) {
-    check_family_at(REL, lint, pos, neg);
-}
-
-/// As [`check_family`], for fixtures that must live at a specific
-/// path (the panic-reach entry set is path-gated).
-fn check_family_at(rel: &str, lint: &str, pos: &str, neg: &str) {
-    let on = fired_at(rel, pos);
+    let on = fired(pos);
     assert_eq!(on, [lint], "positive fixture for {lint} misfired");
     assert!(
-        fired_without(rel, pos, lint).is_empty(),
+        fired_without(pos, lint).is_empty(),
         "{lint} positive fixture trips some other lint"
     );
-    let (active, waived, _) = lint_source(rel, neg, &Config::default());
+    let (active, waived, _) = lint_source(REL, neg, &Config::default());
     assert!(
         active.is_empty() && waived.is_empty(),
         "negative fixture for {lint} is not clean: {active:?}"
@@ -68,15 +61,6 @@ fn hash_iter_family() {
         "hash-iter",
         include_str!("fixtures/hash_iter_pos.rs"),
         include_str!("fixtures/hash_iter_neg.rs"),
-    );
-}
-
-#[test]
-fn lock_order_family() {
-    check_family(
-        "lock-order",
-        include_str!("fixtures/lock_order_pos.rs"),
-        include_str!("fixtures/lock_order_neg.rs"),
     );
 }
 
@@ -127,132 +111,6 @@ fn vfs_boundary_exempts_the_real_vfs_module() {
     assert!(
         active.is_empty(),
         "RealVfs's module is the sanctioned home for std::fs: {active:?}"
-    );
-}
-
-#[test]
-fn lock_order_knows_the_store_shard_class() {
-    // A store-shard acquisition (rank 25) while a structure guard
-    // (rank 30) is held inverts the table and must fire.
-    let src = "pub fn bad(repo: &Repo) -> usize {\n\
-               \x20   let guard = repo.table.read();\n\
-               \x20   let (_held, sh) = repo.lock_shard(3);\n\
-               \x20   guard.len() + sh.len()\n\
-               }\n";
-    let (active, _, _) = lint_source(REL, src, &Config::default());
-    assert!(
-        active
-            .iter()
-            .any(|f| f.lint == "lock-order" && f.message.contains("`store` (rank")),
-        "expected a store-class inversion, got {active:?}"
-    );
-    // The rank-respecting order — shard mutex first, structure guard
-    // after — is clean.
-    let ok = "pub fn good(repo: &Repo) -> usize {\n\
-              \x20   let (_held, sh) = repo.lock_shard(3);\n\
-              \x20   let guard = repo.table.read();\n\
-              \x20   guard.len() + sh.len()\n\
-              }\n";
-    let (active, _, _) = lint_source(REL, ok, &Config::default());
-    assert!(active.is_empty(), "rank-ordered code misfired: {active:?}");
-}
-
-#[test]
-fn lock_order_reports_both_shapes() {
-    let (active, _, _) = lint_source(
-        REL,
-        include_str!("fixtures/lock_order_pos.rs"),
-        &Config::default(),
-    );
-    let msgs: Vec<&str> = active.iter().map(|f| f.message.as_str()).collect();
-    assert!(
-        msgs.iter().any(|m| m.contains("inversion")),
-        "expected an inversion finding, got {msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("self-deadlock")),
-        "expected a self-deadlock finding, got {msgs:?}"
-    );
-}
-
-#[test]
-fn lock_order_interproc_family() {
-    check_family(
-        "lock-order-interproc",
-        include_str!("fixtures/lock_order_interproc_pos.rs"),
-        include_str!("fixtures/lock_order_interproc_neg.rs"),
-    );
-}
-
-#[test]
-fn blocking_while_locked_family() {
-    check_family(
-        "blocking-while-locked",
-        include_str!("fixtures/blocking_while_locked_pos.rs"),
-        include_str!("fixtures/blocking_while_locked_neg.rs"),
-    );
-}
-
-#[test]
-fn panic_reach_family() {
-    // Path matters: only the serving-stack crates' pub fns are entry
-    // points, so the fixture claims a store-crate path.
-    check_family_at(
-        "crates/store/src/fixture.rs",
-        "panic-reach",
-        include_str!("fixtures/panic_reach_pos.rs"),
-        include_str!("fixtures/panic_reach_neg.rs"),
-    );
-}
-
-#[test]
-fn panic_reach_is_quiet_outside_the_entry_crates() {
-    // The identical source under a non-entry path has no entry points,
-    // so only the (waived) no-panic site remains.
-    let on = fired_at(REL, include_str!("fixtures/panic_reach_pos.rs"));
-    assert!(
-        on.is_empty(),
-        "non-entry crate grew panic-reach entries: {on:?}"
-    );
-}
-
-#[test]
-fn interproc_chain_crosses_crates_through_lint_sources() {
-    // The full multi-file pipeline: a serve-crate caller holds a
-    // structure guard and calls into a store-crate helper that takes a
-    // shard lock. The finding lands in the caller's file and names the
-    // callee.
-    let caller = "pub fn respond(conn: &Conn, repo: &Repo) {\n\
-                  \x20   let _q = conn.queue.lock();\n\
-                  \x20   shard_bump(repo, 7);\n\
-                  }\n";
-    let callee = "pub fn shard_bump(repo: &Repo, k: u64) {\n\
-                  \x20   let (_held, mut sh) = repo.lock_shard(k);\n\
-                  \x20   sh.push(k);\n\
-                  }\n";
-    let report = aide_analysis::lint_sources(
-        &[
-            (
-                "crates/serve/src/conn_fx.rs".to_string(),
-                caller.to_string(),
-            ),
-            (
-                "crates/store/src/shard_fx.rs".to_string(),
-                callee.to_string(),
-            ),
-        ],
-        &Config::default(),
-    );
-    let hit = report
-        .findings
-        .iter()
-        .find(|f| f.lint == "lock-order-interproc")
-        .unwrap_or_else(|| panic!("no cross-crate finding in {:?}", report.findings));
-    assert_eq!(hit.file, "crates/serve/src/conn_fx.rs");
-    assert!(
-        hit.message.contains("shard_bump"),
-        "chain should name the callee: {}",
-        hit.message
     );
 }
 

@@ -36,21 +36,6 @@
 pub use crate::hirschberg::weighted_lcs_hirschberg;
 use crate::scratch;
 
-/// Scores a pair of tokens; `0` means no match.
-///
-/// Implemented for any `Fn(&A, &B) -> u64`, this is the slice-level
-/// counterpart of the index-based closures the raw algorithms take.
-pub trait Scorer<A: ?Sized, B: ?Sized> {
-    /// Returns the match weight for `(a, b)`; `0` means no match.
-    fn score(&self, a: &A, b: &B) -> u64;
-}
-
-impl<A: ?Sized, B: ?Sized, F: Fn(&A, &B) -> u64> Scorer<A, B> for F {
-    fn score(&self, a: &A, b: &B) -> u64 {
-        self(a, b)
-    }
-}
-
 /// Size (in matrix cells) below which the full DP is used by
 /// [`weighted_lcs`]. Above it, the linear-space Hirschberg replay runs.
 pub const DP_CELL_LIMIT: usize = 1 << 21;
@@ -85,16 +70,6 @@ pub fn weighted_lcs(
     } else {
         weighted_lcs_hirschberg(n, m, score)
     }
-}
-
-/// Convenience wrapper: maximum-weight alignment of two slices under a
-/// [`Scorer`].
-pub fn weighted_lcs_slices<A, B, S: Scorer<A, B>>(
-    a: &[A],
-    b: &[B],
-    scorer: &S,
-) -> Vec<(usize, usize)> {
-    weighted_lcs(a.len(), b.len(), &|i, j| scorer.score(&a[i], &b[j]))
 }
 
 /// Full-matrix weighted LCS: `O(n·m)` time and space.
@@ -313,13 +288,5 @@ mod tests {
         assert!(pairs.is_empty());
         let pairs = weighted_lcs_hirschberg(5, 5, &|_, _| 0);
         assert!(pairs.is_empty());
-    }
-
-    #[test]
-    fn slices_wrapper() {
-        let a = ["x", "y", "z"];
-        let b = ["y", "z", "w"];
-        let pairs = weighted_lcs_slices(&a, &b, &|x: &&str, y: &&str| u64::from(x == y));
-        assert_eq!(pairs, vec![(1, 0), (2, 1)]);
     }
 }

@@ -30,8 +30,8 @@
 //!   consumers.
 //! - [`lines`]: line-oriented diffing (the UNIX `diff` baseline the paper
 //!   calls "clearly ill-suited to the comparison of structured documents"),
-//!   with unified and ed-script output.
-//! - [`metrics`]: similarity ratios such as the paper's `2W/L` test.
+//!   with unified-diff output.
+//! - [`metrics`]: the paper's `2W/L` similarity ratio.
 
 pub mod anchor;
 pub mod hirschberg;
@@ -46,9 +46,9 @@ pub mod script;
 pub use anchor::{anchored_weighted_lcs, AnchorConfig, AnchorStats};
 pub use hirschberg::weighted_lcs_hirschberg;
 pub use intern::Interner;
-pub use lcs::{weighted_lcs, weighted_lcs_dp, Scorer};
+pub use lcs::{weighted_lcs, weighted_lcs_dp};
 pub use lines::{diff_lines, LineDiff};
-pub use metrics::{lcs_ratio, similarity};
+pub use metrics::lcs_ratio;
 pub use myers::myers_diff;
 pub use scratch::DiffScratch;
 pub use script::{Alignment, EditOp, EditScript, Hunk};

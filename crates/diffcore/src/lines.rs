@@ -5,8 +5,7 @@
 //! (§2.3) — but they are exactly right for RCS deltas, and they are the
 //! baseline HtmlDiff is evaluated against. This module compares two texts
 //! line by line (interning lines, trimming common prefix/suffix, then
-//! Myers), and renders the result as a unified diff or a classic `ed`
-//! script.
+//! Myers), and renders the result as a unified diff.
 
 use crate::intern::Interner;
 use crate::myers::myers_diff;
@@ -127,77 +126,6 @@ impl LineDiff {
         }
         out
     }
-
-    /// Renders a classic `ed`-style script (`diff -e` reversed order is
-    /// not used here; commands appear in forward order as `diff` prints
-    /// them: `<a>c<b>`, `<a>d`, `<a>a`).
-    pub fn classic(&self) -> String {
-        let mut out = String::new();
-        let script = self.alignment.script();
-        let mut k = 0;
-        while k < script.ops.len() {
-            match script.ops[k] {
-                EditOp::Equal { .. } => {
-                    k += 1;
-                }
-                EditOp::Delete {
-                    a_start,
-                    len,
-                    b_pos,
-                } => {
-                    // A delete followed immediately by an insert is a change.
-                    if let Some(EditOp::Insert {
-                        b_start, len: ilen, ..
-                    }) = script.ops.get(k + 1).copied()
-                    {
-                        out.push_str(&format!(
-                            "{}c{}\n",
-                            range(a_start, len),
-                            range(b_start, ilen)
-                        ));
-                        for line in &self.old_lines[a_start..a_start + len] {
-                            out.push_str("< ");
-                            push_line(&mut out, line);
-                        }
-                        out.push_str("---\n");
-                        for line in &self.new_lines[b_start..b_start + ilen] {
-                            out.push_str("> ");
-                            push_line(&mut out, line);
-                        }
-                        k += 2;
-                    } else {
-                        out.push_str(&format!("{}d{}\n", range(a_start, len), b_pos));
-                        for line in &self.old_lines[a_start..a_start + len] {
-                            out.push_str("< ");
-                            push_line(&mut out, line);
-                        }
-                        k += 1;
-                    }
-                }
-                EditOp::Insert {
-                    a_pos,
-                    b_start,
-                    len,
-                } => {
-                    out.push_str(&format!("{}a{}\n", a_pos, range(b_start, len)));
-                    for line in &self.new_lines[b_start..b_start + len] {
-                        out.push_str("> ");
-                        push_line(&mut out, line);
-                    }
-                    k += 1;
-                }
-            }
-        }
-        out
-    }
-}
-
-fn range(start: usize, len: usize) -> String {
-    if len == 1 {
-        format!("{}", start + 1)
-    } else {
-        format!("{},{}", start + 1, start + len)
-    }
 }
 
 fn push_line(out: &mut String, line: &str) {
@@ -239,23 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn classic_change_command() {
-        let d = diff_lines("a\nb\nc\n", "a\nB\nc\n");
-        let c = d.classic();
-        assert!(c.starts_with("2c2\n"), "got: {c}");
-        assert!(c.contains("< b"));
-        assert!(c.contains("> B"));
-    }
-
-    #[test]
-    fn classic_delete_and_append() {
-        let d = diff_lines("a\nb\nc\n", "a\nc\nd\n");
-        let c = d.classic();
-        assert!(c.contains("2d1\n"), "delete line 2: {c}");
-        assert!(c.contains("3a3\n"), "append after 3: {c}");
-    }
-
-    #[test]
     fn missing_trailing_newline_flagged() {
         let d = diff_lines("a\nb", "a\nc");
         let u = d.unified("x", "y", 0);
@@ -267,16 +178,16 @@ mod tests {
         let d = diff_lines("", "x\ny\n");
         assert_eq!(d.inserted_lines(), 2);
         assert_eq!(d.deleted_lines(), 0);
-        let c = d.classic();
-        assert!(c.starts_with("0a1,2\n"), "got: {c}");
+        let u = d.unified("a", "b", 0);
+        assert!(u.contains("@@ -0,0 +1,2 @@\n+x\n+y\n"), "got: {u}");
     }
 
     #[test]
     fn content_to_empty() {
         let d = diff_lines("x\ny\n", "");
         assert_eq!(d.deleted_lines(), 2);
-        let c = d.classic();
-        assert!(c.starts_with("1,2d0\n"), "got: {c}");
+        let u = d.unified("a", "b", 0);
+        assert!(u.contains("@@ -1,2 +0,0 @@\n-x\n-y\n"), "got: {u}");
     }
 
     #[test]

@@ -1,12 +1,9 @@
-//! Similarity metrics over alignments and sequences.
+//! Similarity metrics over alignments.
 //!
 //! HtmlDiff's sentence matcher (§5.1) accepts a pair of sentences when the
 //! percentage `2W / L` is "sufficiently large", where `W` is the weight of
 //! the sentences' LCS and `L` the sum of their lengths. [`lcs_ratio`]
-//! computes exactly that quantity; [`similarity`] is the slice-level
-//! convenience used by tests and the diff-quality experiments.
-
-use crate::lcs::lcs_pairs;
+//! computes exactly that quantity.
 
 /// The paper's `2W / L` ratio.
 ///
@@ -30,75 +27,13 @@ pub fn lcs_ratio(weight: u64, len_a: usize, len_b: usize) -> f64 {
     (2.0 * weight as f64) / l
 }
 
-/// Similarity of two slices under equality matching: `2·|LCS| / (|a|+|b|)`.
-pub fn similarity<T: PartialEq>(a: &[T], b: &[T]) -> f64 {
-    let w = lcs_pairs(a, b).len() as u64;
-    lcs_ratio(w, a.len(), b.len())
-}
-
-/// Jaccard similarity of two token multisets (order-insensitive), used by
-/// the diff-quality experiment as a sanity cross-check.
-pub fn jaccard<T: PartialEq + Clone>(a: &[T], b: &[T]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let mut b_pool: Vec<Option<&T>> = b.iter().map(Some).collect();
-    let mut inter = 0usize;
-    for x in a {
-        if let Some(slot) = b_pool
-            .iter_mut()
-            .find(|s| s.map(|y| y == x).unwrap_or(false))
-        {
-            *slot = None;
-            inter += 1;
-        }
-    }
-    let union = a.len() + b.len() - inter;
-    inter as f64 / union as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn identical_slices_have_similarity_one() {
-        let a = ["w", "x", "y"];
-        assert_eq!(similarity(&a, &a), 1.0);
-    }
-
-    #[test]
-    fn disjoint_slices_have_similarity_zero() {
-        assert_eq!(similarity(&[1, 2], &[3, 4]), 0.0);
-    }
-
-    #[test]
     fn empty_slices_are_identical() {
-        let e: [u8; 0] = [];
-        assert_eq!(similarity(&e, &e), 1.0);
-        assert_eq!(jaccard(&e, &e), 1.0);
-    }
-
-    #[test]
-    fn half_overlap() {
-        // LCS of [1,2] and [1,3] is [1]; ratio = 2*1/4 = 0.5.
-        assert_eq!(similarity(&[1, 2], &[1, 3]), 0.5);
-    }
-
-    #[test]
-    fn ratio_is_order_sensitive_jaccard_is_not() {
-        let a = [1, 2, 3, 4];
-        let b = [4, 3, 2, 1];
-        assert!(similarity(&a, &b) < 1.0);
-        assert_eq!(jaccard(&a, &b), 1.0);
-    }
-
-    #[test]
-    fn jaccard_counts_multiplicity() {
-        let a = [1, 1, 2];
-        let b = [1, 2, 2];
-        // Intersection {1,2} = 2, union = 4.
-        assert_eq!(jaccard(&a, &b), 0.5);
+        assert_eq!(lcs_ratio(0, 0, 0), 1.0);
     }
 
     #[test]

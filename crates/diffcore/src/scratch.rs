@@ -50,7 +50,6 @@ pub const MAX_POOLED_BUFS: usize = 16;
 pub struct DiffScratch {
     u64_bufs: Vec<Vec<u64>>,
     u32_bufs: Vec<Vec<u32>>,
-    pair_bufs: Vec<Vec<(usize, usize)>>,
 }
 
 impl DiffScratch {
@@ -85,20 +84,6 @@ impl DiffScratch {
         }
     }
 
-    /// Takes a cleared index-pair buffer (alignments under assembly).
-    pub fn take_pairs(&mut self) -> Vec<(usize, usize)> {
-        self.pair_bufs.pop().unwrap_or_default()
-    }
-
-    /// Returns an index-pair buffer to the pool.
-    pub fn give_pairs(&mut self, mut buf: Vec<(usize, usize)>) {
-        buf.clear();
-        let elem = std::mem::size_of::<(usize, usize)>();
-        if Self::retain(buf.capacity(), elem, self.pair_bufs.len()) {
-            self.pair_bufs.push(buf);
-        }
-    }
-
     fn retain(capacity: usize, elem_bytes: usize, pooled: usize) -> bool {
         capacity > 0
             && capacity.saturating_mul(elem_bytes) <= MAX_RETAINED_BUF_BYTES
@@ -109,9 +94,7 @@ impl DiffScratch {
     pub fn retained_bytes(&self) -> usize {
         let u64s: usize = self.u64_bufs.iter().map(|b| b.capacity() * 8).sum();
         let u32s: usize = self.u32_bufs.iter().map(|b| b.capacity() * 4).sum();
-        let elem = std::mem::size_of::<(usize, usize)>();
-        let pairs: usize = self.pair_bufs.iter().map(|b| b.capacity() * elem).sum();
-        u64s + u32s + pairs
+        u64s + u32s
     }
 }
 
@@ -137,16 +120,6 @@ pub fn take_u32_buf() -> Vec<u32> {
 /// Returns a `u32` buffer to the calling thread's pool.
 pub fn give_u32_buf(buf: Vec<u32>) {
     SCRATCH.with(|s| s.borrow_mut().give_u32(buf));
-}
-
-/// Takes an index-pair buffer from the calling thread's pool.
-pub fn take_pairs_buf() -> Vec<(usize, usize)> {
-    SCRATCH.with(|s| s.borrow_mut().take_pairs())
-}
-
-/// Returns an index-pair buffer to the calling thread's pool.
-pub fn give_pairs_buf(buf: Vec<(usize, usize)>) {
-    SCRATCH.with(|s| s.borrow_mut().give_pairs(buf));
 }
 
 /// Pooled capacity (bytes) on the calling thread — the
@@ -193,9 +166,7 @@ mod tests {
         let mut pool = DiffScratch::new();
         pool.give_u64(Vec::with_capacity(8));
         pool.give_u32(Vec::with_capacity(8));
-        pool.give_pairs(Vec::with_capacity(8));
-        let elem = std::mem::size_of::<(usize, usize)>();
-        assert_eq!(pool.retained_bytes(), 8 * 8 + 8 * 4 + 8 * elem);
+        assert_eq!(pool.retained_bytes(), 8 * 8 + 8 * 4);
     }
 
     #[test]

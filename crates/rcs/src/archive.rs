@@ -178,7 +178,7 @@ impl Archive {
 
     /// The newest revision number.
     pub fn head(&self) -> RevId {
-        // aide-lint: allow(no-panic, panic-reach): archives hold at
+        // aide-lint: allow(no-panic): archives hold at
         // least one revision by construction (see `is_empty`)
         self.metas.last().expect("archive never empty").id
     }
@@ -235,7 +235,7 @@ impl Archive {
         if text == self.head_text {
             return Ok(CheckinOutcome::Unchanged(self.head()));
         }
-        // aide-lint: allow(no-panic, panic-reach): archives hold at
+        // aide-lint: allow(no-panic): archives hold at
         // least one revision by construction (see `is_empty`)
         let head_meta = self.metas.last().expect("archive never empty");
         if date < head_meta.date {

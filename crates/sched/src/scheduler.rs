@@ -150,17 +150,20 @@ impl AdaptiveScheduler {
         AdaptiveScheduler {
             cfg,
             k_micro: fixp::neg_log1m_micro(cfg.target_gain_millionths),
-            state: Mutex::new(State {
-                book,
-                wheel: TimerWheel::new(0),
-                ready: GainQueues::new(),
-                urls: Vec::new(),
-                by_url: BTreeMap::new(),
-                hosts: Vec::new(),
-                host_names: Vec::new(),
-                by_host: BTreeMap::new(),
-                fired: Vec::new(),
-            }),
+            state: Mutex::with_class(
+                &lockrank::SCHED,
+                State {
+                    book,
+                    wheel: TimerWheel::new(0),
+                    ready: GainQueues::new(),
+                    urls: Vec::new(),
+                    by_url: BTreeMap::new(),
+                    hosts: Vec::new(),
+                    host_names: Vec::new(),
+                    by_host: BTreeMap::new(),
+                    fired: Vec::new(),
+                },
+            ),
         }
     }
 
@@ -169,17 +172,12 @@ impl AdaptiveScheduler {
         &self.cfg
     }
 
-    fn locked(&self) -> (lockrank::Held, impl std::ops::DerefMut<Target = State> + '_) {
-        let held = lockrank::acquire("sched", "sched:state");
-        (held, self.state.lock())
-    }
-
     /// Registers `url` under politeness `host` and arms its first
     /// wakeup (cold URLs are due immediately: the estimator needs a
     /// baseline poll before it can say anything). Returns the stable
     /// scheduler id; re-tracking an existing URL is a no-op.
     pub fn track(&self, url: &str, host: &str, now: Timestamp) -> u32 {
-        let (_held, mut st) = self.locked();
+        let mut st = self.state.lock();
         let st = &mut *st;
         if let Some(&id) = st.by_url.get(url) {
             return id;
@@ -212,7 +210,7 @@ impl AdaptiveScheduler {
 
     /// Number of tracked URLs.
     pub fn tracked(&self) -> usize {
-        let (_held, st) = self.locked();
+        let st = self.state.lock();
         st.urls.len()
     }
 
@@ -220,7 +218,7 @@ impl AdaptiveScheduler {
     /// `config().budget` tickets, highest expected gain first, at most
     /// one in-flight per host.
     pub fn next_polls(&self, now: Timestamp) -> Vec<PollTicket> {
-        let (_held, mut st) = self.locked();
+        let mut st = self.state.lock();
         let st = &mut *st;
         let mut ops = WheelOps::default();
         let mut fired = std::mem::take(&mut st.fired);
@@ -284,7 +282,7 @@ impl AdaptiveScheduler {
     /// host (admitting its next waiter, if any), and re-arms the URL's
     /// wakeup for when its expected gain next crosses the horizon.
     pub fn complete(&self, id: u32, changed: bool, now: Timestamp) {
-        let (_held, mut st) = self.locked();
+        let mut st = self.state.lock();
         let st = &mut *st;
         if id as usize >= st.urls.len() {
             return;
@@ -316,7 +314,7 @@ impl AdaptiveScheduler {
     /// Parks `host` (breaker opened): its wakeups queue up instead of
     /// competing for budget. Idempotent; unknown hosts are ignored.
     pub fn park_host(&self, host: &str) {
-        let (_held, mut st) = self.locked();
+        let mut st = self.state.lock();
         let st = &mut *st;
         if let Some(&h) = st.by_host.get(host) {
             if !st.hosts[h as usize].parked {
@@ -330,7 +328,7 @@ impl AdaptiveScheduler {
     /// Un-parks `host` (breaker half-open): its queued wakeups re-enter
     /// the gain queues at their current — by now higher — gain.
     pub fn release_host(&self, host: &str, now: Timestamp) {
-        let (_held, mut st) = self.locked();
+        let mut st = self.state.lock();
         let st = &mut *st;
         if let Some(&h) = st.by_host.get(host) {
             if !st.hosts[h as usize].parked {
@@ -352,7 +350,7 @@ impl AdaptiveScheduler {
     /// is `url` worth a request at `now`? No wheel entry needed — the
     /// tracker run itself is the clock.
     pub fn gate_poll(&self, url: &str, now: Timestamp) -> Gate {
-        let (_held, mut st) = self.locked();
+        let mut st = self.state.lock();
         let st = &mut *st;
         let rate = *st.book.rate(url);
         let decision = match rate.last_poll {
@@ -382,7 +380,7 @@ impl AdaptiveScheduler {
     /// Records a poll verdict for an untracked-or-tracked `url` without
     /// ticket bookkeeping — w3newer's post-check hook.
     pub fn record(&self, url: &str, changed: bool, now: Timestamp) {
-        let (_held, mut st) = self.locked();
+        let mut st = self.state.lock();
         observe_counted(&mut st.book, url, changed, now);
     }
 
@@ -391,13 +389,13 @@ impl AdaptiveScheduler {
     /// [`crate::estimator::UrlRate::rate_nanohz`], the per-record accessor
     /// it delegates to.)
     pub fn url_rate_nanohz(&self, url: &str) -> Option<u64> {
-        let (_held, st) = self.locked();
+        let st = self.state.lock();
         st.book.get(url).map(|r| r.rate_nanohz())
     }
 
     /// Serializes the rate book (see [`crate::estimator::RateBook::emit`]).
     pub fn snapshot_rates(&self) -> String {
-        let (_held, st) = self.locked();
+        let st = self.state.lock();
         st.book.emit()
     }
 }

@@ -69,9 +69,6 @@ impl RawLock {
             return false;
         }
         while *held {
-            // aide-lint: allow(blocking-while-locked): the condvar wait
-            // atomically releases the table mutex it parks under; this
-            // is the wait-queue idiom, not blocking while holding
             held = self.queue.wait(held).unwrap_or_else(|e| e.into_inner());
         }
         *held = true;

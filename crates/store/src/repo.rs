@@ -56,7 +56,7 @@ use aide_rcs::archive::Archive;
 use aide_rcs::format::{emit, parse};
 use aide_rcs::repo::{RepoError, Repository, StorageStats};
 use aide_util::checksum::fnv1a64;
-use aide_util::sync::{lockrank, Condvar, Mutex, MutexGuard};
+use aide_util::sync::{lockrank, Condvar, Mutex};
 use aide_util::vfs::{read_exact, Vfs, VfsError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -277,7 +277,10 @@ impl DiskRepository {
             vfs,
             root: root.to_string(),
             opts,
-            shards: shards.into_iter().map(Mutex::new).collect(),
+            shards: shards
+                .into_iter()
+                .map(|sh| Mutex::with_class(&lockrank::STORE, sh))
+                .collect(),
             maint: Mutex::new(MaintState {
                 pending: false,
                 attached: false,
@@ -351,13 +354,6 @@ impl DiskRepository {
         join_path(&self.root, "wal")
     }
 
-    /// Acquires shard `si`'s index lock under the `store` lock class
-    /// (rank 25: inside url/user named locks, outside structure guards).
-    fn lock_shard(&self, si: usize) -> (lockrank::Held, MutexGuard<'_, Shard>) {
-        let held = lockrank::acquire("store", &format!("store:shard:{si}"));
-        (held, self.shards[si].lock())
-    }
-
     fn cache_insert(opts: &StoreOptions, sh: &mut Shard, key: &str, archive: Arc<Archive>) {
         if opts.cache_entries == 0 {
             return;
@@ -409,7 +405,7 @@ impl DiskRepository {
         let mut moved_bytes = 0u64;
         let wal_path = self.wal_path();
         for si in 0..STORE_SHARDS {
-            let (_held, mut sh) = self.lock_shard(si);
+            let mut sh = self.shards[si].lock();
             let wal_entries: Vec<(String, u64, u32)> = sh
                 .index
                 .iter()
@@ -432,10 +428,11 @@ impl DiskRepository {
                 out.extend_from_slice(&frame::encode(frame::OP_REMOVE, key, &[]));
             }
             self.vfs.append(&seg_path, &out)?;
-            // aide-lint: allow(blocking-while-locked): checkpoint must
-            // sync the new segment before repointing index entries at
-            // it, and the repoint must be atomic under the shard lock
-            self.vfs.sync(&seg_path)?;
+            lockrank::allow_blocking(
+                "checkpoint must sync the new segment before repointing index \
+                 entries at it, and the repoint must be atomic under the shard lock",
+                || self.vfs.sync(&seg_path),
+            )?;
             sh.next_seg += 1;
             sh.seg_lens.insert(seg_id, out.len() as u64);
             moved_bytes += out.len() as u64;
@@ -469,7 +466,7 @@ impl DiskRepository {
     /// and deletes the old segments oldest-first (the tombstone-safety
     /// order — see module docs).
     pub fn compact_shard(&self, si: usize) -> Result<(), RepoError> {
-        let (_held, mut sh) = self.lock_shard(si);
+        let mut sh = self.shards[si].lock();
         let old_ids: Vec<u32> = sh.seg_lens.keys().copied().collect();
         if old_ids.is_empty() {
             return Ok(());
@@ -500,11 +497,11 @@ impl DiskRepository {
         if !out.is_empty() {
             let new_path = self.seg_path(si, new_id);
             self.vfs.append(&new_path, &out)?;
-            // aide-lint: allow(blocking-while-locked): compaction must
-            // sync the fresh segment before deleting the ones it
-            // replaces, and holds the shard lock so readers never see a
-            // half-moved index
-            self.vfs.sync(&new_path)?;
+            lockrank::allow_blocking(
+                "compaction must sync the fresh segment before deleting the ones it \
+                 replaces, and holds the shard lock so readers never see a half-moved index",
+                || self.vfs.sync(&new_path),
+            )?;
         }
         sh.seg_lens.clear();
         if !out.is_empty() {
@@ -547,7 +544,7 @@ impl DiskRepository {
         }
         for si in 0..STORE_SHARDS {
             let due = {
-                let (_held, sh) = self.lock_shard(si);
+                let sh = self.shards[si].lock();
                 Self::needs_compaction(&self.opts, &sh)
             };
             if due {
@@ -562,7 +559,7 @@ impl DiskRepository {
     fn after_write(&self, si: usize) -> Result<(), RepoError> {
         let need_ckpt = self.wal.len() >= self.opts.checkpoint_wal_bytes;
         let need_compact = {
-            let (_held, sh) = self.lock_shard(si);
+            let sh = self.shards[si].lock();
             Self::needs_compaction(&self.opts, &sh)
         };
         if !need_ckpt && !need_compact {
@@ -591,7 +588,7 @@ impl DiskRepository {
     pub fn segment_count(&self) -> usize {
         (0..STORE_SHARDS)
             .map(|si| {
-                let (_held, sh) = self.lock_shard(si);
+                let sh = self.shards[si].lock();
                 sh.seg_lens.len()
             })
             .sum()
@@ -609,7 +606,7 @@ impl Repository for DiskRepository {
         let mut last_fail: Option<ReadFail> = None;
         for _attempt in 0..4 {
             let (ver, loc, off, len) = {
-                let (_held, mut sh) = self.lock_shard(si);
+                let mut sh = self.shards[si].lock();
                 let e = match sh.index.get(key) {
                     None => return Ok(None),
                     Some(e) => e.clone(),
@@ -629,7 +626,7 @@ impl Repository for DiskRepository {
             match self.read_archive(&path, off, len, key) {
                 Ok(archive) => {
                     let handle = Arc::new(archive);
-                    let (_held, mut sh) = self.lock_shard(si);
+                    let mut sh = self.shards[si].lock();
                     if sh.version == ver && sh.index.contains_key(key) {
                         Self::cache_insert(&self.opts, &mut sh, key, handle.clone());
                     }
@@ -639,7 +636,7 @@ impl Repository for DiskRepository {
                     // A checkpoint or compaction may have moved the
                     // record mid-read; retry against the fresh location.
                     let moved = {
-                        let (_held, sh) = self.lock_shard(si);
+                        let sh = self.shards[si].lock();
                         sh.version != ver
                     };
                     if moved {
@@ -674,7 +671,7 @@ impl Repository for DiskRepository {
         {
             let permit = self.wal.begin_commit();
             let off = self.wal.commit(&permit, &buf)?;
-            let (_held, mut sh) = self.lock_shard(si);
+            let mut sh = self.shards[si].lock();
             let mut prior_seg = sh.wal_tombstones.remove(key);
             if let Some(old) = sh.index.get(key).cloned() {
                 sh.bytes -= old.emit_len as u64;
@@ -710,7 +707,7 @@ impl Repository for DiskRepository {
     fn remove(&self, key: &str) -> Result<bool, RepoError> {
         let si = shard_of(key);
         {
-            let (_held, sh) = self.lock_shard(si);
+            let sh = self.shards[si].lock();
             if !sh.index.contains_key(key) {
                 return Ok(false);
             }
@@ -719,7 +716,7 @@ impl Repository for DiskRepository {
         {
             let permit = self.wal.begin_commit();
             self.wal.commit(&permit, &buf)?;
-            let (_held, mut sh) = self.lock_shard(si);
+            let mut sh = self.shards[si].lock();
             if let Some(old) = sh.index.remove(key) {
                 sh.bytes -= old.emit_len as u64;
                 sh.revisions -= old.revisions as u64;
@@ -741,7 +738,7 @@ impl Repository for DiskRepository {
     fn keys(&self) -> Result<Vec<String>, RepoError> {
         let mut all: Vec<String> = Vec::new();
         for si in 0..STORE_SHARDS {
-            let (_held, sh) = self.lock_shard(si);
+            let sh = self.shards[si].lock();
             all.extend(sh.index.keys().cloned());
         }
         all.sort();
@@ -751,7 +748,7 @@ impl Repository for DiskRepository {
     fn stats(&self) -> Result<StorageStats, RepoError> {
         let mut s = StorageStats::default();
         for si in 0..STORE_SHARDS {
-            let (_held, sh) = self.lock_shard(si);
+            let sh = self.shards[si].lock();
             s.archives += sh.index.len();
             s.revisions += sh.revisions as usize;
             s.bytes += sh.bytes as usize;
@@ -762,7 +759,7 @@ impl Repository for DiskRepository {
     fn sizes(&self) -> Result<Vec<(String, usize)>, RepoError> {
         let mut v: Vec<(String, usize)> = Vec::new();
         for si in 0..STORE_SHARDS {
-            let (_held, sh) = self.lock_shard(si);
+            let sh = self.shards[si].lock();
             v.extend(
                 sh.index
                     .iter()
@@ -803,8 +800,6 @@ pub fn spawn_compactor(repo: &Arc<DiskRepository>) -> CompactorHandle {
     let thread = std::thread::spawn(move || loop {
         {
             let guard = r.maint.lock();
-            // aide-lint: allow(blocking-while-locked): the condvar wait
-            // atomically releases the coordination mutex it parks under
             let mut guard = r.maint_cv.wait_while(guard, |m| !m.pending && !m.shutdown);
             if guard.shutdown {
                 break;

@@ -19,6 +19,7 @@
 //!   whatever it yields — honest short reads, which callers loop over
 //!   via [`aide_util::vfs::read_exact`].
 
+use aide_util::sync::lockrank;
 use aide_util::vfs::{Vfs, VfsError, VfsErrorKind, VfsResult};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -103,6 +104,7 @@ impl Vfs for RealVfs {
     }
 
     fn sync(&self, path: &str) -> VfsResult<()> {
+        lockrank::check_blocking("fsync");
         let f = fs::File::open(self.resolve(path)).map_err(|e| Self::io_err(path, &e))?;
         f.sync_all().map_err(|e| Self::io_err(path, &e))?;
         self.sync_parent(path)

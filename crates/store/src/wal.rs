@@ -33,18 +33,15 @@ use aide_util::vfs::{Vfs, VfsError};
 use std::sync::Arc;
 
 /// Shared-mode permit: commits may proceed while any of these are alive.
-/// Carries the `wal` lock rank (24, between `sched` and `store`): the
-/// gate is always acquired before any shard lock, and the debug-build
-/// rank checker enforces that.
+/// The gate is of the `wal` lock class (24, between `sched` and
+/// `store`): it is always acquired before any shard lock, and the
+/// debug-build rank checker enforces that.
 pub struct CommitPermit<'a> {
-    _rank: lockrank::Held,
     _guard: RwLockReadGuard<'a, ()>,
 }
 
 /// Exclusive-mode permit: no commit is in flight and none can start.
-/// Ranked like [`CommitPermit`].
 pub struct Pause<'a> {
-    _rank: lockrank::Held,
     _guard: RwLockWriteGuard<'a, ()>,
 }
 
@@ -82,7 +79,7 @@ impl Wal {
         Wal {
             vfs,
             path,
-            gate: RwLock::new(()),
+            gate: RwLock::with_class(&lockrank::WAL, ()),
             state: Mutex::new(WalState {
                 appended_len: len,
                 pending: Vec::new(),
@@ -100,7 +97,6 @@ impl Wal {
     /// [`commit`](Wal::commit) *and* the index update it covers.
     pub fn begin_commit(&self) -> CommitPermit<'_> {
         CommitPermit {
-            _rank: lockrank::acquire("wal", "wal:gate"),
             _guard: self.gate.read(),
         }
     }
@@ -109,7 +105,6 @@ impl Wal {
     /// gate in shared mode until their index update lands).
     pub fn pause_commits(&self) -> Pause<'_> {
         Pause {
-            _rank: lockrank::acquire("wal", "wal:gate"),
             _guard: self.gate.write(),
         }
     }
@@ -191,14 +186,13 @@ impl Wal {
         // Nothing can be pending or in flight: pause holds the gate
         // exclusively and committers keep their permits until done.
         if self.vfs.len(&self.path)?.is_some() {
-            if let Err(e) = self
-                .vfs
-                .truncate(&self.path, 0)
-                // aide-lint: allow(blocking-while-locked): cold path —
-                // reset runs only under pause_commits, with no
-                // committer in flight to stall on the state lock
-                .and_then(|()| self.vfs.sync(&self.path))
-            {
+            if let Err(e) = self.vfs.truncate(&self.path, 0).and_then(|()| {
+                lockrank::allow_blocking(
+                    "cold path: reset runs only under pause_commits, with no \
+                     committer in flight to stall on the state lock",
+                    || self.vfs.sync(&self.path),
+                )
+            }) {
                 st.broken = Some(e.clone());
                 return Err(e);
             }

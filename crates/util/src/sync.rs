@@ -1,4 +1,5 @@
-//! Poison-free synchronization primitives.
+//! Poison-free synchronization primitives with a debug-build lock-order
+//! checker.
 //!
 //! Thin wrappers over `std::sync` with `parking_lot`-style ergonomics:
 //! `lock()` / `read()` / `write()` return guards directly instead of a
@@ -7,25 +8,45 @@
 //! guarded state in this codebase stays structurally valid across panics
 //! (counters, maps of immutable values) and the alternative — unwrapping
 //! at every call site — turns one panicking thread into a cascade.
+//!
+//! Every [`Mutex`] and [`RwLock`] belongs to a [`lockrank::LockClass`]:
+//! `structure` by default, or the class named by `with_class` for the
+//! ranked instances (store shards, the scheduler state, the engine's
+//! per-user state, the WAL gate). Under `debug_assertions` every
+//! acquisition is checked against [`lockrank::TABLE`] before it blocks;
+//! see [`lockrank`] for the rules. Release builds carry neither the
+//! class nor a held-lock record: the types are the `std` ones.
 
 use std::fmt;
 use std::sync::{self, PoisonError};
 
 /// A mutual-exclusion lock whose guard access never fails.
-#[derive(Default)]
 pub struct Mutex<T: ?Sized> {
+    #[cfg(debug_assertions)]
+    class: &'static lockrank::LockClass,
     inner: sync::Mutex<T>,
 }
 
 /// RAII guard for [`Mutex`].
 pub struct MutexGuard<'a, T: ?Sized> {
     inner: sync::MutexGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    held: lockrank::Held,
 }
 
 impl<T> Mutex<T> {
-    /// Creates a lock around `value`.
+    /// Creates a `structure`-class lock around `value`.
     pub fn new(value: T) -> Mutex<T> {
+        Mutex::with_class(&lockrank::STRUCTURE, value)
+    }
+
+    /// Creates a lock of rank class `class` around `value`.
+    pub fn with_class(class: &'static lockrank::LockClass, value: T) -> Mutex<T> {
+        #[cfg(not(debug_assertions))]
+        let _ = class;
         Mutex {
+            #[cfg(debug_assertions)]
+            class,
             inner: sync::Mutex::new(value),
         }
     }
@@ -40,26 +61,48 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        let held = lockrank::Held::guard(self.class, false, addr(self));
         MutexGuard {
             inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
+            #[cfg(debug_assertions)]
+            held,
         }
     }
 
     /// Acquires the lock only if it is free right now.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: g }),
-            Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: p.into_inner(),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
+        let inner = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard {
+            inner,
+            #[cfg(debug_assertions)]
+            held: lockrank::Held::guard(self.class, false, addr(self)),
+        })
     }
 
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The identity the checker uses to spot a thread re-locking a lock it
+/// already holds.
+#[cfg(debug_assertions)]
+fn addr<L: ?Sized>(lock: &L) -> usize {
+    (lock as *const L).cast::<()>() as usize
+}
+
+impl<T: Default> Default for Mutex<T> {
+    fn default() -> Mutex<T> {
+        Mutex::new(T::default())
     }
 }
 
@@ -99,13 +142,28 @@ impl Condvar {
     }
 
     /// Atomically releases `guard` and blocks until notified, then
-    /// reacquires the lock.
+    /// reacquires the lock. In debug builds the guard's own record is
+    /// set aside while the thread waits, and waiting while the thread
+    /// holds any other exclusive `store`/`structure` guard panics (see
+    /// [`lockrank::check_blocking`]).
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        let MutexGuard {
+            inner,
+            #[cfg(debug_assertions)]
+            held,
+        } = guard;
+        #[cfg(debug_assertions)]
+        let parked = held.park("condvar wait");
+        let inner = self
+            .inner
+            .wait(inner)
+            .unwrap_or_else(PoisonError::into_inner);
+        #[cfg(debug_assertions)]
+        held.unpark(parked);
         MutexGuard {
-            inner: self
-                .inner
-                .wait(guard.inner)
-                .unwrap_or_else(PoisonError::into_inner),
+            inner,
+            #[cfg(debug_assertions)]
+            held,
         }
     }
 
@@ -139,25 +197,39 @@ impl fmt::Debug for Condvar {
 }
 
 /// A reader-writer lock whose guard access never fails.
-#[derive(Default)]
 pub struct RwLock<T: ?Sized> {
+    #[cfg(debug_assertions)]
+    class: &'static lockrank::LockClass,
     inner: sync::RwLock<T>,
 }
 
 /// Shared-read guard for [`RwLock`].
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     inner: sync::RwLockReadGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    _held: lockrank::Held,
 }
 
 /// Exclusive-write guard for [`RwLock`].
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     inner: sync::RwLockWriteGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    _held: lockrank::Held,
 }
 
 impl<T> RwLock<T> {
-    /// Creates a lock around `value`.
+    /// Creates a `structure`-class lock around `value`.
     pub fn new(value: T) -> RwLock<T> {
+        RwLock::with_class(&lockrank::STRUCTURE, value)
+    }
+
+    /// Creates a lock of rank class `class` around `value`.
+    pub fn with_class(class: &'static lockrank::LockClass, value: T) -> RwLock<T> {
+        #[cfg(not(debug_assertions))]
+        let _ = class;
         RwLock {
+            #[cfg(debug_assertions)]
+            class,
             inner: sync::RwLock::new(value),
         }
     }
@@ -172,22 +244,38 @@ impl<T> RwLock<T> {
 
 impl<T: ?Sized> RwLock<T> {
     /// Acquires shared read access.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        let held = lockrank::Held::guard(self.class, true, addr(self));
         RwLockReadGuard {
             inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
+            #[cfg(debug_assertions)]
+            _held: held,
         }
     }
 
     /// Acquires exclusive write access.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        let held = lockrank::Held::guard(self.class, false, addr(self));
         RwLockWriteGuard {
             inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
+            #[cfg(debug_assertions)]
+            _held: held,
         }
     }
 
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: Default> Default for RwLock<T> {
+    fn default() -> RwLock<T> {
+        RwLock::new(T::default())
     }
 }
 
@@ -218,76 +306,103 @@ impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
 }
 
 pub mod lockrank {
-    //! The workspace lock-order table and a debug-build runtime checker.
+    //! The workspace lock-order table and its debug-build runtime checker.
     //!
-    //! [`TABLE`] is the single source of truth for the lock-ordering
-    //! discipline documented in DESIGN.md §4d/§4h: a thread may only
-    //! acquire locks of non-decreasing rank, and at most one lock of any
-    //! `exclusive` class at a time. The static checker (`aide-lint`'s
-    //! `lock-order` pass) enforces the same table lexically; this module
-    //! enforces it dynamically on every named-lock acquisition when
-    //! `debug_assertions` are on, and compiles to nothing in release
-    //! builds.
+    //! [`TABLE`] is the single statement of the lock-ordering discipline
+    //! documented in DESIGN.md §4d/§4h, and this module is its single
+    //! enforcer. Under `debug_assertions` every acquisition of an
+    //! `aide_util::sync` [`Mutex`](super::Mutex) / [`RwLock`](super::RwLock)
+    //! and every named lock taken through [`acquire`] pushes a record on a
+    //! thread-local stack, checked *before* the thread blocks:
+    //!
+    //! - ranks never decrease: a thread holding rank `r` may only acquire
+    //!   locks of rank `>= r`;
+    //! - at most one lock of each `exclusive` class is held at a time;
+    //! - a thread never re-locks a lock it already holds (two read
+    //!   guards of one `RwLock` excepted).
+    //!
+    //! Blocking is checked too. [`check_blocking`] — called by every
+    //! `Vfs::sync` and by `Condvar::wait` (after setting its own guard
+    //! aside) — panics while the thread holds an exclusive-mode guard
+    //! (a mutex or write guard; read guards stall nobody) of a class
+    //! whose `may_block` is false: `store` and `structure`. Named
+    //! `flight`/`url`/`user` locks, the `sched` state and the `wal`
+    //! gate may be held across I/O: the per-URL lock covers a whole
+    //! check-in, WAL fsync included (§4.2 of the paper). A deliberate
+    //! exception runs inside [`allow_blocking`], whose argument says why.
+    //!
+    //! A violation panics with both acquisition sites named instead of
+    //! deadlocking or convoying. Release builds compile all of it out.
 
     /// One class of lock in the global acquisition order.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct LockClass {
-        /// Class name, as used by waiver comments and diagnostics.
+        /// Class name, as used by diagnostics.
         pub name: &'static str,
         /// Acquisition rank: a thread holding rank `r` may only acquire
         /// locks of rank `>= r`.
         pub rank: u32,
         /// Whether at most one lock of this class may be held per thread.
         pub exclusive: bool,
+        /// Whether a thread may block (fsync, condvar wait) while it
+        /// holds an exclusive-mode guard of this class.
+        pub may_block: bool,
     }
 
-    /// The lock-rank table (DESIGN.md §4h). Order of acquisition is
-    /// ascending rank: single-flight key, then per-URL named lock, then
-    /// per-user named lock, then the scheduler state lock (aide-sched;
-    /// held while snapshotting rate state, released or still-held when
-    /// the snapshot is persisted through the store's per-shard lock),
-    /// then the WAL commit gate (shared for committers, exclusive for
-    /// checkpoint pause — always taken before any shard lock), then the
-    /// storage engine's per-shard lock (held across WAL commits while
-    /// the caller still holds the URL lock), then structure
-    /// (shard/bucket) guards, which are leaves.
-    pub const TABLE: &[LockClass] = &[
-        LockClass {
-            name: "flight",
-            rank: 5,
-            exclusive: true,
-        },
-        LockClass {
-            name: "url",
-            rank: 10,
-            exclusive: true,
-        },
-        LockClass {
-            name: "user",
-            rank: 20,
-            exclusive: true,
-        },
-        LockClass {
-            name: "sched",
-            rank: 22,
-            exclusive: true,
-        },
-        LockClass {
-            name: "wal",
-            rank: 24,
-            exclusive: false,
-        },
-        LockClass {
-            name: "store",
-            rank: 25,
-            exclusive: true,
-        },
-        LockClass {
-            name: "structure",
-            rank: 30,
-            exclusive: false,
-        },
-    ];
+    /// Single-flight key: one URL's fetch+diff.
+    pub const FLIGHT: LockClass = LockClass {
+        name: "flight",
+        rank: 5,
+        exclusive: true,
+        may_block: true,
+    };
+    /// The per-URL named lock (the paper's per-URL lock file).
+    pub const URL: LockClass = LockClass {
+        name: "url",
+        rank: 10,
+        exclusive: true,
+        may_block: true,
+    };
+    /// Per-user state: the named control-file lock and the engine's
+    /// per-user tracker state.
+    pub const USER: LockClass = LockClass {
+        name: "user",
+        rank: 20,
+        exclusive: true,
+        may_block: true,
+    };
+    /// The adaptive scheduler's state mutex (aide-sched).
+    pub const SCHED: LockClass = LockClass {
+        name: "sched",
+        rank: 22,
+        exclusive: true,
+        may_block: true,
+    };
+    /// The WAL commit gate: shared for committers, exclusive for the
+    /// checkpoint pause; always taken before any shard lock.
+    pub const WAL: LockClass = LockClass {
+        name: "wal",
+        rank: 24,
+        exclusive: false,
+        may_block: true,
+    };
+    /// One aide-store shard index.
+    pub const STORE: LockClass = LockClass {
+        name: "store",
+        rank: 25,
+        exclusive: true,
+        may_block: false,
+    };
+    /// Shard, bucket and cache guards: leaves, never held across I/O.
+    pub const STRUCTURE: LockClass = LockClass {
+        name: "structure",
+        rank: 30,
+        exclusive: false,
+        may_block: false,
+    };
+
+    /// The lock-rank table (DESIGN.md §4h), in acquisition order.
+    pub const TABLE: &[LockClass] = &[FLIGHT, URL, USER, SCHED, WAL, STORE, STRUCTURE];
 
     /// Looks up a class by name.
     pub fn class(name: &str) -> Option<&'static LockClass> {
@@ -297,51 +412,140 @@ pub mod lockrank {
     #[cfg(debug_assertions)]
     mod dynamic {
         use super::LockClass;
-        use std::cell::RefCell;
+        use std::cell::{Cell, RefCell};
+        use std::fmt;
+        use std::panic::Location;
         use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// Where a held lock was taken: a named lock's key, or the
+        /// source location of a guard acquisition.
+        pub(super) enum Site {
+            Key(String),
+            At(&'static Location<'static>),
+        }
+
+        impl fmt::Display for Site {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self {
+                    Site::Key(k) => write!(f, "{k:?}"),
+                    Site::At(at) => write!(f, "at {at}"),
+                }
+            }
+        }
+
+        /// One held lock on the thread's stack.
+        pub(in crate::sync) struct Record {
+            token: u64,
+            class: &'static LockClass,
+            shared: bool,
+            /// The lock's address, or 0 for a named lock.
+            addr: usize,
+            site: Site,
+        }
 
         static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
         thread_local! {
-            static HELD: RefCell<Vec<(u64, &'static LockClass, String)>> =
-                const { RefCell::new(Vec::new()) };
+            static HELD: RefCell<Vec<Record>> = const { RefCell::new(Vec::new()) };
+            static ALLOWED: Cell<u32> = const { Cell::new(0) };
         }
 
-        pub(super) fn note_acquire(class: &'static LockClass, key: &str) -> u64 {
+        pub(super) fn enter(
+            class: &'static LockClass,
+            shared: bool,
+            addr: usize,
+            site: Site,
+        ) -> u64 {
             let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
             HELD.with(|held| {
                 let mut held = held.borrow_mut();
-                for (_, c, k) in held.iter() {
-                    if c.rank > class.rank {
-                        // aide-lint: allow(no-panic): the runtime checker's whole job is to abort on a lock-order violation
-                        panic!(
-                            "lock-order inversion: acquiring {} lock {key:?} while holding {} lock {k:?} (rank {} > {})",
-                            class.name, c.name, c.rank, class.rank
-                        );
-                    }
-                    if class.exclusive && c.name == class.name {
-                        // aide-lint: allow(no-panic): the runtime checker's whole job is to abort on a double acquisition
-                        panic!(
-                            "double acquisition of exclusive {} lock class: already hold {k:?}, acquiring {key:?}",
-                            class.name
-                        );
-                    }
+                for h in held.iter() {
+                    let fault = if h.class.rank > class.rank {
+                        format!(
+                            "lock-order inversion: acquiring {} lock {site} while holding {} lock {} (rank {} > {})",
+                            class.name, h.class.name, h.site, h.class.rank, class.rank
+                        )
+                    } else if class.exclusive && h.class.name == class.name {
+                        format!(
+                            "double acquisition of exclusive {} lock class: already hold {}, acquiring {site}",
+                            class.name, h.site
+                        )
+                    } else if addr != 0 && h.addr == addr && !(shared && h.shared) {
+                        format!(
+                            "self-deadlock: re-acquiring the {} lock taken {} {site}",
+                            class.name, h.site
+                        )
+                    } else {
+                        continue;
+                    };
+                    // aide-lint: allow(no-panic): the runtime checker's whole job is to abort on a lock-order violation
+                    panic!("{fault}");
                 }
-                held.push((token, class, key.to_string()));
+                held.push(Record {
+                    token,
+                    class,
+                    shared,
+                    addr,
+                    site,
+                });
             });
             token
         }
 
-        pub(super) fn note_release(token: u64) {
-            // The guard may be dropped on a different thread than it was
-            // acquired on; in that case the entry is simply not found and
-            // tracking for that lock ends at the acquiring thread.
-            let _ = HELD.try_with(|held| {
+        /// Removes `token`'s record from the calling thread's stack.
+        pub(super) fn take(token: u64) -> Option<Record> {
+            // A named guard may be dropped on another thread than the
+            // one that took it; its record then simply is not found.
+            HELD.try_with(|held| {
                 let mut held = held.borrow_mut();
-                if let Some(i) = held.iter().position(|(t, _, _)| *t == token) {
-                    held.remove(i);
+                let i = held.iter().rposition(|r| r.token == token)?;
+                Some(held.remove(i))
+            })
+            .ok()
+            .flatten()
+        }
+
+        pub(super) fn put_back(record: Record) {
+            HELD.with(|held| held.borrow_mut().push(record));
+        }
+
+        pub(super) fn check_blocking(op: &str) {
+            if ALLOWED.with(Cell::get) > 0 {
+                return;
+            }
+            HELD.with(|held| {
+                if let Some(h) = held
+                    .borrow()
+                    .iter()
+                    .find(|h| !h.shared && !h.class.may_block)
+                {
+                    // aide-lint: allow(no-panic): the runtime checker's whole job is to abort on blocking under a leaf lock
+                    panic!(
+                        "{op} while holding the {} lock taken {}: drop the guard before blocking, \
+                         or justify the exception with lockrank::allow_blocking",
+                        h.class.name, h.site
+                    );
                 }
             });
+        }
+
+        /// Marks the calling thread as inside an [`allow_blocking`]
+        /// scope until dropped.
+        ///
+        /// [`allow_blocking`]: super::allow_blocking
+        pub(super) struct Allowed;
+
+        impl Allowed {
+            pub(super) fn enter() -> Allowed {
+                ALLOWED.with(|a| a.set(a.get() + 1));
+                Allowed
+            }
+        }
+
+        impl Drop for Allowed {
+            fn drop(&mut self) {
+                let _ = ALLOWED.try_with(|a| a.set(a.get() - 1));
+            }
         }
     }
 
@@ -356,13 +560,41 @@ pub mod lockrank {
     impl Drop for Held {
         fn drop(&mut self) {
             #[cfg(debug_assertions)]
-            dynamic::note_release(self.token);
+            dynamic::take(self.token);
         }
     }
 
-    /// Records the acquisition of a lock of class `name` for `key`,
-    /// validating it against the locks this thread already holds. In
-    /// debug builds a rank inversion or exclusive-class double
+    #[cfg(debug_assertions)]
+    impl Held {
+        /// Records a guard acquisition of `class` on the lock at `addr`,
+        /// attributed to the caller's source location.
+        #[track_caller]
+        pub(in crate::sync) fn guard(class: &'static LockClass, shared: bool, addr: usize) -> Held {
+            let site = dynamic::Site::At(std::panic::Location::caller());
+            Held {
+                token: dynamic::enter(class, shared, addr, site),
+            }
+        }
+
+        /// Sets this record aside for a condvar wait, then checks that
+        /// nothing else the thread holds forbids blocking.
+        pub(in crate::sync) fn park(&self, op: &str) -> Option<dynamic::Record> {
+            let record = dynamic::take(self.token);
+            dynamic::check_blocking(op);
+            record
+        }
+
+        /// Restores a record set aside by [`park`](Held::park).
+        pub(in crate::sync) fn unpark(&self, record: Option<dynamic::Record>) {
+            if let Some(r) = record {
+                dynamic::put_back(r);
+            }
+        }
+    }
+
+    /// Records the acquisition of a named lock of class `name` for
+    /// `key`, validating it against the locks this thread already holds.
+    /// In debug builds a rank inversion or exclusive-class double
     /// acquisition aborts immediately with a diagnostic; in release
     /// builds this is a no-op.
     ///
@@ -382,7 +614,7 @@ pub mod lockrank {
             // aide-lint: allow(no-panic): unknown class names are a checker-integration bug, not a runtime condition
             let class = class(name).unwrap_or_else(|| panic!("unknown lock class {name:?}"));
             Held {
-                token: dynamic::note_acquire(class, key),
+                token: dynamic::enter(class, false, 0, dynamic::Site::Key(key.to_string())),
             }
         }
         #[cfg(not(debug_assertions))]
@@ -391,11 +623,35 @@ pub mod lockrank {
             Held {}
         }
     }
+
+    /// Declares that the calling thread is about to block in `op`
+    /// (`"fsync"`, `"condvar wait"`). In debug builds this panics if the
+    /// thread holds an exclusive-mode guard of a class that may not be
+    /// held across blocking, outside [`allow_blocking`]. A no-op in
+    /// release builds.
+    pub fn check_blocking(op: &str) {
+        #[cfg(debug_assertions)]
+        dynamic::check_blocking(op);
+        #[cfg(not(debug_assertions))]
+        let _ = op;
+    }
+
+    /// Runs `f` with [`check_blocking`] disarmed on this thread. `why`
+    /// is the reviewable part: the crash-safety ordering that forces a
+    /// blocking call under a leaf lock.
+    pub fn allow_blocking<R>(why: &'static str, f: impl FnOnce() -> R) -> R {
+        let _ = why;
+        #[cfg(debug_assertions)]
+        let _allowed = dynamic::Allowed::enter();
+        f()
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::lockrank::{STORE, URL};
     use super::*;
+    use crate::vfs::{MemVfs, Vfs};
     use std::sync::Arc;
 
     #[test]
@@ -492,6 +748,214 @@ mod tests {
             assert!(lockrank::class(c.name).is_some());
         }
         assert!(lockrank::class("nonesuch").is_none());
+    }
+
+    // Helpers for the call-shaped checker tests: the acquisition or the
+    // fsync sits one or two calls away from the guard that forbids it.
+
+    fn bump(m: &Mutex<u32>) {
+        *m.lock() += 1;
+    }
+
+    fn bump_via(m: &Mutex<u32>) {
+        bump(m);
+    }
+
+    fn shard(m: &Mutex<u32>) -> MutexGuard<'_, u32> {
+        m.lock()
+    }
+
+    fn persist(vfs: &MemVfs) {
+        vfs.append("seg", b"x").unwrap();
+        vfs.sync("seg").unwrap();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn inversion_through_two_helper_calls_panics() {
+        let r = on_thread(|| {
+            let table = Mutex::new(0u32);
+            let store = Mutex::with_class(&STORE, 0u32);
+            let _g = table.lock();
+            bump_via(&store);
+        });
+        assert!(r.is_err(), "store lock under a structure guard must abort");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn guard_returned_by_a_helper_keeps_its_rank() {
+        let r = on_thread(|| {
+            let store = Mutex::with_class(&STORE, 0u32);
+            let user = Mutex::with_class(&lockrank::USER, 0u32);
+            let _sh = shard(&store);
+            bump(&user);
+        });
+        assert!(
+            r.is_err(),
+            "user lock under a returned store guard must abort"
+        );
+    }
+
+    #[test]
+    fn guard_dropped_before_the_call_is_released() {
+        on_thread(|| {
+            let table = Mutex::new(0u32);
+            let store = Mutex::with_class(&STORE, 0u32);
+            let g = table.lock();
+            drop(g);
+            bump_via(&store);
+            let _sh = shard(&store);
+            drop(_sh);
+            let url = Mutex::with_class(&URL, 0u32);
+            bump(&url);
+        })
+        .unwrap();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn relocking_a_held_lock_panics() {
+        let r = on_thread(|| {
+            let table = RwLock::new(0u32);
+            let _r = table.read();
+            let _w = table.write();
+        });
+        assert!(r.is_err(), "write under own read guard must abort");
+        on_thread(|| {
+            let table = RwLock::new(0u32);
+            let _a = table.read();
+            let _b = table.read();
+        })
+        .unwrap();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn fsync_under_structure_guard_through_a_call_panics() {
+        let r = on_thread(|| {
+            let vfs = MemVfs::new();
+            let table = Mutex::new(0u32);
+            let _g = table.lock();
+            persist(&vfs);
+        });
+        assert!(r.is_err(), "fsync under a structure guard must abort");
+    }
+
+    #[test]
+    fn condvar_wait_on_its_own_mutex_is_allowed() {
+        on_thread(|| {
+            let pair = Arc::new((Mutex::new(false), Condvar::new()));
+            let outer = Mutex::with_class(&URL, ());
+            let _url = outer.lock();
+            let mut ready = pair.0.lock();
+            let notifier = Arc::clone(&pair);
+            // The notifier cannot take the mutex until this thread waits
+            // on it, so at least one real wait happens.
+            let t = std::thread::spawn(move || {
+                *notifier.0.lock() = true;
+                notifier.1.notify_all();
+            });
+            while !*ready {
+                ready = pair.1.wait(ready);
+            }
+            drop(ready);
+            t.join().unwrap();
+        })
+        .unwrap();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn condvar_wait_under_another_structure_guard_panics() {
+        let r = on_thread(|| {
+            let other = Mutex::new(());
+            let pair = Arc::new((Mutex::new(false), Condvar::new()));
+            let _o = other.lock();
+            let mut ready = pair.0.lock();
+            let notifier = Arc::clone(&pair);
+            std::thread::spawn(move || {
+                *notifier.0.lock() = true;
+                notifier.1.notify_all();
+            });
+            while !*ready {
+                ready = pair.1.wait(ready);
+            }
+        });
+        assert!(
+            r.is_err(),
+            "a wait must not park another thread's leaf lock"
+        );
+    }
+
+    #[test]
+    fn read_guard_held_across_sync_is_allowed() {
+        on_thread(|| {
+            let vfs = MemVfs::new();
+            let table = RwLock::new(0u32);
+            let _r = table.read();
+            persist(&vfs);
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn allow_blocking_scope_is_allowed() {
+        on_thread(|| {
+            let vfs = MemVfs::new();
+            let store = Mutex::with_class(&STORE, 0u32);
+            let _sh = store.lock();
+            lockrank::allow_blocking("test: a crash-safety sync under the shard lock", || {
+                persist(&vfs)
+            });
+        })
+        .unwrap();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn allow_blocking_scope_ends_with_its_closure() {
+        let r = on_thread(|| {
+            let vfs = MemVfs::new();
+            let store = Mutex::with_class(&STORE, 0u32);
+            let _sh = store.lock();
+            lockrank::allow_blocking("test", || ());
+            persist(&vfs);
+        });
+        assert!(r.is_err(), "the exemption must not outlive its scope");
+    }
+
+    #[test]
+    fn named_locks_may_be_held_across_sync() {
+        on_thread(|| {
+            let vfs = MemVfs::new();
+            let _url = lockrank::acquire("url", "url:http://x/");
+            let gate = RwLock::with_class(&lockrank::WAL, ());
+            let _pause = gate.write();
+            persist(&vfs);
+        })
+        .unwrap();
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn release_locks_and_guards_are_std_sized() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Mutex<u64>>(), size_of::<sync::Mutex<u64>>());
+        assert_eq!(size_of::<RwLock<u64>>(), size_of::<sync::RwLock<u64>>());
+        assert_eq!(
+            size_of::<MutexGuard<'static, u64>>(),
+            size_of::<sync::MutexGuard<'static, u64>>()
+        );
+        assert_eq!(
+            size_of::<RwLockReadGuard<'static, u64>>(),
+            size_of::<sync::RwLockReadGuard<'static, u64>>()
+        );
+        assert_eq!(
+            size_of::<RwLockWriteGuard<'static, u64>>(),
+            size_of::<sync::RwLockWriteGuard<'static, u64>>()
+        );
+        assert_eq!(size_of::<lockrank::Held>(), 0);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use crate::checksum::fnv1a64;
 use crate::rng::Rng;
-use crate::sync::Mutex;
+use crate::sync::{lockrank, Mutex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -218,6 +218,7 @@ impl Vfs for MemVfs {
     }
 
     fn sync(&self, _path: &str) -> VfsResult<()> {
+        lockrank::check_blocking("fsync");
         Ok(())
     }
 
@@ -529,6 +530,7 @@ impl Vfs for FaultVfs {
     }
 
     fn sync(&self, path: &str) -> VfsResult<()> {
+        lockrank::check_blocking("fsync");
         let mut st = self.state.lock();
         Self::charge_op(&mut st, path, "sync")?;
         let n = st.stats.durability_ops;

@@ -455,7 +455,7 @@ impl W3Newer {
                 .collect();
             handles
                 .into_iter()
-                // aide-lint: allow(no-panic, panic-reach): a worker
+                // aide-lint: allow(no-panic): a worker
                 // panic must propagate to the caller, not vanish into a
                 // partial run
                 .map(|h| h.join().expect("w3newer worker panicked"))
@@ -482,7 +482,7 @@ impl W3Newer {
         }
         let mut entries: Vec<UrlReport> = slots
             .into_iter()
-            // aide-lint: allow(no-panic, panic-reach): each hotlist
+            // aide-lint: allow(no-panic): each hotlist
             // index is written exactly once by the host group that owns
             // it; a hole here is a merge bug that must not be silently
             // dropped
