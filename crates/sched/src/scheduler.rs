@@ -601,4 +601,30 @@ mod tests {
         assert_eq!(s.track("http://a/", "a", Timestamp(50)), a);
         assert_eq!(s.tracked(), 2);
     }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn sched_state_under_a_store_guard_panics() {
+        // A caller holding a store-class guard (rank 25) calls into the
+        // scheduler, whose state mutex is `sched` (rank 22).
+        let s = std::sync::Arc::new(sched(4));
+        let s2 = std::sync::Arc::clone(&s);
+        let out = std::thread::spawn(move || {
+            let shard = Mutex::with_class(&lockrank::STORE, ());
+            let _sh = shard.lock();
+            s2.track("http://a/", "a", Timestamp(0));
+        })
+        .join();
+        let payload = out.expect_err("sched lock under a store guard must abort");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("acquiring sched lock"), "{msg}");
+        // Under the user lock (rank 20) the same call is ascending.
+        let user = Mutex::with_class(&lockrank::USER, ());
+        let _u = user.lock();
+        s.track("http://a/", "a", Timestamp(0));
+        assert_eq!(s.tracked(), 1);
+    }
 }

@@ -360,4 +360,36 @@ mod tests {
         }
         assert_eq!(t.stats().acquisitions, 8 * 50 * 2);
     }
+
+    /// Panic text of a lock-order abort caught on its own thread.
+    #[cfg(debug_assertions)]
+    fn abort_text(r: std::thread::Result<()>) -> String {
+        let payload = r.expect_err("the lock-order checker must abort");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn flight_under_a_url_lock_panics() {
+        // The single-flight key (rank 5) is taken inside `once`, a call
+        // away from the url guard (rank 10) that forbids it.
+        let t = LockTable::new();
+        let t2 = t.clone();
+        let r = std::thread::spawn(move || {
+            let _u = t2.lock(&LockTable::url_key("http://x/"));
+            t2.once("diff:http://x/", t2.flight_generation(), String::new);
+        })
+        .join();
+        let msg = abort_text(r);
+        assert!(msg.contains("acquiring flight lock"), "{msg}");
+        // Flight first, url inside the work, is the documented order.
+        let v = t.once("diff:http://x/", t.flight_generation(), || {
+            let _u = t.lock(&LockTable::url_key("http://x/"));
+            "ok".to_string()
+        });
+        assert_eq!(v, "ok");
+    }
 }

@@ -1054,4 +1054,29 @@ mod tests {
         r.store("other", &archive("fine\n")).unwrap();
         assert!(r.load("other").unwrap().is_some());
     }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn shard_lock_carries_the_store_class() {
+        // `stats` takes only shard locks. Under a structure guard (rank
+        // 30) the first one (store, rank 25) inverts the table; under the
+        // url lock (rank 10) it is the documented order.
+        let r = Arc::new(open_mem(&MemVfs::shared()));
+        let r2 = Arc::clone(&r);
+        let out = std::thread::spawn(move || {
+            let index = Mutex::new(());
+            let _g = index.lock();
+            let _ = r2.stats();
+        })
+        .join();
+        let payload = out.expect_err("a shard lock under a structure guard must abort");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("acquiring store lock"), "{msg}");
+        let _url = lockrank::acquire("url", "url:http://x/");
+        r.store("http://x/", &archive("body\n")).unwrap();
+        assert_eq!(r.stats().unwrap().archives, 1);
+    }
 }

@@ -780,6 +780,40 @@ mod tests {
             bump_via(&store);
         });
         assert!(r.is_err(), "store lock under a structure guard must abort");
+        // Ascending rank across the same calls is the documented order.
+        on_thread(|| {
+            let url = Mutex::with_class(&URL, 0u32);
+            let store = Mutex::with_class(&STORE, 0u32);
+            let _g = url.lock();
+            bump_via(&store);
+        })
+        .unwrap();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn class_carrying_locks_follow_the_table() {
+        let r = on_thread(|| {
+            let user = Mutex::with_class(&lockrank::USER, 0u32);
+            let url = Mutex::with_class(&URL, 0u32);
+            let _u = user.lock();
+            let _v = url.lock();
+        });
+        assert!(r.is_err(), "user-then-url must abort");
+        on_thread(|| {
+            let user = Mutex::with_class(&lockrank::USER, 0u32);
+            let url = Mutex::with_class(&URL, 0u32);
+            let v = url.lock();
+            let u = user.lock();
+            drop(u);
+            drop(v);
+            // Sequential, not nested, reads of one structure lock.
+            let table = RwLock::new(vec![1u32]);
+            let first = table.read().len();
+            let second = table.read().len();
+            assert_eq!(first + second, 2);
+        })
+        .unwrap();
     }
 
     #[cfg(debug_assertions)]
@@ -795,6 +829,55 @@ mod tests {
             r.is_err(),
             "user lock under a returned store guard must abort"
         );
+    }
+
+    fn read_and_hold(m: &Mutex<u32>) -> (u32, MutexGuard<'_, u32>) {
+        let g = m.lock();
+        (*g, g)
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn guard_returned_by_a_helper_then_inverting_call_panics() {
+        let r = on_thread(|| {
+            let sched = Mutex::with_class(&lockrank::SCHED, 0u32);
+            let url = Mutex::with_class(&URL, 0u32);
+            let _st = shard(&sched);
+            bump(&url);
+        });
+        assert!(
+            r.is_err(),
+            "url lock taken by a callee under a returned sched guard must abort"
+        );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn destructured_guard_cannot_dodge_the_rank_check() {
+        let r = on_thread(|| {
+            let store = Mutex::with_class(&STORE, 0u32);
+            let url = Mutex::with_class(&URL, 0u32);
+            let (_n, mut sh) = read_and_hold(&store);
+            let _g = url.lock();
+            *sh += 1;
+        });
+        assert!(
+            r.is_err(),
+            "url lock under a destructured store guard must abort"
+        );
+    }
+
+    #[test]
+    fn destructured_guard_released_by_drop() {
+        on_thread(|| {
+            let store = Mutex::with_class(&STORE, 0u32);
+            let url = Mutex::with_class(&URL, 0u32);
+            let (n, sh) = read_and_hold(&store);
+            drop(sh);
+            let g = url.lock();
+            assert_eq!(*g, n);
+        })
+        .unwrap();
     }
 
     #[test]
@@ -840,6 +923,53 @@ mod tests {
             persist(&vfs);
         });
         assert!(r.is_err(), "fsync under a structure guard must abort");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn fsync_directly_under_structure_guard_panics() {
+        let r = on_thread(|| {
+            let vfs = MemVfs::new();
+            vfs.append("wal", b"x").unwrap();
+            let table = Mutex::new(0u32);
+            let _g = table.lock();
+            vfs.sync("wal").unwrap();
+        });
+        assert!(r.is_err(), "fsync under a structure guard must abort");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn blocking_while_locked_shapes() {
+        // Exclusive guard, then fsync directly or through a call: aborts.
+        let direct = on_thread(|| {
+            let vfs = MemVfs::new();
+            let state = Mutex::new(0u32);
+            let _st = state.lock();
+            vfs.append("seg", b"x").unwrap();
+            vfs.sync("seg").unwrap();
+        });
+        assert!(direct.is_err(), "direct fsync under the guard must abort");
+        let via = on_thread(|| {
+            let vfs = MemVfs::new();
+            let state = Mutex::new(0u32);
+            let _st = state.lock();
+            persist(&vfs);
+        });
+        assert!(via.is_err(), "fsync through a call must abort");
+        // A shared guard stalls no writer, and a dropped guard holds nothing.
+        on_thread(|| {
+            let vfs = MemVfs::new();
+            let config = RwLock::new(0u32);
+            let snapshot = config.read();
+            persist(&vfs);
+            drop(snapshot);
+            let state = Mutex::new(0u32);
+            let st = state.lock();
+            drop(st);
+            persist(&vfs);
+        })
+        .unwrap();
     }
 
     #[test]
