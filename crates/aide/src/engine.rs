@@ -248,12 +248,6 @@ impl<R: Repository> AideEngine<R> {
         &self.snapshot
     }
 
-    /// A shared handle to the snapshot service, for co-resident services
-    /// (the server tracker, fixed collections, the CGI layer).
-    pub fn snapshot_arc(&self) -> Arc<SnapshotService<R>> {
-        self.snapshot.clone()
-    }
-
     /// Registers a user with a w3newer threshold configuration. Returns
     /// their browser handle (shared: cloning keeps the same history).
     pub fn register_user(&self, id: &str, config: ThresholdConfig) -> Browser {

@@ -52,13 +52,6 @@ pub enum EditOp {
     },
 }
 
-impl EditOp {
-    /// Returns true for [`EditOp::Equal`].
-    pub fn is_equal(&self) -> bool {
-        matches!(self, EditOp::Equal { .. })
-    }
-}
-
 /// A sequence of [`EditOp`]s covering both inputs completely and in order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EditScript {

@@ -97,11 +97,6 @@ impl ScriptedConn {
     pub fn output_text(&self) -> String {
         String::from_utf8_lossy(&self.out).into_owned()
     }
-
-    /// Takes the captured output, leaving the connection empty.
-    pub fn into_output(self) -> Vec<u8> {
-        self.out
-    }
 }
 
 impl Connection for ScriptedConn {

@@ -211,11 +211,6 @@ pub struct Response {
 }
 
 impl Response {
-    /// True if this response carries a usable modification date.
-    pub fn has_last_modified(&self) -> bool {
-        self.last_modified.is_some()
-    }
-
     /// True for transient server-side failures (500/503) that a client
     /// may retry; everything else is either success or terminal.
     pub fn is_transient_failure(&self) -> bool {

@@ -75,11 +75,6 @@ impl OriginServer {
         self.resources.insert(path.to_string(), resource);
     }
 
-    /// Removes the resource at `path`; returns whether one existed.
-    pub fn remove_resource(&mut self, path: &str) -> bool {
-        self.resources.remove(path).is_some()
-    }
-
     /// Reads the resource at `path`.
     pub fn resource(&self, path: &str) -> Option<&Resource> {
         self.resources.get(path)

@@ -15,8 +15,7 @@
 //!   view, over any [`aide_rcs::Repository`].
 //! - [`control`]: per-user control files (text format, like the perl
 //!   original kept beside the RCS area).
-//! - [`locks`]: the per-URL + per-user lock table, with the queued-wait
-//!   duplicate-work suppression §4.2 wishes for.
+//! - [`locks`]: the per-URL lock table (§4.2's per-URL lock file).
 //! - [`cache`]: the [`PageCache`], one byte-bounded cache of every
 //!   rendered page — HtmlDiff output ("many users who have seen versions N
 //!   and N+1 of a page could retrieve HtmlDiff(pageN, pageN+1) with a

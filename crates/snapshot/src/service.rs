@@ -25,9 +25,9 @@
 //!   return [`std::sync::Arc`] archive handles, so reads never block
 //!   writers of other URLs.
 //! - Read-modify-write of one URL's archive is serialized by that URL's
-//!   named lock in the [`LockTable`]; control-file updates by the user's
-//!   named lock, acquired *after* the URL lock per the ordering invariant
-//!   documented in [`crate::locks`].
+//!   lock in the [`LockTable`]; a control-file update runs whole under
+//!   its user's shard write guard. The ordering invariant is documented
+//!   in [`crate::locks`].
 //! - Control files live in a sharded user map; rendered pages live in
 //!   the sharded [`PageCache`]. Shard guards are held only for map access.
 //! - Counters are atomics ([`SnapshotService::snapshot_stats`] reads
@@ -187,9 +187,9 @@ impl Drop for AdmissionGuard<'_> {
 /// Number of buckets in the per-user control map.
 const CONTROL_SHARDS: usize = 64;
 
-/// Per-user control files in a sharded map. Mutation of one user's file
-/// is serialized by that user's named lock; the shard guard only
-/// protects the map structure and is never held across I/O or diffing.
+/// Per-user control files in a sharded map. A mutation of one user's
+/// file runs whole under its shard's write guard, which is never held
+/// across I/O or diffing.
 struct UserControls {
     shards: Vec<RwLock<HashMap<UserId, ControlFile>>>,
 }
@@ -213,7 +213,7 @@ impl UserControls {
     }
 
     /// Updates `user`'s control file (created on demand) under the shard
-    /// guard. Callers hold the user's named lock.
+    /// write guard, so concurrent updates for one user serialize.
     fn update<T>(&self, user: &UserId, f: impl FnOnce(&mut ControlFile) -> T) -> T {
         f(self.shard(user).write().entry(user.clone()).or_default())
     }
@@ -322,10 +322,10 @@ impl<R: Repository> SnapshotService<R> {
     /// Remember: checks `body` in as the state of `url` on behalf of
     /// `user`.
     ///
-    /// Locking: the URL's named lock covers the archive
-    /// load-modify-store; the user's named lock (taken after the URL lock
-    /// is released) covers the control-file update. Remembers of
-    /// different URLs by different users share no exclusive lock.
+    /// Locking: the URL's lock covers the archive load-modify-store; the
+    /// control-file update (after the URL lock is released) runs under
+    /// its shard guard. Remembers of different URLs share no lock held
+    /// across the check-in.
     pub fn remember(
         &self,
         user: &UserId,
@@ -334,37 +334,40 @@ impl<R: Repository> SnapshotService<R> {
     ) -> Result<RememberOutcome, ServiceError> {
         let _slot = self.admit()?;
         let now = self.clock.now();
-        let url_guard = self.locks.lock(&LockTable::url_key(url));
-        let (outcome, created) = match self.load_degraded(url)? {
-            Some(existing) => {
-                if existing.head_text() == body {
-                    // Unchanged: no clone, no store — the same early-out
-                    // `Archive::checkin` would take.
-                    (CheckinOutcome::Unchanged(existing.head()), false)
-                } else {
-                    let mut archive = (*existing).clone();
-                    let out =
-                        archive.checkin(body, &user.0, &format!("checked in by {user}"), now)?;
-                    if out.is_new() {
-                        self.repo.store(url, &archive)?;
+        let (outcome, created) = self.locks.with_url(url, || {
+            Ok::<_, ServiceError>(match self.load_degraded(url)? {
+                Some(existing) => {
+                    if existing.head_text() == body {
+                        // Unchanged: no clone, no store — the same early-out
+                        // `Archive::checkin` would take.
+                        (CheckinOutcome::Unchanged(existing.head()), false)
+                    } else {
+                        let mut archive = (*existing).clone();
+                        let out = archive.checkin(
+                            body,
+                            &user.0,
+                            &format!("checked in by {user}"),
+                            now,
+                        )?;
+                        if out.is_new() {
+                            self.repo.store(url, &archive)?;
+                        }
+                        (out, false)
                     }
-                    (out, false)
                 }
-            }
-            None => {
-                let archive = Archive::create(
-                    url,
-                    body,
-                    &user.0,
-                    &format!("initial snapshot by {user}"),
-                    now,
-                );
-                self.repo.store(url, &archive)?;
-                (CheckinOutcome::NewRevision(RevId::FIRST), true)
-            }
-        };
-        drop(url_guard);
-        let _user_guard = self.locks.lock(&LockTable::user_key(&user.0));
+                None => {
+                    let archive = Archive::create(
+                        url,
+                        body,
+                        &user.0,
+                        &format!("initial snapshot by {user}"),
+                        now,
+                    );
+                    self.repo.store(url, &archive)?;
+                    (CheckinOutcome::NewRevision(RevId::FIRST), true)
+                }
+            })
+        })?;
         self.controls
             .update(user, |c| c.entry(url).record(outcome.rev(), now));
         self.stats.remembers.add(1);
@@ -973,6 +976,33 @@ mod tests {
         assert_eq!(s.snapshot_stats().remembers, 80);
         // Distinct keys: the named locks never collided.
         assert_eq!(s.locks().stats().contended, 0);
+    }
+
+    #[test]
+    fn concurrent_remembers_by_one_user_lose_no_control_update() {
+        let s = SnapshotService::new(
+            MemRepository::new(),
+            Clock::starting_at(Timestamp(1_000_000)),
+            1 << 20,
+        );
+        let user = fred();
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let (s, user) = (&s, &user);
+                scope.spawn(move || {
+                    for k in 0..25 {
+                        let url = format!("http://h{t}/p{k}");
+                        s.remember(user, &url, "body").unwrap();
+                    }
+                });
+            }
+        });
+        for t in 0..8 {
+            for k in 0..25 {
+                let url = format!("http://h{t}/p{k}");
+                assert_eq!(s.last_seen(&user, &url), Some(RevId(1)), "{url}");
+            }
+        }
     }
 
     /// A repository stub whose `load` reports designated keys as

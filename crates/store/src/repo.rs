@@ -1075,7 +1075,8 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert!(msg.contains("acquiring store lock"), "{msg}");
-        let _url = lockrank::acquire("url", "url:http://x/");
+        let url = Mutex::with_class(&lockrank::URL, ());
+        let _url = url.lock();
         r.store("http://x/", &archive("body\n")).unwrap();
         assert_eq!(r.stats().unwrap().archives, 1);
     }

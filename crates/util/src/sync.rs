@@ -312,8 +312,8 @@ pub mod lockrank {
     //! documented in DESIGN.md §4d/§4h, and this module is its single
     //! enforcer. Under `debug_assertions` every acquisition of an
     //! `aide_util::sync` [`Mutex`](super::Mutex) / [`RwLock`](super::RwLock)
-    //! and every named lock taken through [`acquire`] pushes a record on a
-    //! thread-local stack, checked *before* the thread blocks:
+    //! pushes a record on a thread-local stack, checked *before* the
+    //! thread blocks:
     //!
     //! - ranks never decrease: a thread holding rank `r` may only acquire
     //!   locks of rank `>= r`;
@@ -325,10 +325,10 @@ pub mod lockrank {
     //! `Vfs::sync` and by `Condvar::wait` (after setting its own guard
     //! aside) — panics while the thread holds an exclusive-mode guard
     //! (a mutex or write guard; read guards stall nobody) of a class
-    //! whose `may_block` is false: `store` and `structure`. Named
-    //! `flight`/`url`/`user` locks, the `sched` state and the `wal`
-    //! gate may be held across I/O: the per-URL lock covers a whole
-    //! check-in, WAL fsync included (§4.2 of the paper). A deliberate
+    //! whose `may_block` is false: `store` and `structure`. The `url`
+    //! and `user` locks, the `sched` state and the `wal` gate may be
+    //! held across I/O: the per-URL lock covers a whole check-in, WAL
+    //! fsync included (§4.2 of the paper). A deliberate
     //! exception runs inside [`allow_blocking`], whose argument says why.
     //!
     //! A violation panics with both acquisition sites named instead of
@@ -349,22 +349,14 @@ pub mod lockrank {
         pub may_block: bool,
     }
 
-    /// Single-flight key: one URL's fetch+diff.
-    pub const FLIGHT: LockClass = LockClass {
-        name: "flight",
-        rank: 5,
-        exclusive: true,
-        may_block: true,
-    };
-    /// The per-URL named lock (the paper's per-URL lock file).
+    /// The per-URL lock (the paper's per-URL lock file).
     pub const URL: LockClass = LockClass {
         name: "url",
         rank: 10,
         exclusive: true,
         may_block: true,
     };
-    /// Per-user state: the named control-file lock and the engine's
-    /// per-user tracker state.
+    /// The engine's per-user tracker state.
     pub const USER: LockClass = LockClass {
         name: "user",
         rank: 20,
@@ -402,45 +394,24 @@ pub mod lockrank {
     };
 
     /// The lock-rank table (DESIGN.md §4h), in acquisition order.
-    pub const TABLE: &[LockClass] = &[FLIGHT, URL, USER, SCHED, WAL, STORE, STRUCTURE];
-
-    /// Looks up a class by name.
-    pub fn class(name: &str) -> Option<&'static LockClass> {
-        TABLE.iter().find(|c| c.name == name)
-    }
+    pub const TABLE: &[LockClass] = &[URL, USER, SCHED, WAL, STORE, STRUCTURE];
 
     #[cfg(debug_assertions)]
     mod dynamic {
         use super::LockClass;
         use std::cell::{Cell, RefCell};
-        use std::fmt;
         use std::panic::Location;
         use std::sync::atomic::{AtomicU64, Ordering};
-
-        /// Where a held lock was taken: a named lock's key, or the
-        /// source location of a guard acquisition.
-        pub(super) enum Site {
-            Key(String),
-            At(&'static Location<'static>),
-        }
-
-        impl fmt::Display for Site {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                match self {
-                    Site::Key(k) => write!(f, "{k:?}"),
-                    Site::At(at) => write!(f, "at {at}"),
-                }
-            }
-        }
 
         /// One held lock on the thread's stack.
         pub(in crate::sync) struct Record {
             token: u64,
             class: &'static LockClass,
             shared: bool,
-            /// The lock's address, or 0 for a named lock.
+            /// The lock's address.
             addr: usize,
-            site: Site,
+            /// Where the lock was taken.
+            site: &'static Location<'static>,
         }
 
         static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
@@ -454,7 +425,7 @@ pub mod lockrank {
             class: &'static LockClass,
             shared: bool,
             addr: usize,
-            site: Site,
+            site: &'static Location<'static>,
         ) -> u64 {
             let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
             HELD.with(|held| {
@@ -462,17 +433,17 @@ pub mod lockrank {
                 for h in held.iter() {
                     let fault = if h.class.rank > class.rank {
                         format!(
-                            "lock-order inversion: acquiring {} lock {site} while holding {} lock {} (rank {} > {})",
+                            "lock-order inversion: acquiring {} lock at {site} while holding {} lock at {} (rank {} > {})",
                             class.name, h.class.name, h.site, h.class.rank, class.rank
                         )
                     } else if class.exclusive && h.class.name == class.name {
                         format!(
-                            "double acquisition of exclusive {} lock class: already hold {}, acquiring {site}",
+                            "double acquisition of exclusive {} lock class: already hold at {}, acquiring at {site}",
                             class.name, h.site
                         )
-                    } else if addr != 0 && h.addr == addr && !(shared && h.shared) {
+                    } else if h.addr == addr && !(shared && h.shared) {
                         format!(
-                            "self-deadlock: re-acquiring the {} lock taken {} {site}",
+                            "self-deadlock: re-acquiring the {} lock taken at {} at {site}",
                             class.name, h.site
                         )
                     } else {
@@ -494,8 +465,8 @@ pub mod lockrank {
 
         /// Removes `token`'s record from the calling thread's stack.
         pub(super) fn take(token: u64) -> Option<Record> {
-            // A named guard may be dropped on another thread than the
-            // one that took it; its record then simply is not found.
+            // A guard dropped while the thread's locals are being torn
+            // down finds no stack; there is nothing left to pop.
             HELD.try_with(|held| {
                 let mut held = held.borrow_mut();
                 let i = held.iter().rposition(|r| r.token == token)?;
@@ -521,7 +492,7 @@ pub mod lockrank {
                 {
                     // aide-lint: allow(no-panic): the runtime checker's whole job is to abort on blocking under a leaf lock
                     panic!(
-                        "{op} while holding the {} lock taken {}: drop the guard before blocking, \
+                        "{op} while holding the {} lock taken at {}: drop the guard before blocking, \
                          or justify the exception with lockrank::allow_blocking",
                         h.class.name, h.site
                     );
@@ -549,17 +520,15 @@ pub mod lockrank {
         }
     }
 
-    /// A held-lock record; popping happens on drop. Zero-sized and inert
-    /// in release builds.
-    #[derive(Debug)]
-    pub struct Held {
-        #[cfg(debug_assertions)]
+    /// A held-lock record; popping happens on drop. Debug builds only.
+    #[cfg(debug_assertions)]
+    pub(in crate::sync) struct Held {
         token: u64,
     }
 
+    #[cfg(debug_assertions)]
     impl Drop for Held {
         fn drop(&mut self) {
-            #[cfg(debug_assertions)]
             dynamic::take(self.token);
         }
     }
@@ -570,9 +539,8 @@ pub mod lockrank {
         /// attributed to the caller's source location.
         #[track_caller]
         pub(in crate::sync) fn guard(class: &'static LockClass, shared: bool, addr: usize) -> Held {
-            let site = dynamic::Site::At(std::panic::Location::caller());
             Held {
-                token: dynamic::enter(class, shared, addr, site),
+                token: dynamic::enter(class, shared, addr, std::panic::Location::caller()),
             }
         }
 
@@ -589,38 +557,6 @@ pub mod lockrank {
             if let Some(r) = record {
                 dynamic::put_back(r);
             }
-        }
-    }
-
-    /// Records the acquisition of a named lock of class `name` for
-    /// `key`, validating it against the locks this thread already holds.
-    /// In debug builds a rank inversion or exclusive-class double
-    /// acquisition aborts immediately with a diagnostic; in release
-    /// builds this is a no-op.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use aide_util::sync::lockrank;
-    ///
-    /// let url = lockrank::acquire("url", "url:http://x/");
-    /// let user = lockrank::acquire("user", "user:fred");
-    /// drop(user);
-    /// drop(url);
-    /// ```
-    pub fn acquire(name: &'static str, key: &str) -> Held {
-        #[cfg(debug_assertions)]
-        {
-            // aide-lint: allow(no-panic): unknown class names are a checker-integration bug, not a runtime condition
-            let class = class(name).unwrap_or_else(|| panic!("unknown lock class {name:?}"));
-            Held {
-                token: dynamic::enter(class, false, 0, dynamic::Site::Key(key.to_string())),
-            }
-        }
-        #[cfg(not(debug_assertions))]
-        {
-            let _ = (name, key);
-            Held {}
         }
     }
 
@@ -683,15 +619,21 @@ mod tests {
     #[test]
     fn lockrank_accepts_documented_order() {
         on_thread(|| {
-            let f = lockrank::acquire("flight", "diff:k");
-            drop(f);
-            let url = lockrank::acquire("url", "url:http://x/");
-            let user = lockrank::acquire("user", "user:fred");
-            let sched = lockrank::acquire("sched", "sched:state");
-            let wal = lockrank::acquire("wal", "wal:gate");
-            let store = lockrank::acquire("store", "store:shard:7");
-            let s1 = lockrank::acquire("structure", "shard:3");
-            let s2 = lockrank::acquire("structure", "shard:4");
+            let (url, user) = (
+                Mutex::with_class(&URL, ()),
+                Mutex::with_class(&lockrank::USER, ()),
+            );
+            let sched = Mutex::with_class(&lockrank::SCHED, ());
+            let wal = RwLock::with_class(&lockrank::WAL, ());
+            let store = Mutex::with_class(&STORE, ());
+            let (shard3, shard4) = (Mutex::new(()), Mutex::new(()));
+            let url = url.lock();
+            let user = user.lock();
+            let sched = sched.lock();
+            let wal = wal.write();
+            let store = store.lock();
+            let s1 = shard3.lock();
+            let s2 = shard4.lock();
             drop((s1, s2, store, wal, sched, user, url));
         })
         .unwrap();
@@ -700,8 +642,9 @@ mod tests {
     #[test]
     fn lockrank_release_unwinds_exclusivity() {
         on_thread(|| {
-            for i in 0..3 {
-                let _g = lockrank::acquire("url", &format!("url:http://h{i}/"));
+            for _ in 0..3 {
+                let url = Mutex::with_class(&URL, ());
+                let _g = url.lock();
             }
         })
         .unwrap();
@@ -711,8 +654,12 @@ mod tests {
     #[test]
     fn lockrank_rejects_inversion() {
         let r = on_thread(|| {
-            let _user = lockrank::acquire("user", "user:fred");
-            let _url = lockrank::acquire("url", "url:http://x/");
+            let (user, url) = (
+                Mutex::with_class(&lockrank::USER, ()),
+                Mutex::with_class(&URL, ()),
+            );
+            let _user = user.lock();
+            let _url = url.lock();
         });
         assert!(r.is_err(), "user-then-url must abort in debug builds");
     }
@@ -721,8 +668,9 @@ mod tests {
     #[test]
     fn lockrank_rejects_double_exclusive() {
         let r = on_thread(|| {
-            let _a = lockrank::acquire("url", "url:http://a/");
-            let _b = lockrank::acquire("url", "url:http://b/");
+            let (a, b) = (Mutex::with_class(&URL, ()), Mutex::with_class(&URL, ()));
+            let _a = a.lock();
+            let _b = b.lock();
         });
         assert!(
             r.is_err(),
@@ -733,8 +681,9 @@ mod tests {
     #[test]
     fn lockrank_structure_is_shared() {
         on_thread(|| {
-            let _a = lockrank::acquire("structure", "shard:0");
-            let _b = lockrank::acquire("structure", "shard:1");
+            let (shard0, shard1) = (Mutex::new(()), Mutex::new(()));
+            let _a = shard0.lock();
+            let _b = shard1.lock();
         })
         .unwrap();
     }
@@ -742,12 +691,12 @@ mod tests {
     #[test]
     fn lockrank_table_is_sorted_and_named() {
         let mut prev = 0;
-        for c in lockrank::TABLE {
+        for (i, c) in lockrank::TABLE.iter().enumerate() {
             assert!(c.rank >= prev, "table must be rank-sorted");
             prev = c.rank;
-            assert!(lockrank::class(c.name).is_some());
+            assert!(!c.name.is_empty());
+            assert!(lockrank::TABLE[..i].iter().all(|p| p.name != c.name));
         }
-        assert!(lockrank::class("nonesuch").is_none());
     }
 
     // Helpers for the call-shaped checker tests: the acquisition or the
@@ -1059,7 +1008,8 @@ mod tests {
     fn named_locks_may_be_held_across_sync() {
         on_thread(|| {
             let vfs = MemVfs::new();
-            let _url = lockrank::acquire("url", "url:http://x/");
+            let url = Mutex::with_class(&URL, ());
+            let _url = url.lock();
             let gate = RwLock::with_class(&lockrank::WAL, ());
             let _pause = gate.write();
             persist(&vfs);
@@ -1085,7 +1035,6 @@ mod tests {
             size_of::<RwLockWriteGuard<'static, u64>>(),
             size_of::<sync::RwLockWriteGuard<'static, u64>>()
         );
-        assert_eq!(size_of::<lockrank::Held>(), 0);
     }
 
     #[test]

@@ -394,11 +394,6 @@ impl FaultVfs {
         st.stats.crashes += 1;
     }
 
-    /// Replaces the fault script (counters keep running).
-    pub fn set_script(&self, script: FaultScript) {
-        self.state.lock().script = script;
-    }
-
     /// Injection and traffic counters so far.
     pub fn stats(&self) -> FaultVfsStats {
         self.state.lock().stats

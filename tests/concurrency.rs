@@ -1,10 +1,9 @@
 //! Concurrency integration: the §4.2 synchronization story under real
 //! threads.
 //!
-//! Simultaneous users hammer one snapshot service: per-URL and per-user
-//! locks must keep the archives consistent, the diff cache must dedup
-//! HtmlDiff work, and the single-flight lock queue must prevent repeated
-//! work for the same page.
+//! Simultaneous users hammer one snapshot service: the per-URL locks and
+//! the control-file shard guards must keep the archives and control files
+//! consistent, and the diff cache must dedup HtmlDiff work.
 
 use aide_htmldiff::Options as DiffOptions;
 use aide_rcs::archive::RevId;
@@ -361,27 +360,4 @@ mod revid_monotonicity {
             }
         }
     }
-}
-
-#[test]
-fn lock_table_single_flight_under_threads() {
-    use aide_snapshot::locks::LockTable;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let table = LockTable::new();
-    let executed = Arc::new(AtomicUsize::new(0));
-    let mut handles = Vec::new();
-    for _ in 0..10 {
-        let t = table.clone();
-        let e = executed.clone();
-        handles.push(std::thread::spawn(move || {
-            t.once("htmldiff:http://x/:1.1:1.2", 0, || {
-                e.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                "output".to_string()
-            })
-        }));
-    }
-    let results: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    assert_eq!(executed.load(Ordering::SeqCst), 1);
-    assert!(results.iter().all(|r| r == "output"));
 }
