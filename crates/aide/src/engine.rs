@@ -115,6 +115,10 @@ impl UserTable {
     fn ids(&self) -> Vec<UserId> {
         let mut ids = Vec::new();
         for shard in &self.shards {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "hash-ordered draw, sorted after the loop"
+            )]
             ids.extend(shard.read().keys().cloned());
         }
         ids.sort();

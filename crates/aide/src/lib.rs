@@ -31,6 +31,17 @@
 //! - [`recursive`]: recursive HtmlDiff over a hub page and its links
 //!   (§5.3/§8.3's "HtmlDiff could in turn be invoked recursively").
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod cgi;
 pub mod engine;
 pub mod entities;

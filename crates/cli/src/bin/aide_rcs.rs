@@ -33,7 +33,6 @@ fn rev_of(s: &str) -> Result<RevId, String> {
 }
 
 fn main() -> ExitCode {
-    // aide-lint: allow(determinism): a CLI entry point must read its own argv
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let cmd = match parse_rcs(&argv) {
         Ok(c) => c,

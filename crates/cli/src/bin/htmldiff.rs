@@ -8,7 +8,6 @@ use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    // aide-lint: allow(determinism): a CLI entry point must read its own argv
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let parsed = match parse_htmldiff(&argv) {
         Ok(p) => p,

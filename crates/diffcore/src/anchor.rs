@@ -378,6 +378,10 @@ fn find_anchors(
         e.b_count += 1;
         e.b_idx = j;
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "hash-ordered draw, sorted on the next line"
+    )]
     let mut cands: Vec<(usize, usize)> = occ
         .values()
         .filter(|o| o.a_count == 1 && o.b_count == 1)

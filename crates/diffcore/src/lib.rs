@@ -33,6 +33,17 @@
 //!   with unified-diff output.
 //! - [`metrics`]: the paper's `2W/L` similarity ratio.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod anchor;
 pub mod hirschberg;
 pub mod intern;

@@ -38,6 +38,17 @@
 //! assert!(result.html.contains("<STRONG><I>"));
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod compare;
 pub mod merge;
 pub mod muddle;

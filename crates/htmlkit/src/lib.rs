@@ -18,6 +18,17 @@
 //!   subset), including the `BASE` semantics §4.1 discusses.
 //! - [`links`]: extraction of hypertext references from a token stream.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod classify;
 pub mod entity;
 pub mod lexer;

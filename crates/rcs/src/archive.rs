@@ -177,9 +177,11 @@ impl Archive {
     }
 
     /// The newest revision number.
+    #[expect(
+        clippy::expect_used,
+        reason = "archives hold at least one revision by construction (see `is_empty`)"
+    )]
     pub fn head(&self) -> RevId {
-        // aide-lint: allow(no-panic): archives hold at
-        // least one revision by construction (see `is_empty`)
         self.metas.last().expect("archive never empty").id
     }
 
@@ -235,8 +237,10 @@ impl Archive {
         if text == self.head_text {
             return Ok(CheckinOutcome::Unchanged(self.head()));
         }
-        // aide-lint: allow(no-panic): archives hold at
-        // least one revision by construction (see `is_empty`)
+        #[expect(
+            clippy::expect_used,
+            reason = "archives hold at least one revision by construction (see `is_empty`)"
+        )]
         let head_meta = self.metas.last().expect("archive never empty");
         if date < head_meta.date {
             return Err(ArchiveError::DateRegression {

@@ -22,6 +22,17 @@
 //!   `aide-store`).
 //! - [`keyword`]: `$Id$` / `$Revision$` / `$Date$` keyword expansion.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod archive;
 pub mod delta;
 pub mod format;

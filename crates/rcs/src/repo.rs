@@ -22,9 +22,9 @@
 //! `RwLock`, so operations on different URLs almost never touch the same
 //! lock. *Exclusion* between two writers of the same URL is not the
 //! repository's job: callers that read-modify-write an archive (the
-//! snapshot service's Remember path) serialize per URL with their own
-//! named locks, in shard-index order when they must span shards (see
-//! `aide-snapshot`'s `locks` module for the full ordering invariant).
+//! snapshot service's Remember path) hold one per-URL mutex through
+//! `aide-snapshot`'s `LockTable::with_url` (see its `locks` module for
+//! the full ordering invariant).
 //!
 //! # Accounting
 //!
@@ -42,14 +42,11 @@ use aide_util::sync::RwLock;
 use aide_util::vfs::VfsError;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io; // aide-lint: allow(vfs-boundary): error *type* only, no I/O
 use std::sync::Arc;
 
 /// Error from repository operations.
 #[derive(Debug)]
 pub enum RepoError {
-    /// Underlying I/O failure (disk repositories only).
-    Io(io::Error),
     /// A stored archive failed to parse.
     Format(FormatError),
     /// The storage backend's virtual filesystem failed.
@@ -80,7 +77,6 @@ impl RepoError {
 impl fmt::Display for RepoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RepoError::Io(e) => write!(f, "repository I/O error: {e}"),
             RepoError::Format(e) => write!(f, "repository format error: {e}"),
             RepoError::Storage(e) => write!(f, "repository storage error: {e}"),
             RepoError::Corrupt { key, detail } => {
@@ -91,12 +87,6 @@ impl fmt::Display for RepoError {
 }
 
 impl std::error::Error for RepoError {}
-
-impl From<io::Error> for RepoError {
-    fn from(e: io::Error) -> Self {
-        RepoError::Io(e)
-    }
-}
 
 impl From<FormatError> for RepoError {
     fn from(e: FormatError) -> Self {
@@ -376,39 +366,6 @@ impl Repository for MemRepository {
     }
 }
 
-/// Escapes a key (URL) into a safe flat filename, reversibly.
-///
-/// Alphanumerics, `-`, `.` and `_` pass through; everything else becomes
-/// `%XX`.
-pub fn escape_key(key: &str) -> String {
-    let mut out = String::with_capacity(key.len());
-    for &b in key.as_bytes() {
-        match b {
-            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'.' | b'_' => out.push(b as char),
-            other => out.push_str(&format!("%{other:02X}")),
-        }
-    }
-    out
-}
-
-/// Reverses [`escape_key`]. Returns `None` on malformed escapes.
-pub fn unescape_key(escaped: &str) -> Option<String> {
-    let bytes = escaped.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = escaped.get(i + 1..i + 3)?;
-            out.push(u8::from_str_radix(hex, 16).ok()?);
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,33 +480,5 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("http://x/"), "{msg}");
         assert!(msg.contains("crc mismatch"), "{msg}");
-    }
-
-    #[test]
-    fn escape_roundtrip() {
-        for key in [
-            "http://www.yahoo.com/",
-            "http://host:600/a b/c?d=e&f=g",
-            "file:/home/user/x.html",
-            "weird%percent",
-            "",
-        ] {
-            assert_eq!(unescape_key(&escape_key(key)).as_deref(), Some(key));
-        }
-    }
-
-    #[test]
-    fn escape_produces_safe_names() {
-        let e = escape_key("http://a/b?c=d");
-        assert!(!e.contains('/'));
-        assert!(!e.contains('?'));
-        assert!(!e.contains(':'));
-    }
-
-    #[test]
-    fn unescape_rejects_malformed() {
-        assert_eq!(unescape_key("%"), None);
-        assert_eq!(unescape_key("%Z9"), None);
-        assert_eq!(unescape_key("%2"), None);
     }
 }

@@ -11,7 +11,6 @@
 use aide_rcs::archive::Archive;
 use aide_rcs::delta::Delta;
 use aide_rcs::format::{emit, parse};
-use aide_rcs::repo::{escape_key, unescape_key};
 use aide_util::time::Timestamp;
 use proptest::prelude::*;
 
@@ -123,11 +122,6 @@ proptest! {
         let out = archive.checkin(&b, "u", "l", Timestamp(20)).unwrap();
         prop_assert!(!out.is_new());
         prop_assert_eq!(archive.len(), len);
-    }
-
-    #[test]
-    fn key_escape_roundtrip(key in "[ -~]{0,40}") {
-        prop_assert_eq!(unescape_key(&escape_key(&key)), Some(key));
     }
 
     /// The on-disk format must be identity for bodies full of RCS

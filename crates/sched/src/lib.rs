@@ -28,6 +28,16 @@
 //! view (math, tuning knobs, metrics) and DESIGN.md §4k for the
 //! architecture rationale.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 #![warn(missing_docs)]
 
 pub mod estimator;

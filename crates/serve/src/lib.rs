@@ -10,8 +10,8 @@
 //! Three design commitments, inherited from the rest of the workspace:
 //!
 //! - **One parser.** Request parsing and response serialization live in
-//!   [`aide_simweb::wire`], shared with the simulated net, so both the
-//!   simulation and the real server exercise identical protocol code.
+//!   [`aide_simweb::wire`], shared with the end-to-end benchmark's
+//!   server, so both exercise identical protocol code.
 //! - **Deterministic core, IO edge.** The server speaks to the
 //!   [`conn::Connection`] trait, not to sockets. Tests drive it with
 //!   scripted in-process connections on the virtual clock — byte-identical across runs; the thin real-TCP
@@ -21,6 +21,17 @@
 //!   304 with zero diff recomputation, and every such page's body comes
 //!   out of the snapshot service's one [`aide_snapshot::PageCache`],
 //!   shared across users and routes.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod conn;
 pub mod server;

@@ -33,7 +33,7 @@ use aide_obs::CounterCell;
 use aide_rcs::archive::{RevId, RevisionMeta};
 use aide_rcs::repo::{MemRepository, Repository};
 use aide_simweb::wire::{error_response, Limits, RequestParser, WireRequest, WireResponse};
-use aide_snapshot::{CacheStats, PageCache};
+use aide_snapshot::{diff_key, view_key, CacheStats, PageCache};
 use aide_util::checksum::fnv1a64;
 use aide_util::time::Timestamp;
 use std::convert::Infallible;
@@ -421,10 +421,9 @@ impl<R: Repository> AideServer<R> {
         // page; the options fingerprint guards against a future default
         // change silently serving stale renders.
         let opts = DiffOptions::default();
-        let fp = fnv1a64(format!("{opts:?}").as_bytes());
         let etag = format!(
             "d-{:016x}",
-            fnv1a64(format!("d|{url}|{from}|{to}|{fp:016x}").as_bytes())
+            fnv1a64(diff_key(url, from, to, &opts).as_bytes())
         );
         let engine = &self.engine;
         self.cached(req, &etag, "text/html", move || {
@@ -446,7 +445,7 @@ impl<R: Repository> AideServer<R> {
         let Some(rev) = params.get("rev").and_then(|r| RevId::parse(r)) else {
             return error_response(400, "missing or bad rev parameter");
         };
-        let etag = format!("v-{:016x}", fnv1a64(format!("v|{url}|{rev}").as_bytes()));
+        let etag = format!("v-{:016x}", fnv1a64(view_key(url, rev).as_bytes()));
         let engine = &self.engine;
         self.cached(req, &etag, "text/html", move || {
             engine

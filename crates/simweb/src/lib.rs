@@ -20,8 +20,7 @@
 //!   conditional GET semantics, failure injection and global request
 //!   accounting (the quantity the §3 scalability experiments count).
 //! - [`wire`]: the HTTP/1.x byte format — an incremental request parser
-//!   and response serializer shared with `aide-serve`, so the simulated
-//!   net and the real server run the same parser.
+//!   and response serializer, the one `aide-serve` runs.
 //! - [`fault`]: scripted, deterministic fault plans — probabilistic
 //!   per-host fault rates and time-windowed outage episodes layered over
 //!   the static server-state knobs.
@@ -36,6 +35,17 @@
 //! at the one real Web.
 //!
 //! [`Clock`]: aide_util::time::Clock
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod browser;
 pub mod fault;

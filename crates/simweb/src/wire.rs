@@ -1,13 +1,11 @@
-//! HTTP/1.x wire format: one parser for the simulated net and `aide-serve`.
+//! HTTP/1.x wire format: the one parser `aide-serve` and the end-to-end
+//! benchmark's server run.
 //!
 //! The [`http`](crate::http) module models HTTP as *typed values* — the
 //! slice of the protocol AIDE's tools exchange. This module owns the
-//! *byte* representation: an incremental request parser, a response
-//! serializer, and conversions to and from the typed model. `aide-serve`
-//! runs [`RequestParser`] against real socket bytes; [`handle_wire`]
-//! runs the very same parser in front of the simulated [`Web`], so a
-//! parser bug cannot hide in whichever of the two paths a test happens
-//! not to exercise.
+//! *byte* representation: an incremental request parser and a response
+//! serializer. `aide-serve` runs [`RequestParser`] against real socket
+//! bytes.
 //!
 //! Design constraints, in order:
 //!
@@ -24,9 +22,6 @@
 //!    serialization emits headers in the order given. Two same-input
 //!    runs are byte-identical.
 
-use crate::http::{Method, Request, Response, Status};
-use crate::net::Web;
-use aide_util::time::Timestamp;
 use std::fmt;
 
 /// Hard ceilings the parser enforces while data is still arriving, so a
@@ -453,87 +448,6 @@ impl WireResponse {
     }
 }
 
-/// Converts a parsed wire request into the typed simulation request.
-///
-/// The simulated [`Web`] dispatches on absolute URLs (it plays the role
-/// of the whole network, the way a proxy sees absolute-form targets), so
-/// origin-form targets are rejected here — `aide-serve` handles those
-/// itself and never calls this.
-pub fn to_sim_request(wire: &WireRequest) -> Result<Request, ParseError> {
-    let method = match wire.method.as_str() {
-        "HEAD" => Method::Head,
-        "GET" => Method::Get,
-        "POST" => Method::Post,
-        _ => return Err(ParseError::BadRequestLine),
-    };
-    if !wire.target.contains("://") {
-        return Err(ParseError::BadRequestLine);
-    }
-    let mut req = Request {
-        method,
-        url: wire.target.clone(),
-        if_modified_since: None,
-        user_agent: wire.header("user-agent").unwrap_or("").to_string(),
-        timeout_secs: Request::DEFAULT_TIMEOUT_SECS,
-        body: if wire.body.is_empty() {
-            None
-        } else {
-            Some(String::from_utf8_lossy(&wire.body).into_owned())
-        },
-    };
-    if let Some(ims) = wire.header("if-modified-since") {
-        req.if_modified_since = Timestamp::parse_http_date(ims);
-    }
-    Ok(req)
-}
-
-/// Renders a typed simulation response onto the wire.
-pub fn from_sim_response(resp: &Response) -> WireResponse {
-    let mut w = WireResponse::new(match resp.status {
-        Status::Ok => 200,
-        Status::NotModified => 304,
-        Status::MovedPermanently => 301,
-        Status::Forbidden => 403,
-        Status::NotFound => 404,
-        Status::Gone => 410,
-        Status::ServerError => 500,
-        Status::ServiceUnavailable => 503,
-    });
-    w = w.header("Date", &resp.date.to_http_date());
-    if let Some(lm) = resp.last_modified {
-        w = w.header("Last-Modified", &lm.to_http_date());
-    }
-    if let Some(loc) = &resp.location {
-        w = w.header("Location", loc);
-    }
-    if let Some(ra) = resp.retry_after {
-        w = w.header("Retry-After", &ra.to_string());
-    }
-    w.body(resp.body.clone().into_bytes())
-}
-
-/// Serves one buffered wire exchange against the simulated Web: parse
-/// with the shared [`RequestParser`], dispatch, serialize. Network-level
-/// failures (dead host, timeout) have no HTTP rendering — they surface
-/// as `Err`, exactly as a real client sees a connection error rather
-/// than a status line.
-pub fn handle_wire(web: &Web, raw: &[u8]) -> Result<Vec<u8>, crate::http::NetError> {
-    let mut parser = RequestParser::new();
-    parser.push(raw);
-    let wire = match parser.take_request() {
-        Ok(Some(w)) => w,
-        Ok(None) => return Ok(error_response(400, "truncated request").serialize(false)),
-        Err(e) => return Ok(error_response(e.status(), &e.to_string()).serialize(false)),
-    };
-    let head_only = wire.method == "HEAD";
-    let req = match to_sim_request(&wire) {
-        Ok(r) => r,
-        Err(e) => return Ok(error_response(e.status(), &e.to_string()).serialize(false)),
-    };
-    let resp = web.request(&req)?;
-    Ok(from_sim_response(&resp).serialize(head_only))
-}
-
 /// A minimal HTML error page with `Connection: close`.
 pub fn error_response(status: u16, detail: &str) -> WireResponse {
     WireResponse::new(status)
@@ -549,7 +463,6 @@ pub fn error_response(status: u16, detail: &str) -> WireResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aide_util::time::Clock;
 
     fn parse_one(bytes: &[u8]) -> Result<Option<WireRequest>, ParseError> {
         let mut p = RequestParser::new();
@@ -683,40 +596,5 @@ mod tests {
         let nm = WireResponse::new(304).serialize(false);
         let nm = String::from_utf8(nm).unwrap();
         assert!(!nm.contains("Content-Length"), "304 carries no length");
-    }
-
-    #[test]
-    fn sim_dispatch_through_wire() {
-        let web = Web::new(Clock::starting_at(Timestamp(1000)));
-        web.set_page("http://h/p", "<HTML>hello wire</HTML>", Timestamp(500))
-            .unwrap();
-        let out = handle_wire(&web, b"GET http://h/p HTTP/1.1\r\nHost: h\r\n\r\n").unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
-        assert!(text.contains("Last-Modified: "));
-        assert!(text.ends_with("<HTML>hello wire</HTML>"));
-
-        // Conditional GET travels the same path.
-        let out = handle_wire(
-            &web,
-            format!(
-                "GET http://h/p HTTP/1.1\r\nIf-Modified-Since: {}\r\n\r\n",
-                Timestamp(600).to_http_date()
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-        assert!(String::from_utf8(out).unwrap().starts_with("HTTP/1.1 304"));
-
-        // Parse failures render as HTTP errors, not panics.
-        let out = handle_wire(&web, b"BOGUS\r\n\r\n").unwrap();
-        assert!(String::from_utf8(out).unwrap().starts_with("HTTP/1.1 400"));
-
-        // Origin-form targets make no sense against the whole-net Web.
-        let out = handle_wire(&web, b"GET /p HTTP/1.1\r\n\r\n").unwrap();
-        assert!(String::from_utf8(out).unwrap().starts_with("HTTP/1.1 400"));
-
-        // Network-level failures surface as errors, not responses.
-        assert!(handle_wire(&web, b"GET http://nowhere/ HTTP/1.1\r\n\r\n").is_err());
     }
 }

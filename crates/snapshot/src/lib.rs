@@ -25,6 +25,17 @@
 //! - [`security`]: the open-vs-authenticated identity models and what
 //!   each exposes.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod cache;
 pub mod control;
 pub mod keepalive;
@@ -35,4 +46,6 @@ pub mod service;
 pub use cache::{CacheStats, PageCache};
 pub use control::{ControlFile, UserControl};
 pub use locks::LockTable;
-pub use service::{DiffOutcome, RememberOutcome, ServiceError, SnapshotService, UserId};
+pub use service::{
+    diff_key, view_key, DiffOutcome, RememberOutcome, ServiceError, SnapshotService, UserId,
+};

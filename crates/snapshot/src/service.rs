@@ -178,7 +178,7 @@ struct AdmissionGuard<'a> {
 
 impl Drop for AdmissionGuard<'_> {
     fn drop(&mut self) {
-        // aide-lint: allow(seqcst): admission gate is a synchronization
+        // SeqCst: the admission gate is a synchronization
         // protocol (CAS reserve / release), not a stat counter
         self.counter.fetch_sub(1, Ordering::SeqCst);
     }
@@ -254,7 +254,7 @@ impl<R: Repository> SnapshotService<R> {
     /// finish. `None` removes the cap.
     pub fn set_max_concurrent(&self, limit: Option<usize>) {
         self.max_concurrent
-            // aide-lint: allow(seqcst): cap changes must be totally
+            // SeqCst: cap changes must be totally
             // ordered against concurrent admissions
             .store(limit.unwrap_or(UNLIMITED), Ordering::SeqCst);
     }
@@ -263,17 +263,17 @@ impl<R: Repository> SnapshotService<R> {
     /// with a compare-and-swap, so an over-cap burst never transiently
     /// counts rejected callers against admitted ones.
     fn admit(&self) -> Result<AdmissionGuard<'_>, ServiceError> {
-        // aide-lint: allow(seqcst): the gate's reserve protocol, not a
+        // SeqCst: the gate's reserve protocol, not a
         // stat counter — every access shares one total order
         let cap = self.max_concurrent.load(Ordering::SeqCst);
         if cap == UNLIMITED {
-            // aide-lint: allow(seqcst): see above
+            // SeqCst: see above
             self.in_flight.fetch_add(1, Ordering::SeqCst);
             return Ok(AdmissionGuard {
                 counter: &self.in_flight,
             });
         }
-        // aide-lint: allow(seqcst): see above
+        // SeqCst: see above
         let mut current = self.in_flight.load(Ordering::SeqCst);
         loop {
             if current >= cap {
@@ -282,8 +282,8 @@ impl<R: Repository> SnapshotService<R> {
             match self.in_flight.compare_exchange_weak(
                 current,
                 current + 1,
-                Ordering::SeqCst, // aide-lint: allow(seqcst): see above
-                Ordering::SeqCst, // aide-lint: allow(seqcst): see above
+                Ordering::SeqCst, // SeqCst: see above
+                Ordering::SeqCst, // SeqCst: see above
             ) {
                 Ok(_) => {
                     return Ok(AdmissionGuard {
@@ -306,8 +306,8 @@ impl<R: Repository> SnapshotService<R> {
     /// never takes the facility down — every other URL keeps serving,
     /// and a subsequent Remember of this URL self-heals it by storing a
     /// fresh archive over the damaged one. Infrastructure failures
-    /// (`Io`/`Storage`) still surface as errors: those say the backend
-    /// is sick, not the record.
+    /// (`Storage`) still surface as errors: those say the backend is
+    /// sick, not the record.
     fn load_degraded(&self, url: &str) -> Result<Option<Arc<Archive>>, ServiceError> {
         match self.repo.load(url) {
             Ok(found) => Ok(found),
@@ -505,7 +505,7 @@ impl<R: Repository> SnapshotService<R> {
     /// Rendered once per `(url, rev)` and then served from the page cache.
     pub fn view(&self, url: &str, rev: RevId) -> Result<String, ServiceError> {
         aide_obs::counter!("snapshot.view", 1);
-        let (page, _) = self.pages.get_or_render(&format!("v|{url}|{rev}"), || {
+        let (page, _) = self.pages.get_or_render(&view_key(url, rev), || {
             let body = self.revision_text(url, rev)?;
             Ok::<_, ServiceError>(match Url::parse(url) {
                 Ok(base) => serialize(&rewrite_base(&lex(&body), &base)),
@@ -612,9 +612,14 @@ impl<R: Repository> SnapshotService<R> {
 /// Page-cache key of the diff `from → to` of `url` under `opts`. The
 /// options enter as a hash of their `Debug` form, so every field that
 /// changes the rendering changes the key.
-fn diff_key(url: &str, from: RevId, to: RevId, opts: &DiffOptions) -> String {
+pub fn diff_key(url: &str, from: RevId, to: RevId, opts: &DiffOptions) -> String {
     let fp = fnv1a64(format!("{opts:?}").as_bytes());
     format!("d|{url}|{from}|{to}|{fp:016x}")
+}
+
+/// Page-cache key of the view of `url` at `rev`.
+pub fn view_key(url: &str, rev: RevId) -> String {
+    format!("v|{url}|{rev}")
 }
 
 #[cfg(test)]

@@ -18,7 +18,8 @@
 //!   append-only files, checkpointing, compaction, recovery-on-open,
 //!   and the optional background compactor thread.
 //! - [`vfs`] — [`RealVfs`], the only module in the workspace that
-//!   touches `std::fs`/`std::io` (aide-lint enforces the scope). The
+//!   touches the real filesystem (clippy's `disallowed_methods` and
+//!   `disallowed_types` lists enforce the scope; see LINTS.md). The
 //!   engine itself speaks only `aide_util::vfs::Vfs`, so the entire
 //!   stack — recovery included — runs deterministically over `MemVfs`
 //!   and under injected faults over `FaultVfs`.
@@ -29,6 +30,17 @@
 //! a resurrected delete). The crash suite drives a workload over
 //! `FaultVfs`, kills it at every injected durability point, reopens,
 //! and checks exactly that.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod frame;
 pub mod repo;

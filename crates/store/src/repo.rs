@@ -14,8 +14,9 @@
 //! `MemRepository` buckets with). Each shard owns an in-memory index —
 //! key → (file, offset, length, emit bytes, revisions) — guarded by one
 //! mutex registered as the `store` lock class (rank 25): callers hold
-//! the per-URL named lock (rank 10) across read-modify-write, the store
-//! lock nests inside it, and the VFS's own structure guards (rank 30)
+//! one per-URL mutex (rank 10) through `aide-snapshot`'s
+//! `LockTable::with_url` across read-modify-write, the store lock nests
+//! inside it, and the VFS's own structure guards (rank 30)
 //! nest inside that.
 //!
 //! # Write path

@@ -1,11 +1,12 @@
 //! The real-filesystem [`Vfs`] backend.
 //!
-//! This module is the single place in the workspace where storage code
-//! touches `std::fs`/`std::io` (aide-lint's determinism pass enforces
-//! exactly that scope): everything above it — WAL, segments, recovery,
-//! compaction — speaks only the [`Vfs`] trait, so the whole engine runs
-//! unchanged over `MemVfs` (equivalence tests) and `FaultVfs` (crash
-//! tests).
+//! This module is the single place in the workspace where library code
+//! touches the real filesystem (clippy's `disallowed_methods` and
+//! `disallowed_types` lists, denied in every library crate, enforce that
+//! scope; the `#![expect]` below is the one waiver): everything above
+//! it — WAL, segments, recovery, compaction — speaks only the [`Vfs`]
+//! trait, so the whole engine runs unchanged over `MemVfs` (equivalence
+//! tests) and `FaultVfs` (crash tests).
 //!
 //! Durability mapping:
 //!
@@ -18,6 +19,12 @@
 //! - [`Vfs::read_range`] issues a single `read` call and returns
 //!   whatever it yields — honest short reads, which callers loop over
 //!   via [`aide_util::vfs::read_exact`].
+
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "RealVfs is the one sanctioned real-filesystem implementation"
+)]
 
 use aide_util::sync::lockrank;
 use aide_util::vfs::{Vfs, VfsError, VfsErrorKind, VfsResult};

@@ -25,6 +25,17 @@
 //!   real-filesystem one lives in `aide-store`, the only module allowed
 //!   to touch `std::fs`).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod checksum;
 pub mod lines;
 pub mod pattern;

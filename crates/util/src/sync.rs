@@ -421,6 +421,10 @@ pub mod lockrank {
             static ALLOWED: Cell<u32> = const { Cell::new(0) };
         }
 
+        #[expect(
+            clippy::panic,
+            reason = "the runtime checker's whole job is to abort on a lock-order violation"
+        )]
         pub(super) fn enter(
             class: &'static LockClass,
             shared: bool,
@@ -449,7 +453,6 @@ pub mod lockrank {
                     } else {
                         continue;
                     };
-                    // aide-lint: allow(no-panic): the runtime checker's whole job is to abort on a lock-order violation
                     panic!("{fault}");
                 }
                 held.push(Record {
@@ -480,6 +483,10 @@ pub mod lockrank {
             HELD.with(|held| held.borrow_mut().push(record));
         }
 
+        #[expect(
+            clippy::panic,
+            reason = "the runtime checker's whole job is to abort on blocking under a leaf lock"
+        )]
         pub(super) fn check_blocking(op: &str) {
             if ALLOWED.with(Cell::get) > 0 {
                 return;
@@ -490,7 +497,6 @@ pub mod lockrank {
                     .iter()
                     .find(|h| !h.shared && !h.class.may_block)
                 {
-                    // aide-lint: allow(no-panic): the runtime checker's whole job is to abort on blocking under a leaf lock
                     panic!(
                         "{op} while holding the {} lock taken at {}: drop the guard before blocking, \
                          or justify the exception with lockrank::allow_blocking",

@@ -433,9 +433,9 @@ impl Clock {
 
     /// Returns the current virtual time.
     pub fn now(&self) -> Timestamp {
-        // aide-lint: allow(seqcst): the virtual clock is the causal
-        // backbone of every simulation — all reads and advances share
-        // one total order rather than relying on per-site reasoning
+        // SeqCst: the virtual clock is the causal backbone of every
+        // simulation — all reads and advances share one total order
+        // rather than relying on per-site reasoning
         Timestamp(self.now.load(Ordering::SeqCst))
     }
 
@@ -444,20 +444,20 @@ impl Clock {
     /// below this crate in the dependency graph and cannot see
     /// [`Timestamp`]).
     pub fn now_secs(&self) -> u64 {
-        // aide-lint: allow(seqcst): see `now`
+        // SeqCst: see `now`
         self.now.load(Ordering::SeqCst)
     }
 
     /// Advances the clock by `d`.
     pub fn advance(&self, d: Duration) {
-        // aide-lint: allow(seqcst): see `now`
+        // SeqCst: see `now`
         self.now.fetch_add(d.0, Ordering::SeqCst);
     }
 
     /// Sets the clock to `t`. Time never moves backwards: setting an
     /// earlier time is a no-op.
     pub fn set(&self, t: Timestamp) {
-        // aide-lint: allow(seqcst): see `now`
+        // SeqCst: see `now`
         self.now.fetch_max(t.0, Ordering::SeqCst);
     }
 }

@@ -453,13 +453,15 @@ impl W3Newer {
                     })
                 })
                 .collect();
-            handles
+            #[expect(
+                clippy::expect_used,
+                reason = "a worker panic must propagate to the caller, not vanish into a partial run"
+            )]
+            let outputs = handles
                 .into_iter()
-                // aide-lint: allow(no-panic): a worker
-                // panic must propagate to the caller, not vanish into a
-                // partial run
                 .map(|h| h.join().expect("w3newer worker panicked"))
-                .collect()
+                .collect();
+            outputs
         });
 
         // Deterministic merge: reports back into hotlist order, cache
@@ -480,12 +482,13 @@ impl W3Newer {
                 self.cache.insert(url, rec.clone());
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "each hotlist index is written exactly once by the host group that owns it; \
+                      a hole here is a merge bug that must not be silently dropped"
+        )]
         let mut entries: Vec<UrlReport> = slots
             .into_iter()
-            // aide-lint: allow(no-panic): each hotlist
-            // index is written exactly once by the host group that owns
-            // it; a hole here is a merge bug that must not be silently
-            // dropped
             .map(|r| r.expect("every hotlist entry produced a report"))
             .collect();
 

@@ -218,9 +218,11 @@ impl ThresholdConfig {
     /// # Panics
     ///
     /// Never in practice: the embedded text is tested to parse.
+    #[expect(
+        clippy::expect_used,
+        reason = "the embedded Table 1 text is static and covered by tests; see the documented panic contract"
+    )]
     pub fn table1() -> ThresholdConfig {
-        // aide-lint: allow(no-panic): the embedded Table 1 text is
-        // static and covered by tests; see the documented panic contract
         ThresholdConfig::parse(Self::table1_text()).expect("Table 1 config parses")
     }
 }

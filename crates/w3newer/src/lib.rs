@@ -28,6 +28,17 @@
 //! - [`report`]: the Figure 1 HTML status report with
 //!   Remember / Diff / History links.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod breaker;
 pub mod cache;
 pub mod checker;

@@ -43,8 +43,10 @@ impl EvolvingPage {
         web: &Web,
     ) -> EvolvingPage {
         let now = web.clock().now();
-        // aide-lint: allow(no-panic): scenario URLs are statically
-        // known-valid; a bad one is a workload-definition bug
+        #[expect(
+            clippy::expect_used,
+            reason = "scenario URLs are statically known-valid; a bad one is a workload-definition bug"
+        )]
         web.set_page(url, &page.render(), now).expect("valid URL");
         let mut ep = EvolvingPage {
             url: url.to_string(),
@@ -90,9 +92,11 @@ impl EvolvingPage {
         while self.next_change <= now {
             self.step += 1;
             self.model.apply(&mut self.page, &mut self.rng, self.step);
+            #[expect(
+                clippy::expect_used,
+                reason = "the URL was validated when the page was first installed"
+            )]
             web.touch_page(&self.url, &self.page.render(), self.next_change)
-                // aide-lint: allow(no-panic): the URL was validated when
-                // the page was first installed
                 .expect("valid URL");
             let due = self.next_change;
             self.schedule_from(due);

@@ -25,6 +25,17 @@
 //! - [`usenix`]: reconstructed USENIX home pages for the Figure 2
 //!   reproduction.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod adversarial;
 pub mod edits;
 pub mod evolve;

@@ -136,6 +136,10 @@ pub fn table1_scenario(web: &Web, seed: u64) -> Table1Scenario {
     });
 
     // A CGI page on one of the hosts, for checksum-path coverage.
+    #[expect(
+        clippy::expect_used,
+        reason = "scenario URLs are statically known-valid; a bad one is a workload-definition bug"
+    )]
     web.set_resource(
         "http://www.research.att.com/cgi-bin/whois?user=fred",
         Resource::Cgi {
@@ -143,8 +147,6 @@ pub fn table1_scenario(web: &Web, seed: u64) -> Table1Scenario {
             hits: 0,
         },
     )
-    // aide-lint: allow(no-panic): scenario URLs are statically
-    // known-valid; a bad one is a workload-definition bug
     .expect("valid URL");
 
     Table1Scenario { hotlist, pages }
