@@ -242,18 +242,19 @@ pub fn dispatch<R: Repository>(engine: &AideEngine<R>, user: &str, query: &str) 
     }
 }
 
-/// Dispatches a POST: always refused, per §8.4 ("services that use POST
-/// cannot be accessed, because the input to the services is not stored").
+/// The 501 text every front end answers a `POST` with (§8.4: "services
+/// that use POST cannot be accessed, because the input to the services
+/// is not stored").
+pub const POST_REFUSAL: &str = "AIDE cannot track POST services: the form input is not stored. \
+     Save the filled-out form and use a GET URL instead.";
+
+/// Dispatches a POST: always refused with [`POST_REFUSAL`].
 pub fn dispatch_post<R: Repository>(
     _engine: &AideEngine<R>,
     _user: &str,
     _query: &str,
 ) -> CgiResponse {
-    CgiResponse::error(
-        501,
-        "AIDE cannot track POST services: the form input is not stored. \
-         Save the filled-out form and use a GET URL instead.",
-    )
+    CgiResponse::error(501, POST_REFUSAL)
 }
 
 /// Runs a dispatch under httpd's CGI timeout with the snapshot

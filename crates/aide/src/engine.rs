@@ -27,7 +27,6 @@ use aide_w3newer::retry::{RetryPolicy, RetrySnapshot};
 use aide_w3newer::W3Newer;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Engine-level errors.
@@ -321,35 +320,20 @@ impl<R: Repository> AideEngine<R> {
     }
 
     /// Polls every registered user's tracker, driving up to the
-    /// machine's parallelism worth of users concurrently, and returns
-    /// the reports in user-id order. Each user's run holds only that
-    /// user's lock, so the batch scales with cores rather than
-    /// serializing on a table-wide mutex — the paper's nightly "w3newer
-    /// runs for every subscriber" sweep as one call.
+    /// machine's width ([`aide_util::pool::machine_width`]) of users
+    /// concurrently, at most one thread per user, and returns the reports
+    /// in user-id order. Each user's run holds only that user's lock, so
+    /// the batch scales with cores rather than serializing on a
+    /// table-wide mutex — the paper's nightly "w3newer runs for every
+    /// subscriber" sweep as one call.
     pub fn poll_all_users(&self) -> Vec<(UserId, RunReport)> {
         let ids = self.users.ids();
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .clamp(1, 8)
-            .min(ids.len().max(1));
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<RunReport>>> = ids.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(id) = ids.get(i) else { break };
-                    if let Ok(report) = self.run_tracker(&id.0) {
-                        *slots[i].lock() = Some(report);
-                    }
-                });
-            }
-        });
-        ids.into_iter()
-            .zip(slots)
-            .filter_map(|(id, slot)| slot.into_inner().map(|r| (id, r)))
-            .collect()
+        aide_util::pool::map(ids, aide_util::pool::machine_width(), |id| {
+            self.run_tracker(&id.0).ok().map(|report| (id, report))
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Runs w3newer and renders the Figure 1 HTML report.
@@ -580,7 +564,7 @@ mod tests {
         )
         .unwrap();
         let e = AideEngine::new(web).with_proxy(Duration::days(3));
-        let b = e.register_user("u@x", ThresholdConfig::table1());
+        let b = e.register_user("u@x", aide_w3newer::config::table1());
         b.add_bookmark("P", "http://h/p");
         // The user browses the page through the proxy...
         b.visit("http://h/p").unwrap();

@@ -6,7 +6,7 @@
 use aide_simweb::browser::Bookmark;
 use aide_simweb::net::Web;
 use aide_util::time::{Clock, Duration, Timestamp};
-use aide_w3newer::config::{Threshold, ThresholdConfig};
+use aide_w3newer::config::{self, Threshold, ThresholdConfig};
 use aide_w3newer::W3Newer;
 use aide_workloads::sites::{population, PopulationConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -51,14 +51,14 @@ fn bench_run(c: &mut Criterion) {
 }
 
 fn bench_config_matching(c: &mut Criterion) {
-    let cfg = ThresholdConfig::table1();
+    let cfg = config::table1();
     let urls: Vec<String> = (0..500)
         .map(|i| format!("http://www.host{}.com/dir/page{i}.html", i % 37))
         .collect();
     c.bench_function("threshold_match_500_urls", |b| {
         b.iter(|| {
             for u in &urls {
-                black_box(cfg.threshold_for(u));
+                black_box(cfg.lookup(u));
             }
         });
     });

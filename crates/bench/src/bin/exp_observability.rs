@@ -119,10 +119,8 @@ fn sweep() -> u64 {
 /// `record` [`EVENTS`] times at once.
 fn ns_per_event(threads: usize, record: &(impl Fn(u64) + Sync)) -> f64 {
     let start = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| (0..EVENTS).for_each(|i| record(black_box(i))));
-        }
+    aide_util::pool::map(vec![(); threads], threads, |()| {
+        (0..EVENTS).for_each(|i| record(black_box(i)))
     });
     start.elapsed().as_nanos() as f64 / EVENTS as f64
 }

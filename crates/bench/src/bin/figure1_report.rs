@@ -9,7 +9,7 @@ use aide::engine::AideEngine;
 use aide_simweb::net::Web;
 use aide_simweb::resource::Resource;
 use aide_util::time::{Clock, Duration, Timestamp};
-use aide_w3newer::config::ThresholdConfig;
+use aide_w3newer::config;
 
 fn main() {
     let clock = Clock::starting_at(Timestamp::from_ymd_hms(1995, 11, 15, 8, 0, 0));
@@ -58,7 +58,7 @@ fn main() {
 
     let engine = AideEngine::new(web.clone());
     let user = "douglis@research.att.com";
-    let browser = engine.register_user(user, ThresholdConfig::table1());
+    let browser = engine.register_user(user, config::table1());
     browser.add_bookmark("USENIX Association", "http://www.usenix.org/");
     browser.add_bookmark(
         "What's New in Mosaic",

@@ -12,7 +12,7 @@
 use aide::engine::AideEngine;
 use aide_simweb::net::Web;
 use aide_util::time::{Clock, Duration, Timestamp};
-use aide_w3newer::config::ThresholdConfig;
+use aide_w3newer::config::{self, ThresholdConfig};
 use aide_workloads::evolve::tick_all;
 use aide_workloads::sites::table1_scenario;
 
@@ -70,9 +70,9 @@ fn run_policy(
 
 fn main() {
     println!("=== Table 1: the w3newer threshold configuration ===\n");
-    println!("{}", ThresholdConfig::table1_text());
+    println!("{}", config::table1_text());
 
-    let (_, with_thresholds, total_thresh) = run_policy("table1", ThresholdConfig::table1(), true);
+    let (_, with_thresholds, total_thresh) = run_policy("table1", config::table1(), true);
     let (_, uniform, total_uniform) = run_policy("uniform", ThresholdConfig::default(), false);
 
     println!("=== 30-day polling traffic per origin server (requests) ===\n");

@@ -36,7 +36,7 @@
 //! keeps on disk, so both backends agree byte-for-byte.
 
 use crate::archive::Archive;
-use crate::format::{emit, FormatError};
+use crate::format::emit;
 use aide_util::checksum::fnv1a64;
 use aide_util::sync::RwLock;
 use aide_util::vfs::VfsError;
@@ -47,8 +47,6 @@ use std::sync::Arc;
 /// Error from repository operations.
 #[derive(Debug)]
 pub enum RepoError {
-    /// A stored archive failed to parse.
-    Format(FormatError),
     /// The storage backend's virtual filesystem failed.
     Storage(VfsError),
     /// The stored record for `key` is unreadable (checksum mismatch,
@@ -77,7 +75,6 @@ impl RepoError {
 impl fmt::Display for RepoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RepoError::Format(e) => write!(f, "repository format error: {e}"),
             RepoError::Storage(e) => write!(f, "repository storage error: {e}"),
             RepoError::Corrupt { key, detail } => {
                 write!(f, "corrupt archive record for {key:?}: {detail}")
@@ -87,12 +84,6 @@ impl fmt::Display for RepoError {
 }
 
 impl std::error::Error for RepoError {}
-
-impl From<FormatError> for RepoError {
-    fn from(e: FormatError) -> Self {
-        RepoError::Format(e)
-    }
-}
 
 impl From<VfsError> for RepoError {
     fn from(e: VfsError) -> Self {

@@ -15,7 +15,9 @@
 //! been polled gets `α₀/β₀` from the first matching *pattern rule*
 //! ([`PriorRules`]), so an operator can say "news sites change daily,
 //! personal pages weekly" the same way the paper's Table 1 assigns
-//! thresholds.
+//! thresholds. The priors file is literally the threshold file's
+//! format: both are `aide_util::pattern::Rules`, here over a period
+//! column read as [`RatePrior::per`].
 //!
 //! Everything is integer arithmetic — `α` in milli-events, `β` in
 //! seconds, rates in nano-changes/second — so estimates are
@@ -23,10 +25,11 @@
 //! determinism contract, DESIGN.md §4e).
 
 use crate::fixp;
-use aide_util::pattern::{Pattern, PatternError};
+use aide_util::pattern::Rules;
 use aide_util::time::{Duration, DurationParseError, Timestamp};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::str::FromStr;
 
 /// A Gamma prior over a URL's change rate, expressed as pseudo-counts:
 /// `alpha_milli` milli-changes observed over `beta_secs` seconds of
@@ -67,6 +70,15 @@ impl Default for RatePrior {
     }
 }
 
+impl FromStr for RatePrior {
+    type Err = DurationParseError;
+
+    /// Parses a period such as `6h` or `7d` into [`RatePrior::per`].
+    fn from_str(s: &str) -> Result<RatePrior, DurationParseError> {
+        Duration::parse(s).map(RatePrior::per)
+    }
+}
+
 /// `alpha_milli / beta_secs` as nano-changes per second.
 fn rate_nanohz(alpha_milli: u64, beta_secs: u64) -> u64 {
     // milli/sec → nano/sec is ×10⁶.
@@ -74,122 +86,24 @@ fn rate_nanohz(alpha_milli: u64, beta_secs: u64) -> u64 {
     r.min(u64::MAX as u128) as u64
 }
 
-/// Error from [`PriorRules::parse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PriorParseError {
-    /// A pattern failed to compile; carries the 1-based line number.
-    BadPattern(usize, PatternError),
-    /// A period failed to parse; carries the line number.
-    BadPeriod(usize, DurationParseError),
-    /// A line had no period column.
-    MissingPeriod(usize),
-}
-
-impl fmt::Display for PriorParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PriorParseError::BadPattern(n, e) => write!(f, "line {n}: {e}"),
-            PriorParseError::BadPeriod(n, e) => write!(f, "line {n}: {e}"),
-            PriorParseError::MissingPeriod(n) => write!(f, "line {n}: missing period"),
-        }
-    }
-}
-
-impl std::error::Error for PriorParseError {}
-
 /// Pattern-level cold-start priors, first match wins — the adaptive
-/// analogue of the paper's Table 1 threshold file.
-#[derive(Debug, Clone)]
-pub struct PriorRules {
-    rules: Vec<(Pattern, RatePrior)>,
-    fallback: RatePrior,
-}
-
-impl Default for PriorRules {
-    fn default() -> Self {
-        PriorRules {
-            rules: Vec::new(),
-            fallback: RatePrior::WEEKLY,
-        }
-    }
-}
-
-impl PriorRules {
-    /// Rules with the given fallback and no patterns.
-    pub fn new(fallback: RatePrior) -> PriorRules {
-        PriorRules {
-            rules: Vec::new(),
-            fallback,
-        }
-    }
-
-    /// Appends a pattern rule (builder style; insertion order wins).
-    pub fn rule(mut self, pattern: &str, prior: RatePrior) -> Result<Self, PatternError> {
-        self.rules.push((Pattern::new(pattern)?, prior));
-        Ok(self)
-    }
-
-    /// Parses the threshold-file-like format: one `pattern period` per
-    /// line, `#` comments, and a `Default` pattern for the fallback.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use aide_sched::estimator::PriorRules;
-    ///
-    /// let rules = PriorRules::parse(
-    ///     "# volatile news\nhttp://news\\..* 6h\nDefault 7d\n",
-    /// ).unwrap();
-    /// let hot = rules.prior_for("http://news.example.com/");
-    /// let cold = rules.prior_for("http://example.org/");
-    /// assert!(hot.mean_nanohz() > cold.mean_nanohz());
-    /// ```
-    pub fn parse(text: &str) -> Result<PriorRules, PriorParseError> {
-        let mut out = PriorRules::default();
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = match raw.find('#') {
-                Some(i) => &raw[..i],
-                None => raw,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let Some(pattern_src) = parts.next() else {
-                continue; // unreachable: the trimmed line is non-empty
-            };
-            let period_src = parts.next().ok_or(PriorParseError::MissingPeriod(lineno))?;
-            let period =
-                Duration::parse(period_src).map_err(|e| PriorParseError::BadPeriod(lineno, e))?;
-            let prior = RatePrior::per(period);
-            if pattern_src == "Default" {
-                out.fallback = prior;
-            } else {
-                let pattern = Pattern::new(pattern_src)
-                    .map_err(|e| PriorParseError::BadPattern(lineno, e))?;
-                out.rules.push((pattern, prior));
-            }
-        }
-        Ok(out)
-    }
-
-    /// The prior for `url`: first matching rule, else the fallback.
-    pub fn prior_for(&self, url: &str) -> RatePrior {
-        for (pattern, prior) in &self.rules {
-            if pattern.matches(url) {
-                return *prior;
-            }
-        }
-        self.fallback
-    }
-
-    /// The fallback prior.
-    pub fn fallback(&self) -> RatePrior {
-        self.fallback
-    }
-}
+/// analogue of the paper's Table 1 threshold file, in its format: one
+/// `pattern period` per line, `#` comments, and a `Default` fallback
+/// (one change per week unless the file says otherwise).
+///
+/// # Examples
+///
+/// ```
+/// use aide_sched::estimator::PriorRules;
+///
+/// let rules = PriorRules::parse(
+///     "# volatile news\nhttp://news\\..* 6h\nDefault 7d\n",
+/// ).unwrap();
+/// let hot = rules.lookup("http://news.example.com/");
+/// let cold = rules.lookup("http://example.org/");
+/// assert!(hot.mean_nanohz() > cold.mean_nanohz());
+/// ```
+pub type PriorRules = Rules<RatePrior>;
 
 /// One URL's posterior state. Obtain via [`RateBook`]; updates are O(1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,7 +207,7 @@ impl RateBook {
     /// prior rules if this URL has never been seen.
     pub fn rate(&mut self, url: &str) -> &UrlRate {
         if !self.rates.contains_key(url) {
-            let cold = UrlRate::cold(self.priors.prior_for(url));
+            let cold = UrlRate::cold(self.priors.lookup(url));
             self.rates.insert(url.to_string(), cold);
         }
         &self.rates[url]
@@ -307,7 +221,7 @@ impl RateBook {
     /// Records one poll verdict for `url` at `now` (O(log n) map walk,
     /// O(1) arithmetic).
     pub fn observe(&mut self, url: &str, changed: bool, now: Timestamp) {
-        let prior = self.priors.prior_for(url);
+        let prior = self.priors.lookup(url);
         self.rates
             .entry(url.to_string())
             .or_insert_with(|| UrlRate::cold(prior))
@@ -376,7 +290,7 @@ impl RateBook {
             let Some(url) = fields.next() else {
                 continue; // unreachable: the line is non-empty
             };
-            let mut rate = UrlRate::cold(book.priors.prior_for(url));
+            let mut rate = UrlRate::cold(book.priors.lookup(url));
             // Cold values hold until overwritten so old books survive
             // field additions.
             for field in fields {

@@ -75,12 +75,9 @@ fn main() {
     println!("aide-serve listening on http://{addr}/");
 
     // The bounded accept pool: N threads all blocked on the one shared
-    // listener — the same worker-pool shape as engine::poll_all_users,
-    // with the kernel's accept queue standing in for the atomic index.
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(2, 8);
+    // listener — the same worker-pool shape as aide_util::pool::map,
+    // with the kernel's accept queue standing in for the pool's queue.
+    let workers = aide_util::pool::machine_width().max(2);
     std::thread::scope(|s| {
         for _ in 0..workers {
             let server = server.clone();

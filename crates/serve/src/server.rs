@@ -25,7 +25,7 @@
 //! is not stored").
 
 use crate::conn::{ConnError, Connection};
-use aide::cgi::parse_query;
+use aide::cgi::{parse_query, POST_REFUSAL};
 use aide::engine::AideEngine;
 use aide_htmldiff::Options as DiffOptions;
 use aide_htmlkit::entity::encode_entities;
@@ -37,7 +37,6 @@ use aide_snapshot::{diff_key, view_key, CacheStats, PageCache};
 use aide_util::checksum::fnv1a64;
 use aide_util::time::Timestamp;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Tuning knobs for one server instance.
@@ -211,34 +210,14 @@ impl<R: Repository> AideServer<R> {
         }
     }
 
-    /// Serves a batch of connections over `workers` scoped threads (the
-    /// engine's bounded worker-pool idiom: shared atomic next-index, no
-    /// channels), returning the connections in their original order.
+    /// Serves a batch of connections over `workers` threads of
+    /// [`aide_util::pool`], returning the connections in their original
+    /// order.
     pub fn serve_batch<C: Connection + Send>(&self, conns: Vec<C>, workers: usize) -> Vec<C> {
-        let slots: Vec<aide_util::sync::Mutex<Option<C>>> = conns
-            .into_iter()
-            .map(|c| aide_util::sync::Mutex::new(Some(c)))
-            .collect();
-        let workers = workers.clamp(1, slots.len().max(1));
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = slots.get(i) else { break };
-                    // Take the connection out rather than holding the
-                    // slot mutex across the handler: handling reaches
-                    // the engine's own locks, which must not nest under
-                    // a structure guard.
-                    let taken = slot.lock().take();
-                    if let Some(mut conn) = taken {
-                        self.handle_connection(&mut conn);
-                        *slot.lock() = Some(conn);
-                    }
-                });
-            }
-        });
-        slots.into_iter().filter_map(|s| s.into_inner()).collect()
+        aide_util::pool::map(conns, workers, |mut conn| {
+            self.handle_connection(&mut conn);
+            conn
+        })
     }
 
     fn write<C: Connection>(
@@ -270,13 +249,7 @@ impl<R: Repository> AideServer<R> {
         self.stats.requests.add(1);
         match req.method.as_str() {
             "GET" | "HEAD" => {}
-            "POST" => {
-                return self.finish(error_response(
-                    501,
-                    "AIDE cannot track POST services: the form input is not stored. \
-                     Save the filled-out form and use a GET URL instead.",
-                ))
-            }
+            "POST" => return self.finish(error_response(501, POST_REFUSAL)),
             _ => {
                 return self.finish(
                     error_response(405, "only GET and HEAD are served")

@@ -11,7 +11,10 @@
 //!   `w3newer` checksum whole pages when no `Last-Modified` date is
 //!   available, as URL-minder did.
 //! - [`pattern`]: a small regular-expression engine covering the perl
-//!   subset that w3newer configuration files use (Table 1 of the paper).
+//!   subset that w3newer configuration files use (Table 1 of the paper),
+//!   and [`pattern::Rules`], the first-match-wins rule list those files
+//!   parse to.
+//! - [`pool`]: the bounded worker pool every batch fan-out runs on.
 //! - [`robots`]: the robot exclusion protocol (`robots.txt`), which
 //!   w3newer voluntarily obeys (§3.1).
 //! - [`lines`]: line splitting helpers shared by the diff and RCS crates.
@@ -39,6 +42,7 @@
 pub mod checksum;
 pub mod lines;
 pub mod pattern;
+pub mod pool;
 pub mod rng;
 pub mod robots;
 pub mod sync;

@@ -8,8 +8,15 @@
 //! anchors — as a Thompson-NFA "Pike VM", so matching is linear in the
 //! input and immune to the pathological backtracking a naive engine hits
 //! on patterns like `(a+)+`.
+//!
+//! [`Rules`] is the file format built on those patterns: an ordered
+//! `<pattern> <value>` list with a `Default` fallback, first match wins.
+//! The threshold file (Table 1), the §7 priority file and the
+//! scheduler's cold-start priors are all `Rules` over their own value
+//! type, so they share one syntax and one parser.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// A compiled pattern.
 ///
@@ -345,9 +352,9 @@ impl Pattern {
     pub fn matches(&self, input: &str) -> bool {
         let chars: Vec<char> = input.chars().collect();
         if self.anchored_start {
-            self.run(&chars, 0)
+            self.run(&chars, 0, false)
         } else {
-            (0..=chars.len()).any(|start| self.run(&chars, start))
+            (0..=chars.len()).any(|start| self.run(&chars, start, false))
         }
     }
 
@@ -355,7 +362,7 @@ impl Pattern {
     /// were written `^pattern$`.
     pub fn matches_fully(&self, input: &str) -> bool {
         let chars: Vec<char> = input.chars().collect();
-        self.run_full(&chars)
+        self.run(&chars, 0, true)
     }
 
     fn add_thread(&self, list: &mut Vec<usize>, on_list: &mut [bool], pc: usize, at_end: bool) {
@@ -378,58 +385,19 @@ impl Pattern {
         }
     }
 
-    /// Pike-VM simulation from `start`; returns true on the first match
+    /// Pike-VM simulation from `start`. With `full` the match must
+    /// consume the rest of the input; otherwise the first match wins
     /// (unanchored at the end).
-    fn run(&self, chars: &[char], start: usize) -> bool {
+    fn run(&self, chars: &[char], start: usize, full: bool) -> bool {
         let n = self.prog.len();
+        let is_match = |list: &[usize]| list.iter().any(|&pc| matches!(self.prog[pc], Inst::Match));
         let mut clist = Vec::new();
         let mut on = vec![false; n];
         self.add_thread(&mut clist, &mut on, 0, start == chars.len());
-        if clist.iter().any(|&pc| matches!(self.prog[pc], Inst::Match)) {
-            return true;
-        }
-        let mut pos = start;
-        while pos < chars.len() {
-            let c = chars[pos];
-            pos += 1;
-            let at_end = pos == chars.len();
-            let mut nlist = Vec::new();
-            let mut non = vec![false; n];
-            for &pc in &clist {
-                let step = match &self.prog[pc] {
-                    Inst::Char(pc_c) => *pc_c == c,
-                    Inst::Any => true,
-                    Inst::Class { negated, ranges } => {
-                        let inside = ranges.iter().any(|&(lo, hi)| c >= lo && c <= hi);
-                        inside != *negated
-                    }
-                    Inst::Match => {
-                        return true;
-                    }
-                    _ => false,
-                };
-                if step {
-                    self.add_thread(&mut nlist, &mut non, pc + 1, at_end);
-                }
-            }
-            if nlist.iter().any(|&pc| matches!(self.prog[pc], Inst::Match)) {
+        for (pos, &c) in chars.iter().enumerate().skip(start) {
+            if !full && is_match(&clist) {
                 return true;
             }
-            clist = nlist;
-            if clist.is_empty() {
-                return false;
-            }
-        }
-        clist.iter().any(|&pc| matches!(self.prog[pc], Inst::Match))
-    }
-
-    /// Pike-VM simulation requiring the match to consume all input.
-    fn run_full(&self, chars: &[char]) -> bool {
-        let n = self.prog.len();
-        let mut clist = Vec::new();
-        let mut on = vec![false; n];
-        self.add_thread(&mut clist, &mut on, 0, chars.is_empty());
-        for (pos, &c) in chars.iter().enumerate() {
             let at_end = pos + 1 == chars.len();
             let mut nlist = Vec::new();
             let mut non = vec![false; n];
@@ -452,9 +420,140 @@ impl Pattern {
                 return false;
             }
         }
-        clist.iter().any(|&pc| matches!(self.prog[pc], Inst::Match))
+        is_match(&clist)
     }
 }
+
+/// An ordered pattern→value rule list with a fallback: the first rule
+/// whose pattern matches decides, and unmatched inputs get the fallback.
+///
+/// # Examples
+///
+/// ```
+/// use aide_util::pattern::Rules;
+///
+/// let rules: Rules<u32> = Rules::parse(
+///     "# comment\nhttp://a\\.com/.* 1\nhttp://.* 2\nDefault 3\n",
+/// ).unwrap();
+/// assert_eq!(rules.lookup("http://a.com/x"), 1);
+/// assert_eq!(rules.lookup("http://b.com/"), 2);
+/// assert_eq!(rules.lookup("file:/x"), 3);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Rules<T> {
+    rules: Vec<(Pattern, T)>,
+    fallback: T,
+}
+
+impl<T: Copy + Default> Default for Rules<T> {
+    fn default() -> Self {
+        Rules::new(T::default())
+    }
+}
+
+impl<T: Copy> Rules<T> {
+    /// Rules with the given fallback and no patterns.
+    pub fn new(fallback: T) -> Rules<T> {
+        Rules {
+            rules: Vec::new(),
+            fallback,
+        }
+    }
+
+    /// Appends a rule (builder style). Rules match in insertion order.
+    pub fn rule(mut self, pattern: &str, value: T) -> Result<Self, PatternError> {
+        self.rules.push((Pattern::new(pattern)?, value));
+        Ok(self)
+    }
+
+    /// The value for `input`: first matching rule, else the fallback.
+    pub fn lookup(&self, input: &str) -> T {
+        self.rules
+            .iter()
+            .find(|(pattern, _)| pattern.matches(input))
+            .map_or(self.fallback, |&(_, value)| value)
+    }
+
+    /// The fallback value.
+    pub fn fallback(&self) -> T {
+        self.fallback
+    }
+
+    /// True if only the fallback applies.
+    pub fn is_empty(&self) -> bool {
+        self.rules.is_empty()
+    }
+
+    /// Parses the rule-file format: one `<pattern> <value>` pair per
+    /// line, `#` to end of line is a comment, blank lines are skipped,
+    /// and the pattern `Default` (on any line) sets the fallback, which
+    /// is otherwise `T::default()`. Values are read with `T::from_str`;
+    /// columns past the second are ignored.
+    pub fn parse(text: &str) -> Result<Rules<T>, RuleError>
+    where
+        T: Default + FromStr<Err: fmt::Display>,
+    {
+        let mut out = Rules::default();
+        for (idx, raw) in text.lines().enumerate() {
+            let err = |kind| RuleError {
+                line: idx + 1,
+                kind,
+            };
+            let line = raw.split_once('#').map_or(raw, |(code, _)| code);
+            let mut parts = line.split_whitespace();
+            let Some(pattern) = parts.next() else {
+                continue;
+            };
+            let value_src = parts
+                .next()
+                .ok_or_else(|| err(RuleErrorKind::MissingValue))?;
+            let value = value_src
+                .parse()
+                .map_err(|e: T::Err| err(RuleErrorKind::BadValue(e.to_string())))?;
+            if pattern == "Default" {
+                out.fallback = value;
+            } else {
+                let pattern =
+                    Pattern::new(pattern).map_err(|e| err(RuleErrorKind::BadPattern(e)))?;
+                out.rules.push((pattern, value));
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// Error from [`Rules::parse`]: what went wrong, on which line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RuleError {
+    /// 1-based line number.
+    pub line: usize,
+    /// What was wrong with the line.
+    pub kind: RuleErrorKind,
+}
+
+/// What [`Rules::parse`] rejected a line for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RuleErrorKind {
+    /// The pattern column failed to compile.
+    BadPattern(PatternError),
+    /// The value column failed to parse; carries the value's error text.
+    BadValue(String),
+    /// The line had a pattern but no value column.
+    MissingValue,
+}
+
+impl fmt::Display for RuleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let line = self.line;
+        match &self.kind {
+            RuleErrorKind::BadPattern(e) => write!(f, "line {line}: {e}"),
+            RuleErrorKind::BadValue(message) => write!(f, "line {line}: {message}"),
+            RuleErrorKind::MissingValue => write!(f, "line {line}: missing value"),
+        }
+    }
+}
+
+impl std::error::Error for RuleError {}
 
 #[cfg(test)]
 mod tests {
@@ -572,5 +671,55 @@ mod tests {
     fn unicode_input() {
         assert!(p("café").matches("visit café now"));
         assert!(p(".").matches("é"));
+    }
+
+    fn rules(text: &str) -> Rules<u32> {
+        Rules::parse(text).unwrap_or_else(|e| panic!("rules {text:?}: {e}"))
+    }
+
+    #[test]
+    fn rules_skip_comments_and_blank_lines() {
+        let r = rules("\n# full comment\n   \nhttp://x/ 1 # trailing\n\n");
+        assert_eq!(r.lookup("http://x/"), 1);
+        assert_eq!(r.lookup("http://y/"), 0, "fallback is T::default()");
+        assert!(rules("# only comments\n\n").is_empty());
+    }
+
+    #[test]
+    fn rules_default_line_anywhere() {
+        for text in ["Default 3\nhttp://x/.* 1\n", "http://x/.* 1\nDefault 3\n"] {
+            let r = rules(text);
+            assert_eq!(r.fallback(), 3, "{text:?}");
+            assert_eq!(r.lookup("http://y/"), 3, "{text:?}");
+            assert_eq!(r.lookup("http://x/a"), 1, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn rules_first_match_wins() {
+        let r = rules("http://a\\.com/.* 1\nhttp://a\\.com/special\\.html 2\n");
+        assert_eq!(r.lookup("http://a.com/special.html"), 1);
+        assert_eq!(r.lookup("http://b.com/"), 0);
+    }
+
+    #[test]
+    fn rules_errors_carry_line_numbers() {
+        let missing = Rules::<u32>::parse("http://x/\n").unwrap_err();
+        assert_eq!(missing.line, 1);
+        assert_eq!(missing.kind, RuleErrorKind::MissingValue);
+        assert_eq!(missing.to_string(), "line 1: missing value");
+
+        let bad_value = Rules::<u32>::parse("# ok\nhttp://x/ 2q\n").unwrap_err();
+        assert_eq!(bad_value.line, 2);
+        assert!(matches!(bad_value.kind, RuleErrorKind::BadValue(_)));
+        assert_eq!(
+            bad_value.to_string(),
+            "line 2: invalid digit found in string"
+        );
+
+        let bad_pattern = Rules::<u32>::parse("\n\n(unclosed 1\n").unwrap_err();
+        assert_eq!(bad_pattern.line, 3);
+        assert!(matches!(bad_pattern.kind, RuleErrorKind::BadPattern(_)));
+        assert!(bad_pattern.to_string().starts_with("line 3: pattern error"));
     }
 }

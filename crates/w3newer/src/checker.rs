@@ -36,7 +36,6 @@ use aide_util::checksum::PageChecksum;
 use aide_util::robots::RobotsTxt;
 use aide_util::time::{Duration, Timestamp};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Where the verdict for a URL came from.
@@ -263,8 +262,8 @@ impl W3Newer {
     /// available.
     ///
     /// This is the worker-pool driver ([`W3Newer::run_pooled`]) at the
-    /// machine's default width; the report is byte-identical to
-    /// [`W3Newer::run_serial`].
+    /// machine's width ([`aide_util::pool::machine_width`], at least
+    /// 2); the report is byte-identical to [`W3Newer::run_serial`].
     pub fn run(
         &mut self,
         hotlist: &[Bookmark],
@@ -272,7 +271,8 @@ impl W3Newer {
         web: &Web,
         proxy: Option<&ProxyCache>,
     ) -> RunReport {
-        self.run_pooled(hotlist, last_visited, web, proxy, default_workers())
+        let workers = aide_util::pool::machine_width().max(2);
+        self.run_pooled(hotlist, last_visited, web, proxy, workers)
     }
 
     /// Runs one pass strictly serially, in hotlist order — the reference
@@ -284,63 +284,13 @@ impl W3Newer {
         web: &Web,
         proxy: Option<&ProxyCache>,
     ) -> RunReport {
-        let now = web.clock().now();
         let stats_before = self.stats.snapshot();
+        let mut run = RunCtx::new(web, proxy, web.clock().now());
         let mut cache = std::mem::take(&mut self.cache);
-        let mut entries = Vec::with_capacity(hotlist.len());
-        let mut robots: HashMap<String, RobotsTxt> = HashMap::new();
-        let mut dead_hosts: HashSet<String> = HashSet::new();
-        let mut consecutive_errors = 0u32;
-        let mut aborted = false;
-
-        for mark in hotlist {
-            let visited = last_visited(&mark.url);
-            let status = if aborted {
-                UrlStatus::NotChecked {
-                    reason: SkipReason::RunAborted,
-                }
-            } else {
-                let status = self.check_url(
-                    &mut cache,
-                    &mark.url,
-                    visited,
-                    web,
-                    proxy,
-                    &mut robots,
-                    &mut dead_hosts,
-                    now,
-                );
-                // Track consecutive network failures for the abort rule.
-                match &status {
-                    UrlStatus::Error { .. } => {
-                        consecutive_errors += 1;
-                        if let Some(limit) = self.flags.abort_after_consecutive_errors {
-                            if consecutive_errors >= limit {
-                                aborted = true;
-                            }
-                        }
-                    }
-                    UrlStatus::NotChecked { .. } => {}
-                    _ => consecutive_errors = 0,
-                }
-                status
-            };
-            entries.push(UrlReport {
-                url: mark.url.clone(),
-                title: mark.title.clone(),
-                status,
-                last_visited: visited,
-            });
-        }
+        let mut abort = AbortRule::new(self.flags.abort_after_consecutive_errors);
+        let entries = self.walk(&mut run, &mut cache, hotlist, last_visited, &mut abort);
         self.cache = cache;
-        obs_record_entries(&entries);
-        aide_obs::span("w3newer.run", now.0, web.clock().now_secs());
-        RunReport {
-            entries,
-            started: now,
-            aborted,
-            net: self.stats.snapshot().since(&stats_before),
-        }
+        self.finish(entries, abort.aborted, run.now, web, stats_before)
     }
 
     /// Runs one pass with up to `workers` concurrent host pipelines.
@@ -349,9 +299,9 @@ impl W3Newer {
     /// host's entries are checked in hotlist order by a single worker at
     /// a time, so a server never sees two simultaneous requests from the
     /// tracker (per-host politeness), while different hosts proceed in
-    /// parallel on a bounded pool of scoped threads. Workers mutate only
-    /// host-local copies of the per-URL records, merged back
-    /// deterministically afterwards.
+    /// parallel on [`aide_util::pool`]. Workers mutate only host-local
+    /// copies of the per-URL records, merged back deterministically
+    /// afterwards.
     ///
     /// The report is byte-identical to [`W3Newer::run_serial`]: entries
     /// come back in hotlist order, and the consecutive-error abort rule
@@ -399,183 +349,122 @@ impl W3Newer {
         for g in &groups {
             aide_obs::observe!("w3newer.pool.host_group_urls", g.len() as u64);
         }
-        let this = &*self;
-        let next = AtomicUsize::new(0);
-        let groups_ref = &groups;
-        type WorkerOutput = (Vec<(usize, UrlReport)>, Vec<(usize, TrackerCache)>);
-        let outputs: Vec<WorkerOutput> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..pool)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut reports = Vec::new();
-                        let mut deltas = Vec::new();
-                        loop {
-                            let g = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(group) = groups_ref.get(g) else {
-                                break;
-                            };
-                            // Host-local working cache, seeded with the
-                            // host's existing records.
-                            let mut local = TrackerCache::new();
-                            for &i in group {
-                                if let Some(rec) = this.cache.get(&hotlist[i].url) {
-                                    local.insert(&hotlist[i].url, rec.clone());
-                                }
-                            }
-                            let mut robots: HashMap<String, RobotsTxt> = HashMap::new();
-                            let mut dead_hosts: HashSet<String> = HashSet::new();
-                            for &i in group {
-                                let mark = &hotlist[i];
-                                let visited = last_visited(&mark.url);
-                                let status = this.check_url(
-                                    &mut local,
-                                    &mark.url,
-                                    visited,
-                                    web,
-                                    proxy,
-                                    &mut robots,
-                                    &mut dead_hosts,
-                                    now,
-                                );
-                                reports.push((
-                                    i,
-                                    UrlReport {
-                                        url: mark.url.clone(),
-                                        title: mark.title.clone(),
-                                        status,
-                                        last_visited: visited,
-                                    },
-                                ));
-                            }
-                            deltas.push((g, local));
-                        }
-                        (reports, deltas)
-                    })
-                })
-                .collect();
-            #[expect(
-                clippy::expect_used,
-                reason = "a worker panic must propagate to the caller, not vanish into a partial run"
-            )]
-            let outputs = handles
-                .into_iter()
-                .map(|h| h.join().expect("w3newer worker panicked"))
-                .collect();
-            outputs
+        let outputs = aide_util::pool::map(groups.iter().collect(), pool, |group: &Vec<usize>| {
+            // Host-local working cache, seeded with the host's records.
+            let mut local = TrackerCache::new();
+            for &i in group {
+                if let Some(rec) = self.cache.get(&hotlist[i].url) {
+                    local.insert(&hotlist[i].url, rec.clone());
+                }
+            }
+            let mut run = RunCtx::new(web, proxy, now);
+            let marks = group.iter().map(|&i| &hotlist[i]);
+            let reports = self.walk(
+                &mut run,
+                &mut local,
+                marks,
+                last_visited,
+                &mut AbortRule::new(None),
+            );
+            (reports, local)
         });
 
-        // Deterministic merge: reports back into hotlist order, cache
-        // deltas in group (first-appearance) order. Hosts own disjoint
-        // URL sets, so merge order cannot change the result — ordering
-        // it anyway keeps runs bit-reproducible.
-        let mut slots: Vec<Option<UrlReport>> = vec![None; hotlist.len()];
-        let mut deltas: Vec<(usize, TrackerCache)> = Vec::new();
-        for (reports, ds) in outputs {
-            for (i, r) in reports {
-                slots[i] = Some(r);
-            }
-            deltas.extend(ds);
-        }
-        deltas.sort_by_key(|(g, _)| *g);
-        for (_, local) in deltas {
+        // Deterministic merge: cache deltas in group (first-appearance)
+        // order, reports back into hotlist order. Hosts own disjoint URL
+        // sets, so merge order cannot change the result — ordering it
+        // anyway keeps runs bit-reproducible.
+        let mut ordered = Vec::with_capacity(hotlist.len());
+        for (group, (reports, local)) in groups.iter().zip(outputs) {
             for (url, rec) in local.records() {
                 self.cache.insert(url, rec.clone());
             }
+            ordered.extend(group.iter().copied().zip(reports));
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "each hotlist index is written exactly once by the host group that owns it; \
-                      a hole here is a merge bug that must not be silently dropped"
-        )]
-        let mut entries: Vec<UrlReport> = slots
+        ordered.sort_unstable_by_key(|&(i, _)| i);
+        let mut abort = AbortRule::new(self.flags.abort_after_consecutive_errors);
+        let entries = ordered
             .into_iter()
-            .map(|r| r.expect("every hotlist entry produced a report"))
+            .map(|(_, r)| UrlReport {
+                status: abort.next(|| r.status),
+                ..r
+            })
             .collect();
+        self.finish(entries, abort.aborted, now, web, stats_before)
+    }
 
-        // The serial consecutive-error abort rule, applied to the
-        // ordered results.
-        let mut consecutive_errors = 0u32;
-        let mut aborted = false;
-        for e in entries.iter_mut() {
-            if aborted {
-                e.status = UrlStatus::NotChecked {
-                    reason: SkipReason::RunAborted,
-                };
-                continue;
-            }
-            match &e.status {
-                UrlStatus::Error { .. } => {
-                    consecutive_errors += 1;
-                    if let Some(limit) = self.flags.abort_after_consecutive_errors {
-                        if consecutive_errors >= limit {
-                            aborted = true;
+    /// Checks `marks` in order, the one loop under both drivers. Each
+    /// verdict passes through `abort`, which stops checking once the run
+    /// has aborted, and under [`SchedulePolicy::Adaptive`] feeds the
+    /// estimator.
+    fn walk<'h>(
+        &self,
+        run: &mut RunCtx<'_>,
+        cache: &mut TrackerCache,
+        marks: impl IntoIterator<Item = &'h Bookmark>,
+        last_visited: &(dyn Fn(&str) -> Option<Timestamp> + Sync),
+        abort: &mut AbortRule,
+    ) -> Vec<UrlReport> {
+        marks
+            .into_iter()
+            .map(|mark| {
+                let visited = last_visited(&mark.url);
+                let status = abort.next(|| self.check_url(run, cache, &mark.url, visited));
+                if let SchedulePolicy::Adaptive(sched) = &self.schedule {
+                    // Feed the estimator every verdict backed by fresh
+                    // modification info. The tracker's own cache is
+                    // excluded: it carries no new evidence, and
+                    // double-counting a window would bias the rate.
+                    if let UrlStatus::Changed { source, .. } | UrlStatus::Unchanged { source } =
+                        &status
+                    {
+                        if *source != CheckSource::Cache {
+                            sched.record(&mark.url, status.is_changed(), run.now);
                         }
                     }
                 }
-                UrlStatus::NotChecked { .. } => {}
-                _ => consecutive_errors = 0,
-            }
-        }
+                UrlReport {
+                    url: mark.url.clone(),
+                    title: mark.title.clone(),
+                    status,
+                    last_visited: visited,
+                }
+            })
+            .collect()
+    }
+
+    /// The end of every run: observability counters for the final
+    /// entries, the `w3newer.run` span, and the report.
+    fn finish(
+        &self,
+        entries: Vec<UrlReport>,
+        aborted: bool,
+        started: Timestamp,
+        web: &Web,
+        stats_before: RetrySnapshot,
+    ) -> RunReport {
         obs_record_entries(&entries);
-        aide_obs::span("w3newer.run", now.0, web.clock().now_secs());
+        aide_obs::span("w3newer.run", started.0, web.clock().now_secs());
         RunReport {
             entries,
-            started: now,
+            started,
             aborted,
             net: self.stats.snapshot().since(&stats_before),
         }
     }
 
     /// The per-URL decision procedure. Reads configuration from `self`
-    /// and mutates only `cache` (plus the per-run `robots` /
-    /// `dead_hosts` scratch maps and, under
-    /// [`SchedulePolicy::Adaptive`], the shared estimator — whose
-    /// per-URL state makes that safe), so host pipelines can run it
-    /// concurrently against host-local caches.
-    #[allow(clippy::too_many_arguments)]
+    /// and mutates only `cache` (plus the per-run robots / dead-host
+    /// scratch maps in `run`), so host pipelines can run it concurrently
+    /// against host-local caches.
     fn check_url(
         &self,
+        run: &mut RunCtx<'_>,
         cache: &mut TrackerCache,
         url: &str,
         visited: Option<Timestamp>,
-        web: &Web,
-        proxy: Option<&ProxyCache>,
-        robots: &mut HashMap<String, RobotsTxt>,
-        dead_hosts: &mut HashSet<String>,
-        now: Timestamp,
     ) -> UrlStatus {
-        let status = self.check_url_inner(cache, url, visited, web, proxy, robots, dead_hosts, now);
-        if let SchedulePolicy::Adaptive(sched) = &self.schedule {
-            // Feed the estimator every verdict backed by fresh
-            // modification info. The tracker's own cache is excluded:
-            // it carries no new evidence, and double-counting a window
-            // would bias the rate.
-            match &status {
-                UrlStatus::Changed { source, .. } if *source != CheckSource::Cache => {
-                    sched.record(url, true, now);
-                }
-                UrlStatus::Unchanged { source } if *source != CheckSource::Cache => {
-                    sched.record(url, false, now);
-                }
-                _ => {}
-            }
-        }
-        status
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn check_url_inner(
-        &self,
-        cache: &mut TrackerCache,
-        url: &str,
-        visited: Option<Timestamp>,
-        web: &Web,
-        proxy: Option<&ProxyCache>,
-        robots: &mut HashMap<String, RobotsTxt>,
-        dead_hosts: &mut HashSet<String>,
-        now: Timestamp,
-    ) -> UrlStatus {
-        let threshold = self.config.threshold_for(url);
+        let (web, now) = (run.web, run.now);
+        let threshold = self.config.lookup(url);
         if threshold == Threshold::Never {
             return UrlStatus::NotChecked {
                 reason: SkipReason::NeverThreshold,
@@ -592,21 +481,14 @@ impl W3Newer {
             }
         }
 
-        // Source 1: w3newer's own cache.
+        // Source 1: w3newer's own cache. Known modified since the last
+        // view needs no network; known unchanged holds until stale.
         if let Some(rec) = cache.get(url) {
             if let Some(lm) = rec.last_modified {
-                if changed_since(lm, visited) {
-                    // Known modified since last view: no network needed.
-                    return UrlStatus::Changed {
-                        modified: Some(lm),
-                        source: CheckSource::Cache,
-                    };
-                }
+                let status = verdict(lm, visited, CheckSource::Cache);
                 let obtained = rec.info_obtained.unwrap_or(Timestamp::EPOCH);
-                if now - obtained < self.flags.staleness {
-                    return UrlStatus::Unchanged {
-                        source: CheckSource::Cache,
-                    };
+                if status.is_changed() || now - obtained < self.flags.staleness {
+                    return status;
                 }
             }
         }
@@ -645,23 +527,14 @@ impl W3Newer {
 
         // Source 2: the proxy-caching server, when current w.r.t. the
         // threshold.
-        if let (Some(proxy), Threshold::Every(d)) = (proxy, threshold) {
+        if let (Some(proxy), Threshold::Every(d)) = (run.proxy, threshold) {
             if d > Duration::ZERO {
                 if let Some((Some(lm), fetched_at)) = proxy.cached_mod_info(url) {
                     if now - fetched_at < d {
                         let rec = cache.entry(url);
                         rec.last_modified = Some(lm);
                         rec.info_obtained = Some(fetched_at);
-                        return if changed_since(lm, visited) {
-                            UrlStatus::Changed {
-                                modified: Some(lm),
-                                source: CheckSource::ProxyCache,
-                            }
-                        } else {
-                            UrlStatus::Unchanged {
-                                source: CheckSource::ProxyCache,
-                            }
-                        };
+                        return verdict(lm, visited, CheckSource::ProxyCache);
                     }
                 }
             }
@@ -671,12 +544,15 @@ impl W3Newer {
         let parsed = match Url::parse(url) {
             Ok(u) => u,
             Err(e) => {
-                return self.record_error(cache, url, &format!("bad URL: {e}"), now);
+                return self.record_failure(cache, url, format!("bad URL: {e}"), false, now);
             }
         };
         let is_file = parsed.scheme == "file";
 
-        if !is_file && self.flags.skip_host_after_host_error && dead_hosts.contains(&parsed.host) {
+        if !is_file
+            && self.flags.skip_host_after_host_error
+            && run.dead_hosts.contains(&parsed.host)
+        {
             return UrlStatus::NotChecked {
                 reason: SkipReason::HostError,
             };
@@ -686,7 +562,7 @@ impl W3Newer {
         // through the retry layer so a transiently-failing robots.txt
         // does not silently downgrade to allow-all in robust mode.
         if !is_file && !self.flags.ignore_robots {
-            let policy = robots.entry(parsed.host.clone()).or_insert_with(|| {
+            let policy = run.robots.entry(parsed.host.clone()).or_insert_with(|| {
                 let robots_url = format!("http://{}/robots.txt", host_port(&parsed));
                 let req = Request::get(&robots_url).user_agent(&self.user_agent);
                 match self.fetch_with_retry(web, &req, Some(&parsed.host)) {
@@ -714,7 +590,7 @@ impl W3Newer {
             Err(fail) => {
                 if let Some(e) = fail.net_error() {
                     if e.is_host_error() && !is_file {
-                        dead_hosts.insert(parsed.host.clone());
+                        run.dead_hosts.insert(parsed.host.clone());
                     }
                 }
                 return self.fail_url(cache, url, &fail, false, now);
@@ -725,10 +601,10 @@ impl W3Newer {
             Status::Ok => {}
             Status::MovedPermanently => {
                 let to = resp.location.as_deref().unwrap_or("(unknown)");
-                return self.record_error(cache, url, &format!("moved to {to}"), now);
+                return self.record_failure(cache, url, format!("moved to {to}"), false, now);
             }
             other => {
-                return self.record_error(cache, url, &format!("HTTP {other}"), now);
+                return self.record_failure(cache, url, format!("HTTP {other}"), false, now);
             }
         }
 
@@ -749,14 +625,7 @@ impl W3Newer {
             let rec = cache.entry(url);
             rec.last_modified = Some(lm);
             rec.info_obtained = Some(now);
-            return if changed_since(lm, visited) {
-                UrlStatus::Changed {
-                    modified: Some(lm),
-                    source,
-                }
-            } else {
-                UrlStatus::Unchanged { source }
-            };
+            return verdict(lm, visited, source);
         }
 
         // No Last-Modified (CGI output): GET + checksum.
@@ -769,7 +638,8 @@ impl W3Newer {
             Ok(r) => r,
         };
         if get.status != Status::Ok {
-            return self.record_error(cache, url, &format!("HTTP {} on GET", get.status), now);
+            let message = format!("HTTP {} on GET", get.status);
+            return self.record_failure(cache, url, message, false, now);
         }
         let checksum = PageChecksum::of(get.body.as_bytes());
         let rec = cache.entry(url);
@@ -790,49 +660,38 @@ impl W3Newer {
         }
     }
 
-    fn record_error(
+    /// Records a failed check in `url`'s cache record and returns its
+    /// status. A plain failure is an [`UrlStatus::Error`], a verdict
+    /// about the URL. A `degraded` one is graceful degradation: retries
+    /// exhausted (or circuit open) on a *transient* failure, so the entry
+    /// keeps its cached knowledge and is reported stale rather than
+    /// errored — "the check didn't complete" is a different fact from
+    /// "the URL is broken".
+    fn record_failure(
         &self,
         cache: &mut TrackerCache,
         url: &str,
-        message: &str,
+        message: String,
+        degraded: bool,
         now: Timestamp,
     ) -> UrlStatus {
-        let count_as_checked = self.flags.errors_count_as_checked;
         let rec = cache.entry(url);
-        rec.error_count += 1;
-        rec.last_error = Some(message.to_string());
-        if count_as_checked {
+        rec.last_error = Some(message.clone());
+        if self.flags.errors_count_as_checked {
             // "So that a URL with some problem will be checked with the
             // same frequency as an accessible one."
             rec.last_checked = Some(now);
         }
-        UrlStatus::Error {
-            message: message.to_string(),
-        }
-    }
-
-    /// Graceful degradation: retries exhausted (or circuit open) on a
-    /// *transient* failure. The entry keeps its cached knowledge and is
-    /// reported stale rather than errored — "the check didn't complete"
-    /// is a different fact from "the URL is broken".
-    fn degrade(
-        &self,
-        cache: &mut TrackerCache,
-        url: &str,
-        message: &str,
-        now: Timestamp,
-    ) -> UrlStatus {
-        self.stats.degraded.add(1);
-        let count_as_checked = self.flags.errors_count_as_checked;
-        let rec = cache.entry(url);
-        rec.degraded_count += 1;
-        rec.last_error = Some(message.to_string());
-        if count_as_checked {
-            rec.last_checked = Some(now);
-        }
-        UrlStatus::Degraded {
-            message: message.to_string(),
-            last_known_modified: rec.last_modified,
+        if degraded {
+            self.stats.degraded.add(1);
+            rec.degraded_count += 1;
+            UrlStatus::Degraded {
+                message,
+                last_known_modified: rec.last_modified,
+            }
+        } else {
+            rec.error_count += 1;
+            UrlStatus::Error { message }
         }
     }
 
@@ -847,12 +706,8 @@ impl W3Newer {
         on_get: bool,
         now: Timestamp,
     ) -> UrlStatus {
-        let message = failure_message(fail, on_get);
-        if self.robust() && fail.is_degradable() {
-            self.degrade(cache, url, &message, now)
-        } else {
-            self.record_error(cache, url, &message, now)
-        }
+        let degraded = self.robust() && fail.is_degradable();
+        self.record_failure(cache, url, failure_message(fail, on_get), degraded, now)
     }
 
     /// Issues `req` with retry, backoff and breaker admission according
@@ -870,6 +725,11 @@ impl W3Newer {
         host: Option<&str>,
     ) -> Result<Response, FetchFailure> {
         let robust = self.robust();
+        let note = |cell: &aide_obs::CounterCell| {
+            if robust {
+                cell.add(1);
+            }
+        };
         let clock = web.clock();
         let mut slept = Duration::ZERO;
         let mut attempt: u32 = 0;
@@ -877,23 +737,17 @@ impl W3Newer {
             attempt += 1;
             if let (Some(b), Some(h)) = (&self.breaker, host) {
                 if b.admit(h, clock.now()) == Admission::Denied {
-                    if robust {
-                        self.stats.breaker_denied.add(1);
-                    }
+                    note(&self.stats.breaker_denied);
                     return Err(FetchFailure::CircuitOpen {
                         host: h.to_string(),
                     });
                 }
             }
-            if robust {
-                self.stats.attempts.add(1);
-            }
+            note(&self.stats.attempts);
             let failure = match web.request(req) {
                 Ok(resp) => {
                     if resp.is_transient_failure() {
-                        if robust {
-                            self.stats.http_failures.add(1);
-                        }
+                        note(&self.stats.http_failures);
                         TransientFailure::Http {
                             status: resp.status,
                             retry_after: resp.retry_after,
@@ -905,9 +759,7 @@ impl W3Newer {
                         // A body shorter than Content-Length advertises is
                         // a corrupted transfer: checksumming it would
                         // manufacture a phantom "change".
-                        if robust {
-                            self.stats.truncated.add(1);
-                        }
+                        note(&self.stats.truncated);
                         TransientFailure::Truncated {
                             expected: resp.content_length,
                             got: resp.body.len(),
@@ -923,9 +775,7 @@ impl W3Newer {
                     }
                 }
                 Err(e) => {
-                    if robust {
-                        self.stats.net_failures.add(1);
-                    }
+                    note(&self.stats.net_failures);
                     if !retryable_net_error(&e) {
                         if let (Some(b), Some(h)) = (&self.breaker, host) {
                             b.record_failure(h, clock.now());
@@ -965,6 +815,72 @@ impl W3Newer {
             self.stats.retries.add(1);
             self.stats.slept_secs.add(delay.as_secs());
         }
+    }
+}
+
+/// The per-run part of a check: the network, the run's clock reading,
+/// and the robots.txt and dead-host caches. The serial driver has one;
+/// each host group of a pooled run has its own.
+struct RunCtx<'a> {
+    web: &'a Web,
+    proxy: Option<&'a ProxyCache>,
+    now: Timestamp,
+    robots: HashMap<String, RobotsTxt>,
+    dead_hosts: HashSet<String>,
+}
+
+impl<'a> RunCtx<'a> {
+    fn new(web: &'a Web, proxy: Option<&'a ProxyCache>, now: Timestamp) -> RunCtx<'a> {
+        RunCtx {
+            web,
+            proxy,
+            now,
+            robots: HashMap::new(),
+            dead_hosts: HashSet::new(),
+        }
+    }
+}
+
+/// The consecutive-error abort rule ("w3newer should therefore be able
+/// to detect cases when it should abort and try again later"), fed the
+/// verdicts in hotlist order.
+struct AbortRule {
+    limit: Option<u32>,
+    consecutive_errors: u32,
+    aborted: bool,
+}
+
+impl AbortRule {
+    /// A rule that aborts after `limit` consecutive errors (`None`:
+    /// never).
+    fn new(limit: Option<u32>) -> AbortRule {
+        AbortRule {
+            limit,
+            consecutive_errors: 0,
+            aborted: false,
+        }
+    }
+
+    /// The next entry's status: `check`'s verdict, or
+    /// [`SkipReason::RunAborted`] without calling `check` once the run
+    /// has aborted. Errors count toward the limit, skips leave the count
+    /// alone, and any other verdict resets it.
+    fn next(&mut self, check: impl FnOnce() -> UrlStatus) -> UrlStatus {
+        if self.aborted {
+            return UrlStatus::NotChecked {
+                reason: SkipReason::RunAborted,
+            };
+        }
+        let status = check();
+        match &status {
+            UrlStatus::Error { .. } => {
+                self.consecutive_errors += 1;
+                self.aborted = self.limit.is_some_and(|l| self.consecutive_errors >= l);
+            }
+            UrlStatus::NotChecked { .. } => {}
+            _ => self.consecutive_errors = 0,
+        }
+        status
     }
 }
 
@@ -1041,22 +957,17 @@ fn failure_message(fail: &FetchFailure, on_get: bool) -> String {
     }
 }
 
-/// Worker-pool width for [`W3Newer::run`]: the machine's parallelism,
-/// bounded so a large hotlist does not open dozens of connections at
-/// once.
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(2, 8)
-}
-
-/// Modified after the user's last view? Never-viewed pages count as
-/// changed — they are new to the user.
-fn changed_since(modified: Timestamp, visited: Option<Timestamp>) -> bool {
-    match visited {
-        Some(v) => modified > v,
-        None => true,
+/// The verdict for a page last modified at `modified`: changed if that
+/// is after the user's last view. Never-viewed pages count as changed —
+/// they are new to the user.
+fn verdict(modified: Timestamp, visited: Option<Timestamp>, source: CheckSource) -> UrlStatus {
+    if visited.is_none_or(|v| modified > v) {
+        UrlStatus::Changed {
+            modified: Some(modified),
+            source,
+        }
+    } else {
+        UrlStatus::Unchanged { source }
     }
 }
 
@@ -1179,7 +1090,7 @@ mod tests {
             clock.now(),
         )
         .unwrap();
-        let mut w = W3Newer::new(ThresholdConfig::table1());
+        let mut w = W3Newer::new(crate::config::table1());
         let r = w.run(
             &[mark("http://www.unitedmedia.com/comics/dilbert/")],
             &no_history,
@@ -1206,7 +1117,7 @@ mod tests {
         .unwrap();
         // Table 1 default is 2d; user visited yesterday.
         let visited = clock.now() - Duration::days(1);
-        let mut w = W3Newer::new(ThresholdConfig::table1());
+        let mut w = W3Newer::new(crate::config::table1());
         let r = w.run(
             &[mark("http://other.com/x")],
             &move |_| Some(visited),
@@ -1233,7 +1144,7 @@ mod tests {
         .unwrap();
         let visited = clock.now() - Duration::days(20);
         let history = move |_: &str| Some(visited);
-        let mut w = W3Newer::new(ThresholdConfig::table1());
+        let mut w = W3Newer::new(crate::config::table1());
         w.flags.staleness = Duration::ZERO; // Force the cache to be distrusted.
         w.run(&[mark("http://other.com/x")], &history, &web, None);
         let before = web.stats().requests;
@@ -1257,7 +1168,7 @@ mod tests {
         proxy.get("http://h/p").unwrap(); // Someone browsed it through the proxy.
         clock.advance(Duration::hours(1));
         let origin_before = web.server_stats("h").unwrap().total();
-        let mut w = W3Newer::new(ThresholdConfig::table1()); // default 2d
+        let mut w = W3Newer::new(crate::config::table1()); // default 2d
         let r = w.run(&[mark("http://h/p")], &no_history, &web, Some(&proxy));
         assert!(matches!(
             &r.entries[0].status,
@@ -1401,7 +1312,7 @@ mod tests {
     fn errors_count_as_checked_flag() {
         let (clock, web) = setup();
         web.add_server("h");
-        let mut w = W3Newer::new(ThresholdConfig::table1()); // 2d default
+        let mut w = W3Newer::new(crate::config::table1()); // 2d default
         w.flags.errors_count_as_checked = true;
         w.run(&[mark("http://h/missing")], &no_history, &web, None);
         clock.advance(Duration::hours(6));
@@ -1483,7 +1394,7 @@ mod tests {
             "text",
             clock.now() - Duration::hours(1),
         );
-        let mut w = W3Newer::new(ThresholdConfig::table1()); // file:.* → 0 (always)
+        let mut w = W3Newer::new(crate::config::table1()); // file:.* → 0 (always)
         let r = w.run(&[mark("file:/home/me/notes.html")], &no_history, &web, None);
         assert!(matches!(
             &r.entries[0].status,
@@ -1506,7 +1417,7 @@ mod tests {
         .unwrap();
         let visited = clock.now() - Duration::hours(1);
         let history = move |_: &str| Some(visited);
-        let mut w = W3Newer::new(ThresholdConfig::table1()); // att.com → 0
+        let mut w = W3Newer::new(crate::config::table1()); // att.com → 0
         w.flags.staleness = Duration::ZERO;
         w.run(
             &[mark("http://www.research.att.com/x")],

@@ -5,22 +5,25 @@
 //! Instead, we are moving toward a user-specified prioritization of URLs
 //! along the lines of the Tapestry system, which prioritizes email and
 //! NetNews automatically." The paper left this unimplemented; this
-//! module implements it: a pattern→priority configuration in the same
-//! first-match-wins style as the threshold file, combined with recency
-//! into a ranking over report entries.
+//! module implements it: a pattern→priority file, combined with recency
+//! into a ranking over report entries. The file is a [`Rules`] list over
+//! [`Priority`] words, so it is parsed by the same code as the threshold
+//! file and users learn one syntax.
 
 use crate::checker::{UrlReport, UrlStatus};
-use aide_util::pattern::{Pattern, PatternError};
+use aide_util::pattern::Rules;
 use aide_util::time::Timestamp;
+use std::str::FromStr;
 
-/// Priority levels, Tapestry-style.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Priority levels, Tapestry-style, ordered from least to most urgent.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Priority {
     /// Never show in the ranked section (but still listed at the end).
     Suppress,
     /// Background interest.
     Low,
     /// Default.
+    #[default]
     Normal,
     /// Important to this user.
     High,
@@ -28,133 +31,37 @@ pub enum Priority {
     Urgent,
 }
 
-impl Priority {
-    fn rank(self) -> u8 {
-        match self {
-            Priority::Suppress => 0,
-            Priority::Low => 1,
-            Priority::Normal => 2,
-            Priority::High => 3,
-            Priority::Urgent => 4,
-        }
-    }
+impl FromStr for Priority {
+    type Err = String;
 
     /// Parses `urgent`/`high`/`normal`/`low`/`suppress` (any case).
-    pub fn parse(s: &str) -> Option<Priority> {
+    fn from_str(s: &str) -> Result<Priority, String> {
         match s.to_ascii_lowercase().as_str() {
-            "urgent" => Some(Priority::Urgent),
-            "high" => Some(Priority::High),
-            "normal" => Some(Priority::Normal),
-            "low" => Some(Priority::Low),
-            "suppress" => Some(Priority::Suppress),
-            _ => None,
+            "urgent" => Ok(Priority::Urgent),
+            "high" => Ok(Priority::High),
+            "normal" => Ok(Priority::Normal),
+            "low" => Ok(Priority::Low),
+            "suppress" => Ok(Priority::Suppress),
+            _ => Err(format!("unknown priority {s:?}")),
         }
     }
 }
 
-/// A pattern→priority rule list with a default, first match wins —
-/// deliberately the same shape as the threshold configuration so users
-/// learn one syntax.
-#[derive(Debug, Clone)]
-pub struct PriorityConfig {
-    rules: Vec<(Pattern, Priority)>,
-    default: Priority,
-}
-
-impl Default for PriorityConfig {
-    fn default() -> Self {
-        PriorityConfig {
-            rules: Vec::new(),
-            default: Priority::Normal,
-        }
-    }
-}
-
-/// Error from [`PriorityConfig::parse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PriorityConfigError {
-    /// Bad pattern at a 1-based line.
-    BadPattern(usize, PatternError),
-    /// Unknown priority word at a 1-based line.
-    BadPriority(usize, String),
-    /// Missing priority column at a 1-based line.
-    Missing(usize),
-}
-
-impl std::fmt::Display for PriorityConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PriorityConfigError::BadPattern(n, e) => write!(f, "line {n}: {e}"),
-            PriorityConfigError::BadPriority(n, w) => write!(f, "line {n}: unknown priority {w:?}"),
-            PriorityConfigError::Missing(n) => write!(f, "line {n}: missing priority"),
-        }
-    }
-}
-
-impl std::error::Error for PriorityConfigError {}
-
-impl PriorityConfig {
-    /// Builds programmatically (builder style).
-    pub fn rule(mut self, pattern: &str, priority: Priority) -> Result<Self, PatternError> {
-        self.rules.push((Pattern::new(pattern)?, priority));
-        Ok(self)
-    }
-
-    /// Parses the file format: `<pattern> <priority>` lines, `#`
-    /// comments, and `Default <priority>`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use aide_w3newer::priority::{Priority, PriorityConfig};
-    ///
-    /// let cfg = PriorityConfig::parse(
-    ///     "http://.*\\.att\\.com/.* urgent\nhttp://www\\.yahoo\\.com/.* low\nDefault normal\n",
-    /// ).unwrap();
-    /// assert_eq!(cfg.priority_for("http://www.att.com/x"), Priority::Urgent);
-    /// assert_eq!(cfg.priority_for("http://elsewhere/"), Priority::Normal);
-    /// ```
-    pub fn parse(text: &str) -> Result<PriorityConfig, PriorityConfigError> {
-        let mut cfg = PriorityConfig::default();
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = match raw.find('#') {
-                Some(i) => &raw[..i],
-                None => raw,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let Some(pat) = parts.next() else {
-                continue; // unreachable: the trimmed line is non-empty
-            };
-            let word = parts.next().ok_or(PriorityConfigError::Missing(lineno))?;
-            let priority = Priority::parse(word)
-                .ok_or_else(|| PriorityConfigError::BadPriority(lineno, word.to_string()))?;
-            if pat == "Default" {
-                cfg.default = priority;
-            } else {
-                cfg.rules.push((
-                    Pattern::new(pat).map_err(|e| PriorityConfigError::BadPattern(lineno, e))?,
-                    priority,
-                ));
-            }
-        }
-        Ok(cfg)
-    }
-
-    /// The priority for `url` (first matching rule, else default).
-    pub fn priority_for(&self, url: &str) -> Priority {
-        for (p, prio) in &self.rules {
-            if p.matches(url) {
-                return *prio;
-            }
-        }
-        self.default
-    }
-}
+/// The priority file: pattern rules plus a `Default` priority
+/// (`normal` unless the file says otherwise).
+///
+/// # Examples
+///
+/// ```
+/// use aide_w3newer::priority::{Priority, PriorityConfig};
+///
+/// let cfg = PriorityConfig::parse(
+///     "http://.*\\.att\\.com/.* urgent\nhttp://www\\.yahoo\\.com/.* low\nDefault normal\n",
+/// ).unwrap();
+/// assert_eq!(cfg.lookup("http://www.att.com/x"), Priority::Urgent);
+/// assert_eq!(cfg.lookup("http://elsewhere/"), Priority::Normal);
+/// ```
+pub type PriorityConfig = Rules<Priority>;
 
 /// A report entry with its computed rank.
 #[derive(Debug, Clone)]
@@ -177,7 +84,7 @@ pub fn rank_changed<'a>(
         if !entry.status.is_changed() {
             continue;
         }
-        let priority = config.priority_for(&entry.url);
+        let priority = config.lookup(&entry.url);
         if priority == Priority::Suppress {
             suppressed.push(entry);
         } else {
@@ -186,8 +93,7 @@ pub fn rank_changed<'a>(
     }
     ranked.sort_by(|a, b| {
         b.priority
-            .rank()
-            .cmp(&a.priority.rank())
+            .cmp(&a.priority)
             .then_with(|| modified_of(b.entry).cmp(&modified_of(a.entry)))
             .then_with(|| a.entry.url.cmp(&b.entry.url))
     });
@@ -282,37 +188,21 @@ mod tests {
 
     #[test]
     fn parse_file_format() {
+        // The format itself is `Rules`'s (aide_util::pattern tests); this
+        // checks the priority column: words in any case, `Default` too.
         let cfg =
-            PriorityConfig::parse("# priorities\nDefault low\nhttp://urgent\\.example/.* URGENT\n")
-                .unwrap();
-        assert_eq!(
-            cfg.priority_for("http://urgent.example/x"),
-            Priority::Urgent
-        );
-        assert_eq!(cfg.priority_for("http://other/"), Priority::Low);
-    }
-
-    #[test]
-    fn parse_errors() {
-        assert!(matches!(
-            PriorityConfig::parse("http://x/\n"),
-            Err(PriorityConfigError::Missing(1))
-        ));
-        assert!(matches!(
-            PriorityConfig::parse("http://x/ mega\n"),
-            Err(PriorityConfigError::BadPriority(1, _))
-        ));
-        assert!(matches!(
-            PriorityConfig::parse("(bad high\n"),
-            Err(PriorityConfigError::BadPattern(1, _))
-        ));
+            PriorityConfig::parse("Default low\nhttp://urgent\\.example/.* URGENT\n").unwrap();
+        assert_eq!(cfg.lookup("http://urgent.example/x"), Priority::Urgent);
+        assert_eq!(cfg.lookup("http://other/"), Priority::Low);
+        let err = PriorityConfig::parse("http://x/ mega\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 1: unknown priority \"mega\"");
     }
 
     #[test]
     fn priority_word_parsing() {
-        assert_eq!(Priority::parse("Urgent"), Some(Priority::Urgent));
-        assert_eq!(Priority::parse("SUPPRESS"), Some(Priority::Suppress));
-        assert_eq!(Priority::parse("mid"), None);
+        assert_eq!("Urgent".parse(), Ok(Priority::Urgent));
+        assert_eq!("SUPPRESS".parse(), Ok(Priority::Suppress));
+        assert!("mid".parse::<Priority>().is_err());
     }
 
     #[test]

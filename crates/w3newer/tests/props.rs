@@ -162,7 +162,7 @@ proptest! {
             .collect();
         if let Ok(cfg) = ThresholdConfig::parse(&text) {
             // Lookup never panics and returns a rule or the default.
-            let _ = cfg.threshold_for(&format!("http://{url}/"));
+            let _ = cfg.lookup(&format!("http://{url}/"));
         }
     }
 

@@ -12,7 +12,7 @@ use aide::engine::AideEngine;
 use aide_simweb::net::Web;
 use aide_util::time::{Clock, Duration, Timestamp};
 use aide_w3newer::breaker::BreakerConfig;
-use aide_w3newer::config::ThresholdConfig;
+use aide_w3newer::config;
 use aide_w3newer::retry::RetryPolicy;
 use aide_workloads::evolve::tick_all;
 use aide_workloads::rng::Rng;
@@ -29,7 +29,7 @@ fn main() {
     // Network-health footer and in `net_health()` below.
     engine.enable_robustness(RetryPolicy::standard(7), BreakerConfig::default());
     let user = "douglis@research.att.com";
-    let browser = engine.register_user(user, ThresholdConfig::table1());
+    let browser = engine.register_user(user, config::table1());
     for mark in &scenario.hotlist {
         browser.add_bookmark(&mark.title, &mark.url);
     }

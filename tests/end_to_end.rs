@@ -10,7 +10,7 @@ use aide_htmldiff::Options as DiffOptions;
 use aide_simweb::net::Web;
 use aide_util::time::{Clock, Duration, Timestamp};
 use aide_w3newer::checker::UrlStatus;
-use aide_w3newer::config::ThresholdConfig;
+use aide_w3newer::config::{self, ThresholdConfig};
 use aide_workloads::evolve::tick_all;
 use aide_workloads::sites::table1_scenario;
 
@@ -24,7 +24,7 @@ fn six_month_deployment_runs_clean() {
     let web = Web::new(clock.clone());
     let mut scenario = table1_scenario(&web, 1234);
     let engine = AideEngine::new(web.clone()).with_proxy(Duration::hours(6));
-    let browser = engine.register_user("fred@research.att.com", ThresholdConfig::table1());
+    let browser = engine.register_user("fred@research.att.com", config::table1());
     for mark in &scenario.hotlist {
         browser.add_bookmark(&mark.title, &mark.url);
     }
@@ -79,7 +79,7 @@ fn dilbert_never_checked_but_archive_still_grows_if_remembered() {
     let web = Web::new(clock.clone());
     let mut scenario = table1_scenario(&web, 99);
     let engine = AideEngine::new(web.clone());
-    let browser = engine.register_user("u@x", ThresholdConfig::table1());
+    let browser = engine.register_user("u@x", config::table1());
     for mark in &scenario.hotlist {
         browser.add_bookmark(&mark.title, &mark.url);
     }

@@ -8,7 +8,7 @@ use aide::cgi::{dispatch, parse_query};
 use aide::engine::AideEngine;
 use aide_simweb::net::Web;
 use aide_util::time::{Clock, Duration, Timestamp};
-use aide_w3newer::config::ThresholdConfig;
+use aide_w3newer::config;
 
 fn setup() -> AideEngine {
     let clock = Clock::starting_at(Timestamp::from_ymd_hms(1995, 10, 15, 9, 0, 0));
@@ -20,7 +20,7 @@ fn setup() -> AideEngine {
     )
     .unwrap();
     let e = AideEngine::new(web);
-    let b = e.register_user("douglis@research.att.com", ThresholdConfig::table1());
+    let b = e.register_user("douglis@research.att.com", config::table1());
     b.add_bookmark("USENIX Association", "http://www.usenix.org/index.html");
     e
 }
