@@ -9,6 +9,7 @@
 //! until the user visits it directly.
 
 use crate::fetcher::{fetch_page, FetchError};
+use aide_diffcore::lines::diff_lines;
 use aide_htmldiff::Options as DiffOptions;
 use aide_rcs::archive::{RevId, RevisionMeta};
 use aide_rcs::repo::{MemRepository, Repository};
@@ -339,7 +340,11 @@ impl<R: Repository> AideEngine<R> {
     /// Runs w3newer and renders the Figure 1 HTML report.
     pub fn tracker_report_html(&self, id: &str) -> Result<String, EngineError> {
         let report = self.run_tracker(id)?;
-        Ok(render_report(&report, &ReportOptions::default()))
+        let opts = ReportOptions {
+            user: Some(id.to_string()),
+            ..ReportOptions::default()
+        };
+        Ok(render_report(&report, &opts))
     }
 
     /// Remember: fetch the page and check it in for `id`.
@@ -377,6 +382,13 @@ impl<R: Repository> AideEngine<R> {
     /// History of a URL with this user's seen flags.
     pub fn history(&self, id: &str, url: &str) -> Result<Vec<(RevisionMeta, bool)>, EngineError> {
         Ok(self.snapshot.history(&UserId::new(id), url)?)
+    }
+
+    /// §8.1's `rcsdiff` program: a unified line diff of two revisions.
+    pub fn line_diff(&self, url: &str, from: RevId, to: RevId) -> Result<String, EngineError> {
+        let old = self.snapshot.revision_text(url, from)?;
+        let new = self.snapshot.revision_text(url, to)?;
+        Ok(diff_lines(&old, &new).unified(&from.to_string(), &to.to_string(), 3))
     }
 
     /// View an archived revision (BASE-rewritten).

@@ -11,9 +11,9 @@
 //!   deliberately does not contain.
 //! - [`engine`]: the [`AideEngine`] — users, their hotlists and tracker
 //!   state, and the Remember / Diff / History operations end to end.
-//! - [`cgi`]: the CGI façade — query-string parsing and dispatch for the
-//!   snapshot form interface and the §8.1 `rlog` / `co` / `rcsdiff`
-//!   scripts.
+//! - [`cgi`]: query-string parsing and the Remember page for
+//!   `aide-serve`, which routes the snapshot form interface and the §8.1
+//!   `rlog` / `co` / `rcsdiff` scripts, plus a Remember-only shim.
 //! - [`fixed`]: fixed-page collections (§8.2) — automatic archival on
 //!   change plus a community "What's New" page.
 //! - [`tracking`]: server-side URL tracking (§8.3) — one check per URL

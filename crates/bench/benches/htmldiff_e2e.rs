@@ -6,9 +6,9 @@
 //! HtmlDiff on the server can result in high processor loads").
 
 use aide_htmldiff::{html_diff, tokenize, Options};
+use aide_util::rng::Rng;
 use aide_workloads::edits::EditModel;
 use aide_workloads::page::Page;
-use aide_workloads::rng::Rng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 

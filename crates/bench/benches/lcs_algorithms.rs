@@ -6,7 +6,7 @@
 
 use aide_diffcore::lcs::{weighted_lcs_dp, weighted_lcs_hirschberg};
 use aide_diffcore::myers::myers_diff;
-use aide_workloads::rng::Rng;
+use aide_util::rng::Rng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 

@@ -6,10 +6,10 @@
 
 use aide_rcs::archive::{Archive, RevId};
 use aide_rcs::format::{emit, parse};
+use aide_util::rng::Rng;
 use aide_util::time::Timestamp;
 use aide_workloads::edits::EditModel;
 use aide_workloads::page::Page;
-use aide_workloads::rng::Rng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 

@@ -10,11 +10,11 @@
 use aide_rcs::archive::Archive;
 use aide_rcs::repo::{MemRepository, Repository};
 use aide_store::{DiskRepository, StoreOptions};
+use aide_util::rng::Rng;
 use aide_util::time::Timestamp;
 use aide_util::vfs::{MemVfs, Vfs};
 use aide_workloads::edits::EditModel;
 use aide_workloads::page::Page;
-use aide_workloads::rng::Rng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;

@@ -18,9 +18,9 @@
 use aide_diffcore::lines::diff_lines;
 use aide_htmldiff::compare::{compare_tokens, CompareOptions};
 use aide_htmldiff::{html_diff, tokenize, Options};
+use aide_util::rng::Rng;
 use aide_workloads::edits::EditModel;
 use aide_workloads::page::Page;
-use aide_workloads::rng::Rng;
 
 /// Reflows HTML: same tokens, different line breaks — invisible to a
 /// correct HTML differ, catastrophic for a line differ.

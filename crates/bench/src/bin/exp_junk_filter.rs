@@ -15,11 +15,11 @@ use aide::junk::classify;
 use aide_simweb::http::Request;
 use aide_simweb::net::Web;
 use aide_simweb::resource::Resource;
+use aide_util::rng::Rng;
 use aide_util::time::{Clock, Duration, Timestamp};
 use aide_workloads::edits::EditModel;
 use aide_workloads::evolve::EvolvingPage;
 use aide_workloads::page::Page;
-use aide_workloads::rng::Rng;
 
 fn main() {
     let clock = Clock::starting_at(Timestamp::from_ymd_hms(1995, 10, 1, 6, 0, 0));

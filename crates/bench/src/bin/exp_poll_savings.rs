@@ -18,12 +18,12 @@
 use aide_simweb::browser::Bookmark;
 use aide_simweb::net::Web;
 use aide_simweb::proxy::ProxyCache;
+use aide_util::rng::Rng;
 use aide_util::time::{Clock, Duration, Timestamp};
 use aide_w3newer::checker::Flags;
 use aide_w3newer::config::{Threshold, ThresholdConfig};
 use aide_w3newer::W3Newer;
 use aide_workloads::evolve::tick_all;
-use aide_workloads::rng::Rng;
 use aide_workloads::sites::{population, PopulationConfig};
 
 struct Policy {

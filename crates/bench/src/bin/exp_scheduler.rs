@@ -52,9 +52,9 @@
 use aide_obs::MetricsRegistry;
 use aide_sched::wheel::WheelOps;
 use aide_sched::{AdaptiveScheduler, PriorRules, SchedulerConfig, TimerWheel};
+use aide_util::rng::Rng;
 use aide_util::time::{Duration, Timestamp};
 use aide_workloads::openloop::{schedule, OpenLoopConfig, RequestMix};
-use aide_workloads::rng::Rng;
 use std::fmt::Write as _;
 use std::sync::Arc;
 

@@ -17,10 +17,10 @@ use aide_htmldiff::Options as DiffOptions;
 use aide_rcs::archive::RevId;
 use aide_rcs::repo::MemRepository;
 use aide_snapshot::service::{SnapshotService, UserId};
+use aide_util::rng::Rng;
 use aide_util::time::{Clock, Duration, Timestamp};
 use aide_workloads::edits::EditModel;
 use aide_workloads::page::Page;
-use aide_workloads::rng::Rng;
 
 fn storage_for_model(name: &str, model: EditModel) {
     let clock = Clock::starting_at(Timestamp(1_000_000));

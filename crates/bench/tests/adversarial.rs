@@ -14,8 +14,9 @@
 
 use aide_htmldiff::{html_diff, CompareOptions, Options};
 use aide_obs::MetricsRegistry;
+use aide_util::rng::Rng;
 use aide_workloads::adversarial::{markup_run, repeated_sentences, unique_replace};
-use aide_workloads::{EditModel, Page, Rng};
+use aide_workloads::{EditModel, Page};
 use std::sync::Arc;
 
 /// Diffs `old` against `new` and returns the `diff.fallback.*` counts it

@@ -4,9 +4,9 @@
 //! not just the edit-structured cases the unit properties generate.
 
 use aide_htmldiff::{html_diff, CompareOptions, Options};
+use aide_util::rng::Rng;
 use aide_workloads::edits::EditModel;
 use aide_workloads::page::Page;
-use aide_workloads::rng::Rng;
 
 fn models() -> Vec<(&'static str, EditModel)> {
     vec![

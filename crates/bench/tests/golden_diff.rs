@@ -9,9 +9,9 @@
 
 use aide_htmldiff::{html_diff, Options, Presentation};
 use aide_util::checksum::fnv1a64;
+use aide_util::rng::Rng;
 use aide_workloads::edits::EditModel;
 use aide_workloads::page::Page;
-use aide_workloads::rng::Rng;
 
 fn models() -> [(&'static str, EditModel); 6] {
     [

@@ -9,14 +9,15 @@
 //! ```
 //!
 //! then browse `/`, `/history?url=…&user=fred@research.att.com`,
-//! `/timegate/<url>`, etc. The content is the same three-revision
-//! fixture the test suites use.
+//! `/rcsdiff?url=…&from=1.1&to=1.2`, `/view?url=…&date=<rcs-date>`,
+//! `/remember?url=…&user=…`, `/timegate/<url>`, etc. (the route table
+//! is in `aide_serve::server`'s docs). The content is the test suites'
+//! three-revision fixture, `tests/common`.
 
-use aide::engine::AideEngine;
-use aide_serve::{AideServer, ConnError, Connection, ServeConfig};
-use aide_simweb::net::Web;
-use aide_util::time::{Clock, Duration, Timestamp};
-use aide_w3newer::config::ThresholdConfig;
+#[path = "../tests/common/mod.rs"]
+mod common;
+
+use aide_serve::{ConnError, Connection};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -34,43 +35,11 @@ impl Connection for TcpConn {
     }
 }
 
-fn fixture_engine() -> Arc<AideEngine> {
-    const URL: &str = "http://www.usenix.org/index.html";
-    const USER: &str = "fred@research.att.com";
-    let t0 = Timestamp::from_ymd_hms(1995, 9, 1, 12, 0, 0);
-    let clock = Clock::starting_at(t0);
-    let web = Web::new(clock);
-    web.set_page(
-        URL,
-        "<HTML><P>version one body text.</HTML>",
-        t0 - Duration::days(1),
-    )
-    .unwrap();
-    let engine = Arc::new(AideEngine::new(web));
-    engine.register_user(USER, ThresholdConfig::default());
-    engine.remember(USER, URL).unwrap();
-    for body in [
-        "<HTML><P>version two body text.</HTML>",
-        "<HTML><P>version three body text, larger than before.</HTML>",
-    ] {
-        engine.clock().advance(Duration::days(10));
-        engine
-            .web()
-            .touch_page(URL, body, engine.clock().now())
-            .unwrap();
-        engine.remember(USER, URL).unwrap();
-    }
-    engine
-}
-
 fn main() {
     let addr = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "127.0.0.1:8080".to_string());
-    let server = Arc::new(AideServer::with_config(
-        fixture_engine(),
-        ServeConfig::default(),
-    ));
+    let server = Arc::new(common::server());
     let listener = TcpListener::bind(&addr).expect("bind");
     println!("aide-serve listening on http://{addr}/");
 

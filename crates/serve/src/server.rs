@@ -1,31 +1,40 @@
 //! The HTTP/1.1 server core: routing, conditional GET, Memento.
 //!
 //! [`AideServer`] wraps an [`AideEngine`] and serves it over any
-//! [`Connection`]. The §8.1 CGI operations become first-class routes:
+//! [`Connection`]. It is AIDE's one front end: §4.1's snapshot form
+//! operations and §8.1's CGI scripts are its routes.
 //!
 //! | route | serves |
 //! |---|---|
 //! | `/` | index: endpoints and the archived-URL census |
 //! | `/report?user=U` | the w3newer Figure-1 change report |
-//! | `/history?url=X&user=U` | per-URL revision history (`rlog`) |
-//! | `/diff?url=X&from=1.N&to=1.M` | cached HtmlDiff page (`rcsdiff`) |
-//! | `/view?url=X&rev=1.N` | one archived revision (`co`) |
+//! | `/remember?url=X&user=U` | Remember: checks the live page in (never cached) |
+//! | `/diff?url=X&user=U` | Diff: the live page against U's last Remember (§6) |
+//! | `/diff?url=X&from=1.N&to=1.M` | cached HtmlDiff page between two revisions |
+//! | `/rcsdiff?url=X&from=1.N&to=1.M` | `/diff` for HTML, else a unified line diff |
+//! | `/history?url=X[&user=U]` | revision history (`rlog`), with U's seen flags |
+//! | `/view?url=X&rev=1.N` or `&date=<rcs-date>` | one archived revision (`co`, `co -d`) |
 //! | `/timegate/<url>` | Memento datetime negotiation (RFC 7089) |
 //! | `/timemap/[<page>/]<url>` | Memento TimeMap (`application/link-format`) |
 //! | `/memento/<rcs-date>/<url>` | one archived snapshot with `Memento-Datetime` |
+//!
+//! The links the paper's pages print resolve too: `/rlog` and `/co` are
+//! `/history` and `/view`, `/cgi-bin/<name>` is `/<name>`, and Figure
+//! 1's and §8.2's `/cgi-bin/snapshot?op=<name>&…` is the route `op`
+//! names.
 //!
 //! Every page whose bytes are a pure function of immutable archive
 //! state carries a content-derived ETag (see `DESIGN.md` §4j for the
 //! scheme), so `If-None-Match` answers 304 without touching HtmlDiff
 //! or the archive. Every such page's body comes out of the snapshot
 //! service's [`PageCache`]: diffs and archived revisions under their identifiers
-//! (so `/view` and `/memento` share entries), history and TimeMap pages
-//! under their ETags.
+//! (so `/view` and `/memento` share entries), history, TimeMap and line
+//! diff pages under their ETags.
 //! POST is refused with 501, honouring §8.4 ("the input to the services
 //! is not stored").
 
 use crate::conn::{ConnError, Connection};
-use aide::cgi::{parse_query, POST_REFUSAL};
+use aide::cgi::{parse_query, remember_page};
 use aide::engine::AideEngine;
 use aide_htmldiff::Options as DiffOptions;
 use aide_htmlkit::entity::encode_entities;
@@ -36,8 +45,34 @@ use aide_simweb::wire::{error_response, Limits, RequestParser, WireRequest, Wire
 use aide_snapshot::{diff_key, view_key, CacheStats, PageCache};
 use aide_util::checksum::fnv1a64;
 use aide_util::time::Timestamp;
-use std::convert::Infallible;
+use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// A request's decoded query parameters.
+type Params = BTreeMap<String, String>;
+
+/// The 501 text a `POST` gets (§8.4: "services that use POST cannot be
+/// accessed, because the input to the services is not stored").
+const POST_REFUSAL: &str = "AIDE cannot track POST services: the form input is not stored. \
+     Save the filled-out form and use a GET URL instead.";
+
+/// §8.1's script names for routes.
+const ALIASES: [(&str, &str); 2] = [("rlog", "history"), ("co", "view")];
+
+/// The name of the route `path` asks for: `/<name>`,
+/// `/cgi-bin/<name>` or `/cgi-bin/snapshot?op=<name>`, through
+/// [`ALIASES`].
+fn route<'a>(path: &'a str, params: &'a Params) -> &'a str {
+    let name = match path.strip_prefix("/cgi-bin/") {
+        Some("snapshot") => params.get("op").map_or("snapshot", String::as_str),
+        Some(script) => script,
+        None => path.strip_prefix('/').unwrap_or(path),
+    };
+    ALIASES
+        .iter()
+        .find(|(alias, _)| *alias == name)
+        .map_or(name, |(_, route)| route)
+}
 
 /// Tuning knobs for one server instance.
 #[derive(Debug, Clone, Copy)]
@@ -277,9 +312,9 @@ impl<R: Repository> AideServer<R> {
             None => (target, ""),
         };
         let params = parse_query(query).params;
-        let resp = match path {
-            "/" => self.index(),
-            "/report" => match params.get("user") {
+        let resp = match route(path, &params) {
+            "" => self.index(),
+            "report" => match params.get("user") {
                 Some(user) => match self.engine.tracker_report_html(user) {
                     // The report polls the live (simulated) Web — never
                     // cached, never conditional.
@@ -288,9 +323,11 @@ impl<R: Repository> AideServer<R> {
                 },
                 None => error_response(400, "missing user parameter"),
             },
-            "/history" => self.history(req, &params),
-            "/diff" => self.diff(req, &params),
-            "/view" => self.view(req, &params),
+            "remember" => self.remember(&params),
+            "history" => self.history(req, &params),
+            "diff" => self.diff(req, &params),
+            "rcsdiff" => self.rcsdiff(req, &params),
+            "view" => self.view(req, &params),
             _ => error_response(404, &format!("no such route {path}")),
         };
         self.finish(resp)
@@ -301,8 +338,10 @@ impl<R: Repository> AideServer<R> {
         urls.sort();
         let mut body = String::from(
             "<HTML><HEAD><TITLE>AIDE</TITLE></HEAD><BODY><H1>AIDE serving layer</H1>\
-             <P>Routes: /report?user= · /history?url=&amp;user= · /diff?url=&amp;from=&amp;to= \
-             · /view?url=&amp;rev= · /timegate/&lt;url&gt; · /timemap/&lt;url&gt; \
+             <P>Routes: /report?user= · /remember?url=&amp;user= · /diff?url=&amp;user= \
+             · /history?url=&amp;user= · /diff?url=&amp;from=&amp;to= \
+             · /rcsdiff?url=&amp;from=&amp;to= · /view?url=&amp;rev= · /view?url=&amp;date= \
+             · /timegate/&lt;url&gt; · /timemap/&lt;url&gt; \
              · /memento/&lt;date&gt;/&lt;url&gt;\n<H2>Archived documents</H2>\n<UL>\n",
         );
         for url in &urls {
@@ -341,24 +380,35 @@ impl<R: Repository> AideServer<R> {
     }
 
     /// A page this layer renders itself, cached under its ETag.
-    fn page(&self, etag: &str, render: impl FnOnce() -> String) -> String {
-        match self
-            .pages()
-            .get_or_render(etag, || Ok::<_, Infallible>(render()))
-        {
-            Ok((page, _)) => page.to_string(),
-            Err(never) => match never {},
-        }
+    fn page(
+        &self,
+        etag: &str,
+        render: impl FnOnce() -> Result<String, WireResponse>,
+    ) -> Result<String, WireResponse> {
+        self.pages()
+            .get_or_render(etag, render)
+            .map(|(page, _)| page.to_string())
     }
 
-    fn history(
-        &self,
-        req: &WireRequest,
-        params: &std::collections::BTreeMap<String, String>,
-    ) -> WireResponse {
+    /// Remember (§4.1): checks the live page in for the user. It writes,
+    /// so it is never cached and never answers 304.
+    fn remember(&self, params: &Params) -> WireResponse {
         let (Some(url), Some(user)) = (params.get("url"), params.get("user")) else {
             return error_response(400, "missing url or user parameter");
         };
+        match self.engine.remember(user, url) {
+            Ok(out) => html_page(remember_page(url, &out)).header("Cache-Control", "no-store"),
+            Err(e) => error_response(502, &e.to_string()),
+        }
+    }
+
+    fn history(&self, req: &WireRequest, params: &Params) -> WireResponse {
+        let Some(url) = params.get("url") else {
+            return error_response(400, "missing url parameter");
+        };
+        // Without a user (What's New's History link carries none) the
+        // page has no seen flags: no user has seen anything.
+        let user = params.get("user").map_or("", String::as_str);
         // The seen-flags are part of the page, so they are part of the
         // ETag: a revision later marked seen changes the tag and busts
         // any stale 304. Costs one metadata read, zero diff work.
@@ -372,22 +422,26 @@ impl<R: Repository> AideServer<R> {
         }
         let etag = format!("h-{:016x}", fnv1a64(key.as_bytes()));
         self.cached(req, &etag, "text/html", || {
-            Ok(self.page(&etag, || history_page(url, &revs)))
+            self.page(&etag, || Ok(history_page(url, &revs)))
         })
     }
 
-    fn diff(
-        &self,
-        req: &WireRequest,
-        params: &std::collections::BTreeMap<String, String>,
-    ) -> WireResponse {
+    fn diff(&self, req: &WireRequest, params: &Params) -> WireResponse {
         let Some(url) = params.get("url") else {
             return error_response(400, "missing url parameter");
         };
-        let (Some(from), Some(to)) = (
-            params.get("from").and_then(|r| RevId::parse(r)),
-            params.get("to").and_then(|r| RevId::parse(r)),
-        ) else {
+        if !params.contains_key("from") && !params.contains_key("to") {
+            // §6's Diff: the live page against the user's last Remember.
+            // It fetches, so like the report it is never conditional.
+            let Some(user) = params.get("user") else {
+                return error_response(400, "missing user, or from and to, parameter");
+            };
+            return match self.engine.diff(user, url, &DiffOptions::default()) {
+                Ok(out) => html_page(out.html).header("Cache-Control", "no-cache"),
+                Err(e) => error_response(502, &e.to_string()),
+            };
+        }
+        let (Some(from), Some(to)) = (rev(params, "from"), rev(params, "to")) else {
             return error_response(400, "missing or bad from/to revisions");
         };
         // Stored revisions are immutable, so identifiers alone key the
@@ -407,16 +461,51 @@ impl<R: Repository> AideServer<R> {
         })
     }
 
-    fn view(
-        &self,
-        req: &WireRequest,
-        params: &std::collections::BTreeMap<String, String>,
-    ) -> WireResponse {
+    /// §8.1's `rcsdiff`: "If the file's name ends in .html then HtmlDiff
+    /// is used" (so too for a directory or a name without an extension);
+    /// any other URL gets a line diff, which carries an ETag.
+    fn rcsdiff(&self, req: &WireRequest, params: &Params) -> WireResponse {
         let Some(url) = params.get("url") else {
             return error_response(400, "missing url parameter");
         };
-        let Some(rev) = params.get("rev").and_then(|r| RevId::parse(r)) else {
-            return error_response(400, "missing or bad rev parameter");
+        if url.ends_with(".html") || url.ends_with('/') || !url.contains('.') {
+            return self.diff(req, params);
+        }
+        let (Some(from), Some(to)) = (rev(params, "from"), rev(params, "to")) else {
+            return error_response(400, "missing or bad from/to revisions");
+        };
+        let etag = format!(
+            "l-{:016x}",
+            fnv1a64(format!("l|{url}|{from}|{to}").as_bytes())
+        );
+        self.cached(req, &etag, "text/plain", || {
+            self.page(&etag, || {
+                self.engine
+                    .line_diff(url, from, to)
+                    .map_err(|e| error_response(404, &e.to_string()))
+            })
+        })
+    }
+
+    fn view(&self, req: &WireRequest, params: &Params) -> WireResponse {
+        let Some(url) = params.get("url") else {
+            return error_response(400, "missing url parameter");
+        };
+        let rev = match (rev(params, "rev"), params.get("date")) {
+            (Some(rev), _) => rev,
+            // `co -d`: the revision in force at that instant, strictly —
+            // a date before the first revision is a 404, where the
+            // Memento routes clamp to the nearest revision.
+            (None, Some(date)) => {
+                let Some(when) = Timestamp::parse_rcs_date(date) else {
+                    return error_response(400, &format!("bad date {date:?}"));
+                };
+                match self.engine.snapshot().view_at(url, when) {
+                    Ok((rev, _)) => rev,
+                    Err(e) => return error_response(404, &e.to_string()),
+                }
+            }
+            (None, None) => return error_response(400, "missing or bad rev parameter"),
         };
         let etag = format!("v-{:016x}", fnv1a64(view_key(url, rev).as_bytes()));
         let engine = &self.engine;
@@ -540,9 +629,14 @@ impl<R: Repository> AideServer<R> {
             fnv1a64(format!("t|{url}|{page}|{per}|{}", metas.len()).as_bytes())
         );
         self.cached(req, &etag, "application/link-format", || {
-            Ok(self.page(&etag, || timemap_page(url, page, pages, per, &metas)))
+            self.page(&etag, || Ok(timemap_page(url, page, pages, per, &metas)))
         })
     }
+}
+
+/// The revision number in parameter `name`, if present and well formed.
+fn rev(params: &Params, name: &str) -> Option<RevId> {
+    params.get(name).and_then(|r| RevId::parse(r))
 }
 
 /// Does the request's `If-None-Match` match `etag` (unquoted form)?

@@ -9,7 +9,9 @@ use aide::engine::AideEngine;
 use aide_rcs::repo::Repository;
 use aide_serve::{AideServer, ScriptedConn, ServeConfig};
 use aide_simweb::net::Web;
+use aide_store::{DiskRepository, StoreOptions};
 use aide_util::time::{Clock, Duration, Timestamp};
+use aide_util::vfs::{MemVfs, Vfs};
 use aide_w3newer::config::ThresholdConfig;
 use std::sync::Arc;
 
@@ -67,6 +69,15 @@ pub fn server_with(cfg: ServeConfig) -> AideServer {
     AideServer::with_config(engine, cfg)
 }
 
+/// The fixture on the persistent backend, over a fresh in-memory VFS.
+pub fn disk_server() -> AideServer<DiskRepository> {
+    let vfs: Arc<dyn Vfs> = MemVfs::shared();
+    let repo = DiskRepository::open(vfs, "aide", StoreOptions::default()).unwrap();
+    let engine = Arc::new(AideEngine::with_repository(fixture_web(), repo));
+    populate(&engine);
+    AideServer::new(engine)
+}
+
 /// One GET over a fresh connection; returns the raw response text.
 pub fn get<R: Repository>(server: &AideServer<R>, target: &str) -> String {
     get_with(server, target, &[])
@@ -86,6 +97,18 @@ pub fn get_with<R: Repository>(
     let mut conn = ScriptedConn::new(req.into_bytes());
     server.handle_connection(&mut conn);
     conn.output_text()
+}
+
+/// The body of a response.
+pub fn body(resp: &str) -> &str {
+    resp.split_once("\r\n\r\n").map_or("", |(_, body)| body)
+}
+
+/// GETs `target`, asserts a 200, and returns the body.
+pub fn ok<R: Repository>(server: &AideServer<R>, target: &str) -> String {
+    let resp = get(server, target);
+    assert_eq!(status_line(&resp), "HTTP/1.1 200 OK", "{target}: {resp}");
+    body(&resp).to_string()
 }
 
 /// First line of a response.

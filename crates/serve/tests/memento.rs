@@ -277,6 +277,11 @@ fn deterministic_transcript() {
         format!("/memento/{}/{URL}", t2.to_rcs_date()),
         format!("/diff?url={URL}&from=1.1&to=1.2"), // page-cache replay
         "/nowhere".to_string(),
+        format!("/rlog?url={URL}&user={}", common::USER),
+        format!("/co?url={URL}&rev=1.2"),
+        format!("/rcsdiff?url={URL}&from=1.2&to=1.3"),
+        format!("/view?url={URL}&date={}", t2.to_rcs_date()),
+        format!("/remember?url={URL}&user={}", common::USER),
     ];
     let run = || {
         let s = server();

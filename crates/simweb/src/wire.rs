@@ -22,6 +22,7 @@
 //!    serialization emits headers in the order given. Two same-input
 //!    runs are byte-identical.
 
+use aide_htmlkit::entity::encode_entities;
 use std::fmt;
 
 /// Hard ceilings the parser enforces while data is still arriving, so a
@@ -448,7 +449,8 @@ impl WireResponse {
     }
 }
 
-/// A minimal HTML error page with `Connection: close`.
+/// A minimal HTML error page with `Connection: close`. `detail` is
+/// entity-encoded: it often echoes request text (a path, a URL, a date).
 pub fn error_response(status: u16, detail: &str) -> WireResponse {
     WireResponse::new(status)
         .header("Content-Type", "text/html")
@@ -457,6 +459,7 @@ pub fn error_response(status: u16, detail: &str) -> WireResponse {
             "<HTML><HEAD><TITLE>{status} {reason}</TITLE></HEAD><BODY>\
              <H1>{status} {reason}</H1><P>{detail}</BODY></HTML>\n",
             reason = reason_phrase(status),
+            detail = encode_entities(detail),
         ))
 }
 

@@ -60,42 +60,17 @@ pub enum KeepaliveOutcome {
 /// ```
 pub fn run(cfg: &KeepaliveConfig, work: Duration) -> KeepaliveOutcome {
     let timeout = cfg.server_timeout.as_secs();
-    if timeout == 0 {
+    let heartbeat = cfg.heartbeat.map(|hb| hb.as_secs().max(1));
+    // A space every `hb` seconds means httpd never sees `timeout` seconds
+    // of silence; a heartbeat that slow or slower saves nothing.
+    let kept_alive = heartbeat.is_some_and(|hb| hb < timeout);
+    if !kept_alive && work.as_secs() >= timeout {
         return KeepaliveOutcome::TimedOut {
-            after: Duration::ZERO,
+            after: Duration::seconds(timeout),
         };
     }
-    match cfg.heartbeat {
-        None => {
-            if work.as_secs() < timeout {
-                KeepaliveOutcome::Completed { padding: 0 }
-            } else {
-                KeepaliveOutcome::TimedOut {
-                    after: Duration::seconds(timeout),
-                }
-            }
-        }
-        Some(hb) => {
-            let hb = hb.as_secs().max(1);
-            if hb >= timeout {
-                // The heartbeat itself is too slow to save the connection.
-                if work.as_secs() < timeout {
-                    KeepaliveOutcome::Completed {
-                        padding: work.as_secs() / hb,
-                    }
-                } else {
-                    KeepaliveOutcome::TimedOut {
-                        after: Duration::seconds(timeout),
-                    }
-                }
-            } else {
-                // A space lands every `hb` seconds — httpd never sees
-                // `timeout` seconds of silence.
-                KeepaliveOutcome::Completed {
-                    padding: work.as_secs() / hb,
-                }
-            }
-        }
+    KeepaliveOutcome::Completed {
+        padding: heartbeat.map_or(0, |hb| work.as_secs() / hb),
     }
 }
 

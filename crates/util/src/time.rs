@@ -215,12 +215,50 @@ fn is_leap(year: u64) -> bool {
     (year.is_multiple_of(4) && !year.is_multiple_of(100)) || year.is_multiple_of(400)
 }
 
-fn days_in_year(year: u64) -> u64 {
-    if is_leap(year) {
-        366
-    } else {
-        365
+/// The largest year the date parsers accept. Parsed dates come from
+/// clients; four digits is all RFC 1123 and RCS stamps spell.
+const MAX_PARSED_YEAR: u64 = 9999;
+
+/// Days from 1970-01-01 to `year-month-day` (a valid date, year 1970 or
+/// later), in closed form (Howard Hinnant's `days_from_civil`, counted in
+/// 400-year eras from 0000-03-01). `None` on overflow.
+fn days_from_civil(year: u64, month: u64, day: u64) -> Option<u64> {
+    let y = if month <= 2 { year - 1 } else { year };
+    let (era, yoe) = (y / 400, y % 400);
+    let doy = (153 * ((month + 9) % 12) + 2) / 5 + day - 1;
+    let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
+    era.checked_mul(146_097)?
+        .checked_add(doe)?
+        .checked_sub(719_468)
+}
+
+/// The `(year, month, day)` `days` after 1970-01-01: the inverse of
+/// [`days_from_civil`] (Hinnant's `civil_from_days`).
+fn civil_from_days(days: u64) -> (u64, u64, u64) {
+    let z = days + 719_468;
+    let (era, doe) = (z / 146_097, z % 146_097);
+    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let day = doy - (153 * mp + 2) / 5 + 1;
+    let month = if mp < 10 { mp + 3 } else { mp - 9 };
+    (era * 400 + yoe + u64::from(month <= 2), month, day)
+}
+
+/// The timestamp of valid UTC calendar fields; `None` if a field is out
+/// of range, the year is before 1970, or the seconds overflow.
+fn from_fields([year, month, day, hour, min, sec]: [u64; 6]) -> Option<Timestamp> {
+    if !(1..=12).contains(&month) || hour >= 24 || min >= 60 || sec >= 60 || year < 1970 {
+        return None;
     }
+    let dim = DAYS_IN_MONTH[(month - 1) as usize] + u64::from(month == 2 && is_leap(year));
+    if !(1..=dim).contains(&day) {
+        return None;
+    }
+    let secs = days_from_civil(year, month, day)?
+        .checked_mul(86_400)?
+        .checked_add(hour * 3600 + min * 60 + sec)?;
+    Some(Timestamp(secs))
 }
 
 /// Calendar fields of a [`Timestamp`], in UTC.
@@ -250,61 +288,32 @@ impl Timestamp {
     ///
     /// # Panics
     ///
-    /// Panics if `month` is outside `1..=12`, `day` outside the month, or a
-    /// time field is out of range; these indicate programmer error in test
-    /// fixtures rather than runtime input.
+    /// Panics if `month` is outside `1..=12`, `day` outside the month, a
+    /// time field is out of range, the year is before 1970, or the
+    /// seconds since the epoch overflow `u64`; these indicate programmer
+    /// error in test fixtures rather than runtime input.
     pub fn from_ymd_hms(year: u64, month: u64, day: u64, hour: u64, min: u64, sec: u64) -> Self {
-        assert!((1..=12).contains(&month), "month out of range");
-        assert!(hour < 24 && min < 60 && sec < 60, "time out of range");
-        assert!(year >= 1970, "years before 1970 unsupported");
-        let mut days: u64 = 0;
-        for y in 1970..year {
-            days += days_in_year(y);
-        }
-        for (m, dim) in DAYS_IN_MONTH.iter().enumerate().take((month - 1) as usize) {
-            days += dim;
-            if m == 1 && is_leap(year) {
-                days += 1;
-            }
-        }
-        let dim = DAYS_IN_MONTH[(month - 1) as usize] + u64::from(month == 2 && is_leap(year));
-        assert!((1..=dim).contains(&day), "day out of range");
-        days += day - 1;
-        Timestamp(days * 86_400 + hour * 3600 + min * 60 + sec)
+        let t = from_fields([year, month, day, hour, min, sec]);
+        assert!(
+            t.is_some(),
+            "calendar fields out of range: {year}-{month}-{day} {hour}:{min}:{sec}"
+        );
+        t.unwrap_or(Timestamp::EPOCH)
     }
 
     /// Decomposes into UTC calendar fields.
     pub fn calendar(self) -> CalendarDate {
-        let mut days = self.0 / 86_400;
+        let days = self.0 / 86_400;
         let rem = self.0 % 86_400;
-        let weekday = days % 7;
-        let mut year = 1970;
-        loop {
-            let diy = days_in_year(year);
-            if days < diy {
-                break;
-            }
-            days -= diy;
-            year += 1;
-        }
-        let mut month = 1u64;
-        loop {
-            let m = (month - 1) as usize;
-            let dim = DAYS_IN_MONTH[m] + u64::from(m == 1 && is_leap(year));
-            if days < dim {
-                break;
-            }
-            days -= dim;
-            month += 1;
-        }
+        let (year, month, day) = civil_from_days(days);
         CalendarDate {
             year,
             month,
-            day: days + 1,
+            day,
             hour: rem / 3600,
             minute: (rem % 3600) / 60,
             second: rem % 60,
-            weekday,
+            weekday: days % 7,
         }
     }
 
@@ -359,35 +368,24 @@ impl Timestamp {
         if t.next().is_some() {
             return None;
         }
-        if year < 1970 || hour >= 24 || min >= 60 || sec >= 60 {
+        if year > MAX_PARSED_YEAR {
             return None;
         }
-        let dim = DAYS_IN_MONTH[(month - 1) as usize] + u64::from(month == 2 && is_leap(year));
-        if !(1..=dim).contains(&day) {
-            return None;
-        }
-        Some(Timestamp::from_ymd_hms(year, month, day, hour, min, sec))
+        from_fields([year, month, day, hour, min, sec])
     }
 
     /// Parses an RCS datestamp produced by [`Timestamp::to_rcs_date`].
     pub fn parse_rcs_date(s: &str) -> Option<Timestamp> {
-        let parts: Vec<&str> = s.trim().split('.').collect();
-        if parts.len() != 6 {
-            return None;
-        }
-        let nums: Vec<u64> = parts
-            .iter()
+        let nums: Vec<u64> = s
+            .trim()
+            .split('.')
             .map(|p| p.parse().ok())
             .collect::<Option<_>>()?;
-        let (y, mo, d, h, mi, se) = (nums[0], nums[1], nums[2], nums[3], nums[4], nums[5]);
-        if !(1..=12).contains(&mo) || h >= 24 || mi >= 60 || se >= 60 || y < 1970 {
+        let fields = <[u64; 6]>::try_from(nums).ok()?;
+        if fields[0] > MAX_PARSED_YEAR {
             return None;
         }
-        let dim = DAYS_IN_MONTH[(mo - 1) as usize] + u64::from(mo == 2 && is_leap(y));
-        if !(1..=dim).contains(&d) {
-            return None;
-        }
-        Some(Timestamp::from_ymd_hms(y, mo, d, h, mi, se))
+        from_fields(fields)
     }
 }
 
@@ -593,6 +591,37 @@ mod tests {
             assert_eq!(back, ts, "roundtrip at {t}");
             t += 100_003;
         }
+    }
+
+    #[test]
+    fn closed_form_matches_the_year_loop() {
+        // The per-year loop the closed form replaced, run incrementally:
+        // every day from 1970-01-01 through 9999-12-31.
+        let mut days = 0u64;
+        for year in 1970..=MAX_PARSED_YEAR {
+            for (m, dim) in DAYS_IN_MONTH.iter().enumerate() {
+                let dim = dim + u64::from(m == 1 && is_leap(year));
+                let month = m as u64 + 1;
+                for day in 1..=dim {
+                    assert_eq!(days_from_civil(year, month, day), Some(days));
+                    assert_eq!(civil_from_days(days), (year, month, day));
+                    days += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parsers_refuse_five_digit_years_and_arithmetic_is_checked() {
+        assert!(Timestamp::parse_rcs_date("9999.12.31.23.59.59").is_some());
+        assert_eq!(Timestamp::parse_rcs_date("10000.01.01.00.00.00"), None);
+        assert_eq!(
+            Timestamp::parse_http_date("Sat, 01 Jan 10000 00:00:00 GMT"),
+            None
+        );
+        assert_eq!(from_fields([1 << 50, 1, 1, 0, 0, 0]), None);
+        let far = Timestamp::from_ymd_hms(100_000_000, 1, 1, 0, 0, 0);
+        assert_eq!(far.calendar().year, 100_000_000);
     }
 
     #[test]

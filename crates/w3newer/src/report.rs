@@ -10,11 +10,17 @@
 use crate::checker::{RunReport, SkipReason, UrlStatus};
 use aide_htmlkit::entity::encode_entities;
 
-/// Where the snapshot CGI lives, for building the three action links.
+/// The snapshot CGI path the three action links name; aide-serve
+/// answers it.
+pub const SNAPSHOT_CGI: &str = "/cgi-bin/snapshot";
+
+/// How to render the action links.
 #[derive(Debug, Clone)]
 pub struct ReportOptions {
-    /// Base URL of the snapshot CGI (e.g. `http://aide.research.att.com/cgi-bin/snapshot`).
-    pub snapshot_cgi: String,
+    /// The user the report is for. When set, each action link carries
+    /// `&user=<id>`, so the server answering it knows whose Remember,
+    /// Diff and History it is.
+    pub user: Option<String>,
     /// Include the Remember/Diff/History links.
     pub action_links: bool,
 }
@@ -22,7 +28,7 @@ pub struct ReportOptions {
 impl Default for ReportOptions {
     fn default() -> Self {
         ReportOptions {
-            snapshot_cgi: "/cgi-bin/snapshot".to_string(),
+            user: None,
             action_links: true,
         }
     }
@@ -47,11 +53,15 @@ fn action_links(url: &str, opts: &ReportOptions) -> String {
         return String::new();
     }
     let enc = urlencode(url);
+    let user = opts
+        .user
+        .as_deref()
+        .map(|id| format!("&user={}", urlencode(id)))
+        .unwrap_or_default();
     format!(
-        " [<A HREF=\"{cgi}?op=remember&url={enc}\">Remember</A>]\
-         [<A HREF=\"{cgi}?op=diff&url={enc}\">Diff</A>]\
-         [<A HREF=\"{cgi}?op=history&url={enc}\">History</A>]",
-        cgi = opts.snapshot_cgi
+        " [<A HREF=\"{SNAPSHOT_CGI}?op=remember&url={enc}{user}\">Remember</A>]\
+         [<A HREF=\"{SNAPSHOT_CGI}?op=diff&url={enc}{user}\">Diff</A>]\
+         [<A HREF=\"{SNAPSHOT_CGI}?op=history&url={enc}{user}\">History</A>]"
     )
 }
 
@@ -136,16 +146,9 @@ pub fn render_report(report: &RunReport, opts: &ReportOptions) -> String {
         .iter()
         .filter(|e| e.status.is_changed())
         .collect();
-    changed.sort_by(|a, b| {
-        let ta = match &a.status {
-            UrlStatus::Changed { modified, .. } => *modified,
-            _ => None,
-        };
-        let tb = match &b.status {
-            UrlStatus::Changed { modified, .. } => *modified,
-            _ => None,
-        };
-        tb.cmp(&ta)
+    changed.sort_by_key(|e| match &e.status {
+        UrlStatus::Changed { modified, .. } => std::cmp::Reverse(*modified),
+        _ => std::cmp::Reverse(None),
     });
     let errors: Vec<_> = report
         .entries

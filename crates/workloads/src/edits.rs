@@ -20,8 +20,8 @@
 //!   links \[are\] added at a time" (§2.1).
 
 use crate::page::{Block, Page};
-use crate::rng::Rng;
 use crate::textgen::{natural_sentence, title};
+use aide_util::rng::Rng;
 
 /// A page-evolution model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

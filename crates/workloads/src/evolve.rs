@@ -8,8 +8,8 @@
 
 use crate::edits::EditModel;
 use crate::page::Page;
-use crate::rng::Rng;
 use aide_simweb::net::Web;
+use aide_util::rng::Rng;
 use aide_util::time::{Duration, Timestamp};
 
 /// A page that changes on a schedule.

@@ -9,10 +9,6 @@
 //!
 //! - [`adversarial`]: page pairs that defeat anchored alignment, for
 //!   tests that bound the cost of hostile input.
-//! - [`rng`]: a small deterministic PRNG (splitmix64-seeded xorshift),
-//!   so every experiment is reproducible bit-for-bit. `rand` is
-//!   deliberately not used here: its stream changes across major
-//!   versions, and experiment reproducibility is the whole point.
 //! - [`textgen`]: vocabulary and sentence/paragraph generation.
 //! - [`page`]: a structured page model (headings, paragraphs, lists,
 //!   links) that renders to period HTML and can be *edited* structurally.
@@ -41,7 +37,6 @@ pub mod edits;
 pub mod evolve;
 pub mod openloop;
 pub mod page;
-pub mod rng;
 pub mod sites;
 pub mod textgen;
 pub mod usenix;
@@ -49,4 +44,3 @@ pub mod usenix;
 pub use edits::EditModel;
 pub use evolve::EvolvingPage;
 pub use page::{Block, Page};
-pub use rng::Rng;

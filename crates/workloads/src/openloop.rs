@@ -17,7 +17,7 @@
 //! ([`schedule`]); driving real engine paths (poll / check-in / diff)
 //! belongs to the experiment binaries in `aide-bench`.
 
-use crate::rng::Rng;
+use aide_util::rng::Rng;
 
 /// What a simulated client asks the service to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

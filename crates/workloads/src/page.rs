@@ -5,8 +5,8 @@
 //! keeps the generated HTML well-formed while producing exactly the edit
 //! patterns the differencing experiments need.
 
-use crate::rng::Rng;
 use crate::textgen::{natural_sentence, title};
+use aide_util::rng::Rng;
 
 /// One block-level element.
 #[derive(Debug, Clone, PartialEq, Eq)]

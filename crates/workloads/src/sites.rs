@@ -11,10 +11,10 @@
 use crate::edits::EditModel;
 use crate::evolve::EvolvingPage;
 use crate::page::Page;
-use crate::rng::Rng;
 use aide_simweb::browser::Bookmark;
 use aide_simweb::net::Web;
 use aide_simweb::resource::Resource;
+use aide_util::rng::Rng;
 use aide_util::time::Duration;
 
 /// The Table 1 world: pages, their evolution, and the user's hotlist.

@@ -6,7 +6,7 @@
 //! matcher: two unrelated generated sentences should usually fail the
 //! `2W/L` test, while an edited sentence should pass it.
 
-use crate::rng::Rng;
+use aide_util::rng::Rng;
 
 /// The generation vocabulary (order matters: earlier = more frequent).
 pub const VOCABULARY: &[&str] = &[

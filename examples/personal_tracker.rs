@@ -10,12 +10,12 @@
 
 use aide::engine::AideEngine;
 use aide_simweb::net::Web;
+use aide_util::rng::Rng;
 use aide_util::time::{Clock, Duration, Timestamp};
 use aide_w3newer::breaker::BreakerConfig;
 use aide_w3newer::config;
 use aide_w3newer::retry::RetryPolicy;
 use aide_workloads::evolve::tick_all;
-use aide_workloads::rng::Rng;
 use aide_workloads::sites::table1_scenario;
 
 fn main() {
