@@ -70,6 +70,7 @@ AIDE_BENCH_SMOKE=1 cargo bench -q -p aide-bench --bench rcs_ops >/dev/null
 AIDE_BENCH_SMOKE=1 cargo bench -q -p aide-bench --bench tracker_run >/dev/null
 AIDE_BENCH_SMOKE=1 cargo bench -q -p aide-bench --bench simweb_proxy >/dev/null
 AIDE_BENCH_SMOKE=1 cargo bench -q -p aide-bench --bench lcs_algorithms >/dev/null
+cargo run -q --release -p aide-bench --bin alloc_count >/dev/null
 
 echo "== bench regression guard (committed BENCH_htmldiff.json vs budget)"
 cargo run -q --release -p aide-bench --bin bench_guard -- \

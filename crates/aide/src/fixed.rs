@@ -10,6 +10,7 @@
 
 use crate::fetcher::fetch_page;
 use aide_htmlkit::entity::encode_entities;
+use aide_htmlkit::url::urlencode;
 use aide_rcs::archive::RevId;
 use aide_rcs::repo::{MemRepository, Repository};
 use aide_simweb::net::Web;
@@ -131,7 +132,7 @@ impl<R: Repository> FixedCollection<R> {
             let diff_link = match e.head {
                 Some(head) if head.0 > 1 => format!(
                     " [<A HREF=\"{cgi_base}?op=rcsdiff&url={}&from=1.{}&to={}\">Diff</A>]",
-                    e.url,
+                    urlencode(&e.url),
                     head.0 - 1,
                     head
                 ),
@@ -140,13 +141,13 @@ impl<R: Repository> FixedCollection<R> {
             out.push_str(&format!(
                 "<LI><A HREF=\"{}\">{}</A> &#183; {} &#183; {} version{}{}\
                  [<A HREF=\"{cgi_base}?op=rlog&url={}\">History</A>]\n",
-                e.url,
+                encode_entities(&e.url),
                 encode_entities(&e.title),
                 when,
                 e.revisions,
                 if e.revisions == 1 { " " } else { "s " },
                 diff_link,
-                e.url,
+                urlencode(&e.url),
             ));
         }
         out.push_str("</UL>\n</BODY></HTML>\n");
@@ -237,7 +238,7 @@ mod tests {
         c.poll();
         let html = c.render_whats_new("/cgi-bin/snapshot").unwrap();
         assert!(html.contains("What's New in Project Docs"));
-        assert!(html.contains("op=rcsdiff&url=http://docs/guide.html&from=1.1&to=1.2"));
+        assert!(html.contains("op=rcsdiff&url=http%3A%2F%2Fdocs%2Fguide.html&from=1.1&to=1.2"));
         assert!(html.contains("op=rlog"));
         assert!(html.contains("The FAQ"));
     }

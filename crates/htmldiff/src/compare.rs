@@ -19,8 +19,9 @@
 //! # The fast path
 //!
 //! By default the outer alignment runs in two passes. The first gives
-//! every token a match-class hash ([`token_class_hash`]) and nothing
-//! else: [`aide_diffcore::anchor::plan_anchors`] trims the common
+//! every token a match-class hash ([`token_class_hash`]; a sentence's
+//! was computed by the tokenizer, so only breaks are hashed here) and
+//! nothing else: [`aide_diffcore::anchor::plan_anchors`] trims the common
 //! suffix and picks unique anchors on those hashes alone, confirming
 //! every hash equality it acts on with a deep comparison
 //! (sentences by derived equality, breaks by
@@ -57,7 +58,7 @@ use aide_diffcore::metrics::lcs_ratio;
 use aide_diffcore::scratch;
 use aide_diffcore::script::Alignment;
 use aide_diffcore::Interner;
-use aide_htmlkit::lexer::{Tag, TagKind};
+use aide_htmlkit::lexer::{Name, Tag, TagKind};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -175,7 +176,7 @@ pub fn sentence_match_weight(a: &Sentence<'_>, b: &Sentence<'_>, opts: &CompareO
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum ItemKey<'t> {
     Word(&'t str),
-    Markup(&'t str, TagKind, Vec<(&'t str, Option<&'t str>)>),
+    Markup(Name<'t>, TagKind, Vec<(Name<'t>, Option<&'t str>)>),
 }
 
 impl Hash for ItemKey<'_> {
@@ -193,14 +194,10 @@ impl Hash for ItemKey<'_> {
     }
 }
 
-fn tag_key(tag: &Tag) -> ItemKey<'_> {
-    let mut attrs: Vec<_> = tag
-        .attrs
-        .iter()
-        .map(|(n, v)| (n.as_str(), v.as_deref()))
-        .collect();
+fn tag_key<'t>(tag: &'t Tag<'_>) -> ItemKey<'t> {
+    let mut attrs: Vec<_> = tag.attrs.iter().map(|(n, v)| (*n, v.as_deref())).collect();
     attrs.sort_unstable();
-    ItemKey::Markup(&tag.name, tag.kind, attrs)
+    ItemKey::Markup(tag.name, tag.kind, attrs)
 }
 
 fn item_key<'t>(item: &'t Inline<'_>) -> ItemKey<'t> {
@@ -891,8 +888,13 @@ mod tests {
     #[test]
     fn markup_only_sentences() {
         let a = first_sentence("<FONT SIZE=3>x</FONT>");
-        let mut only_markup = a.clone();
-        only_markup.items.retain(|i| !i.is_word());
+        let only_markup = Sentence::from(
+            a.items
+                .iter()
+                .filter(|i| !i.is_word())
+                .cloned()
+                .collect::<Vec<_>>(),
+        );
         assert_eq!(only_markup.content_len(), 0);
         assert_eq!(
             sentence_match_weight(&only_markup, &only_markup, &CompareOptions::default()),

@@ -8,14 +8,20 @@
 //! `<PRE>`, where each line becomes its own sentence so that layout
 //! changes in preformatted text are visible.
 //!
-//! The stream borrows `html`: every word (and every `<PRE>` line) is a
-//! slice of the input, so tokenizing allocates per sentence and per
-//! tag, never per word.
+//! One pass does it all. It drives the [`Lexer`] directly, with no token
+//! list in between; splits each text run into words as it meets it;
+//! pushes every word and inline markup into the page's one item arena;
+//! and hashes each sentence's match class as the sentence grows. Words
+//! and tags borrow `html`, so a page costs a few growing vectors (plus
+//! an attribute list per tag that has attributes), never an allocation
+//! per word, sentence or tag name.
 
-use crate::token::{DiffToken, Inline, Sentence};
+use crate::token::{hash_item_into, ClassHasher, DiffToken, Inline, Sentence, SENTENCE_CLASS};
 use aide_htmlkit::classify::{is_sentence_breaking, preserves_whitespace};
-use aide_htmlkit::lexer::{lex, TagKind, Token};
+use aide_htmlkit::lexer::{Lexer, Tag, TagKind, Token};
 use aide_htmlkit::text::split_words;
+use std::ops::Range;
+use std::rc::Rc;
 
 /// Tokenizes an HTML document for comparison.
 ///
@@ -32,35 +38,27 @@ use aide_htmlkit::text::split_words;
 /// assert_eq!(tokens[1].as_sentence().unwrap().word_count(), 2);
 /// ```
 pub fn tokenize(html: &str) -> Vec<DiffToken<'_>> {
-    fn flush<'a>(current: &mut Sentence<'a>, out: &mut Vec<DiffToken<'a>>) {
-        if !current.is_empty() {
-            out.push(DiffToken::Sentence(std::mem::take(current)));
-        }
-    }
-
-    let mut out = Vec::new();
-    let mut current = Sentence::default();
+    let mut b = Builder::new(html.len());
     let mut pre_depth = 0usize;
-
-    for token in lex(html) {
+    for token in Lexer::new(html) {
         match token {
             Token::Comment(_) | Token::Declaration(_) => {
                 // Comments carry no content; the paper's comparison
                 // ignores them.
             }
             Token::Tag(tag) => {
-                if preserves_whitespace(&tag.name) {
+                if preserves_whitespace(tag.name.0) {
                     if tag.kind == TagKind::Close {
                         pre_depth = pre_depth.saturating_sub(1);
                     } else {
                         pre_depth += 1;
                     }
                 }
-                if is_sentence_breaking(&tag.name) {
-                    flush(&mut current, &mut out);
-                    out.push(DiffToken::Break(tag));
+                if is_sentence_breaking(tag.name.0) {
+                    b.end_sentence();
+                    b.spans.push(Span::Break(tag));
                 } else {
-                    current.items.push(Inline::Markup(tag));
+                    b.push(Inline::Markup(tag));
                 }
             }
             Token::Text(text) => {
@@ -69,32 +67,95 @@ pub fn tokenize(html: &str) -> Vec<DiffToken<'_>> {
                     // per line.
                     for (k, line) in text.split('\n').enumerate() {
                         if k > 0 {
-                            flush(&mut current, &mut out);
+                            b.end_sentence();
                         }
                         if !line.is_empty() {
-                            current.items.push(Inline::Word(line));
+                            b.push(Inline::Word(line));
                         }
                     }
                 } else {
                     for word in split_words(text) {
-                        current.items.push(Inline::Word(word.text));
+                        b.push(Inline::Word(word.text));
                         if word.ends_sentence {
-                            flush(&mut current, &mut out);
+                            b.end_sentence();
                         }
                     }
                 }
             }
         }
     }
-    flush(&mut current, &mut out);
+    let out = b.finish();
     aide_obs::counter!("htmldiff.tokenize", 1);
     aide_obs::observe!("htmldiff.tokenize.tokens", out.len() as u64);
     out
 }
 
+/// A token before the page's arena is complete: a break, or a sentence
+/// as its range of the arena and its class hash.
+enum Span<'a> {
+    Break(Tag<'a>),
+    Sentence(Range<usize>, u64),
+}
+
+/// The page's arena and spans under construction, with the open
+/// sentence's start and running class hash.
+struct Builder<'a> {
+    items: Vec<Inline<'a>>,
+    spans: Vec<Span<'a>>,
+    start: usize,
+    hash: ClassHasher,
+}
+
+impl<'a> Builder<'a> {
+    /// A builder sized for a page of `bytes` bytes. Generated and
+    /// archived prose pages run about six bytes per item and six items
+    /// per token, so the common page fills its vectors without growing
+    /// them.
+    fn new(bytes: usize) -> Self {
+        let items = bytes / 6 + 16;
+        Builder {
+            items: Vec::with_capacity(items),
+            spans: Vec::with_capacity(items / 6),
+            start: 0,
+            hash: ClassHasher::new(SENTENCE_CLASS),
+        }
+    }
+
+    fn push(&mut self, item: Inline<'a>) {
+        hash_item_into(&mut self.hash, &item);
+        self.items.push(item);
+    }
+
+    /// Closes the open sentence, if it has any items.
+    fn end_sentence(&mut self) {
+        let end = self.items.len();
+        if self.start < end {
+            let hash = std::mem::replace(&mut self.hash, ClassHasher::new(SENTENCE_CLASS)).finish();
+            self.spans.push(Span::Sentence(self.start..end, hash));
+            self.start = end;
+        }
+    }
+
+    /// The tokens, every sentence a range of one shared arena.
+    fn finish(mut self) -> Vec<DiffToken<'a>> {
+        self.end_sentence();
+        let arena = Rc::new(self.items);
+        self.spans
+            .into_iter()
+            .map(|span| match span {
+                Span::Break(tag) => DiffToken::Break(tag),
+                Span::Sentence(range, hash) => {
+                    DiffToken::Sentence(Sentence::in_arena(Rc::clone(&arena), range, hash))
+                }
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::token::token_class_hash;
 
     fn sentences(tokens: &[DiffToken<'_>]) -> Vec<String> {
         tokens
@@ -201,5 +262,16 @@ mod tests {
         let a = tokenize("<p>x</p>");
         let b = tokenize("<P>x</P>");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn class_hashes_are_computed_while_tokenizing() {
+        let html = "<P CLASS=a ID=b>One <A HREF=\"x.html\">link</A>. <pre>a  b\nc</pre><HR>tail";
+        for token in tokenize(html) {
+            if let DiffToken::Sentence(s) = &token {
+                let rebuilt = DiffToken::Sentence(Sentence::from(s.items.to_vec()));
+                assert_eq!(token_class_hash(&token), token_class_hash(&rebuilt));
+            }
+        }
     }
 }

@@ -10,9 +10,16 @@
 //! - the merged page's own lexing never reveals unbalanced STRIKE tags;
 //! - on edit-structured revisions the anchored fast path renders the
 //!   byte-identical merged page (and identical stats) as the naive full
-//!   DP, for any gap-worker count.
+//!   DP, for any gap-worker count;
+//! - the fused single-pass tokenizer yields the tokens, bytes and class
+//!   hashes of the two-pass tokenizer it replaced.
 
-use aide_htmldiff::{html_diff, tokenize, CompareOptions, Options};
+mod oracle;
+
+use aide_htmldiff::{
+    html_diff, token_class_hash, tokenize, CompareOptions, DiffToken, Options, Sentence,
+};
+use oracle::{owned, two_pass_tokenize, TwoPassToken};
 use proptest::prelude::*;
 
 /// Generates small synthetic HTML documents from a fixed vocabulary.
@@ -290,5 +297,63 @@ proptest! {
         // worth of text in a <PRE> with layout of its own.
         let html = format!("{a}<PRE>{}\n  x  y\n</PRE>{b}", pre.replace("! ", "!\n "));
         assert_words_borrowed(&html)?;
+    }
+}
+
+/// Markup soup for the tokenizer oracle: `<PRE>` blocks, comments,
+/// entities in attribute values, mixed-case tags, non-ASCII whitespace,
+/// and unterminated tags and comments (which swallow the rest).
+fn tokenizer_soup() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        Just("<P>"),
+        Just("<hr>"),
+        Just("<Li>"),
+        Just("<PRE>"),
+        Just("</pre>"),
+        Just("<B>"),
+        Just("</b>"),
+        Just("<!-- note -->"),
+        Just("<!DOCTYPE html>"),
+        Just(r#"<A HREF="a.html?x=1&amp;y=2">"#),
+        Just(r#"<a href='Q&quot;.html' name=n>"#),
+        Just("</A>"),
+        Just(r#"<IMG SRC=pic.gif ALT="&lt;pic&gt;">"#),
+        Just(r#"<TABLE WIDTH="90%" border=1>"#),
+        Just("word "),
+        Just("Dr. "),
+        Just("ends. "),
+        Just("ends!\u{0B}"),
+        Just("line\n  indented\n"),
+        Just("tab\tand\u{0C}feed "),
+        Just("nb\u{A0}sp "),
+        Just("ideo\u{3000}graphic "),
+        Just("a < b "),
+        Just("<A HREF=\"open"),
+        Just("<!-- open"),
+    ];
+    proptest::collection::vec(piece, 0..30).prop_map(|v| v.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn fused_tokenize_equals_the_two_pass_oracle(html in tokenizer_soup()) {
+        let fused = tokenize(&html);
+        let oracle = two_pass_tokenize(&html);
+        prop_assert_eq!(&owned(&fused), &oracle);
+        // Same bytes out, and the class hash computed while tokenizing
+        // equals one computed from the sentence's items afterwards.
+        for (t, o) in fused.iter().zip(oracle) {
+            let (mut a, mut b) = (String::new(), String::new());
+            t.render_into(&mut a);
+            let rebuilt = match o {
+                TwoPassToken::Break(tag) => DiffToken::Break(tag),
+                TwoPassToken::Sentence(items) => DiffToken::Sentence(Sentence::from(items)),
+            };
+            rebuilt.render_into(&mut b);
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(token_class_hash(t), token_class_hash(&rebuilt));
+        }
     }
 }

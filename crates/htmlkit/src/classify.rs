@@ -120,8 +120,8 @@ fn in_table(table: &[&str], name: &str) -> bool {
 /// Classifies a tag on both axes.
 pub fn classify(tag: &Tag) -> MarkupClass {
     MarkupClass {
-        sentence_breaking: is_sentence_breaking(&tag.name),
-        content_defining: is_content_defining(&tag.name),
+        sentence_breaking: is_sentence_breaking(tag.name.0),
+        content_defining: is_content_defining(tag.name.0),
     }
 }
 

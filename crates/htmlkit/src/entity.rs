@@ -5,7 +5,10 @@
 //! or malformed entity passes through literally, as browsers of the era
 //! rendered it.
 
-/// Decodes character entities in `text`.
+use std::borrow::Cow;
+
+/// Decodes character entities in `text`, borrowing it when it holds no
+/// `&` (so there is nothing to decode).
 ///
 /// # Examples
 ///
@@ -16,7 +19,10 @@
 /// assert_eq!(decode_entities("&#65;&#x42;"), "AB");
 /// assert_eq!(decode_entities("R&D"), "R&D"); // bare & passes through
 /// ```
-pub fn decode_entities(text: &str) -> String {
+pub fn decode_entities(text: &str) -> Cow<'_, str> {
+    if !text.contains('&') {
+        return Cow::Borrowed(text);
+    }
     let mut out = String::with_capacity(text.len());
     let bytes = text.as_bytes();
     let mut i = 0;
@@ -53,7 +59,7 @@ pub fn decode_entities(text: &str) -> String {
             }
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 fn utf8_len(first: u8) -> usize {

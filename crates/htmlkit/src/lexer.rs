@@ -3,15 +3,28 @@
 //! The paper is explicit that "parsing is not required" (§5.1): HtmlDiff
 //! works off a flat token stream produced by "a simple lexical analysis",
 //! which also "converts the case of the markup name and associated
-//! (variable,value) pairs to uppercase". This lexer follows that design —
-//! it never rejects input (1995 HTML was wildly malformed), it tokenizes
-//! tags, comments, declarations and text runs, and it normalizes tag and
-//! attribute *names* to uppercase while preserving attribute *values*
-//! case-sensitively (URLs are case-sensitive); character entities in
-//! values are decoded at lex time and re-encoded at serialization.
+//! (variable,value) pairs to uppercase". This lexer follows that design:
+//! it never rejects input (1995 HTML was wildly malformed), and it
+//! tokenizes tags, comments, declarations and text runs.
+//!
+//! Every token borrows the input. Text, comments and declarations are
+//! verbatim slices. A tag's name and attribute names are slices as
+//! written, wrapped in [`Name`], which compares, orders and hashes
+//! case-blind and renders uppercased: the paper's normalization, applied
+//! where names are compared and printed rather than by copying them.
+//! Attribute *values* keep their case (URLs are case-sensitive);
+//! character entities in values are decoded at lex time, which copies
+//! only a value that holds an `&`, and re-encoded at serialization.
+//!
+//! [`Lexer`] yields the tokens one at a time, so a consumer that needs
+//! no token list (HtmlDiff's tokenizer) builds none; [`lex`] collects
+//! them.
 
 use crate::entity::{decode_entities, push_encoded};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Whether a tag opens, closes, or self-closes an element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,63 +37,115 @@ pub enum TagKind {
     SelfClose,
 }
 
-/// A markup tag with normalized name and attributes.
+/// A tag or attribute name as written in the page. It compares, orders
+/// and hashes by its ASCII-uppercased bytes and renders uppercased, so
+/// `<a href>` and `<A HREF>` are the same markup without either name
+/// being copied.
+#[derive(Debug, Clone, Copy)]
+pub struct Name<'a>(pub &'a str);
+
+impl<'a> Name<'a> {
+    /// The name's bytes, uppercased: what it compares, orders and
+    /// hashes by.
+    fn upper_bytes(&self) -> impl Iterator<Item = u8> + 'a {
+        self.0.bytes().map(|b| b.to_ascii_uppercase())
+    }
+
+    /// Appends the name, uppercased, to `out`.
+    fn push_upper(&self, out: &mut String) {
+        let start = out.len();
+        out.push_str(self.0);
+        out[start..].make_ascii_uppercase();
+    }
+}
+
+impl PartialEq for Name<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.eq_ignore_ascii_case(other.0)
+    }
+}
+
+impl Eq for Name<'_> {}
+
+impl PartialEq<&str> for Name<'_> {
+    fn eq(&self, other: &&str) -> bool {
+        self.0.eq_ignore_ascii_case(other)
+    }
+}
+
+impl Ord for Name<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.upper_bytes().cmp(other.upper_bytes())
+    }
+}
+
+impl PartialOrd for Name<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Name<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for b in self.upper_bytes() {
+            state.write_u8(b);
+        }
+        state.write_u8(0xFF);
+    }
+}
+
+/// A markup tag. Its name and attribute names borrow the page; a value
+/// borrows it too unless it holds an `&`, which entity decoding copies.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Tag {
-    /// Tag name, uppercased (`P`, `IMG`, `A`).
-    pub name: String,
-    /// Attributes in source order: name uppercased, value with quotes
+pub struct Tag<'a> {
+    /// Tag name (`P`, `img`, `A`).
+    pub name: Name<'a>,
+    /// Attributes in source order: the name, and the value with quotes
     /// stripped and entities decoded. Valueless attributes carry `None`.
-    pub attrs: Vec<(String, Option<String>)>,
+    pub attrs: Vec<(Name<'a>, Option<Cow<'a, str>>)>,
     /// Open / close / self-close.
     pub kind: TagKind,
 }
 
-impl Tag {
+impl<'a> Tag<'a> {
     /// Creates an open tag with no attributes.
-    pub fn open(name: &str) -> Tag {
+    pub fn open(name: &'a str) -> Tag<'a> {
         Tag {
-            name: name.to_ascii_uppercase(),
+            name: Name(name),
             attrs: Vec::new(),
             kind: TagKind::Open,
         }
     }
 
     /// Creates a close tag.
-    pub fn close(name: &str) -> Tag {
+    pub fn close(name: &'a str) -> Tag<'a> {
         Tag {
-            name: name.to_ascii_uppercase(),
-            attrs: Vec::new(),
             kind: TagKind::Close,
+            ..Tag::open(name)
         }
     }
 
     /// Adds an attribute (builder style).
-    pub fn with_attr(mut self, name: &str, value: &str) -> Tag {
-        self.attrs
-            .push((name.to_ascii_uppercase(), Some(value.to_string())));
+    pub fn with_attr(mut self, name: &'a str, value: impl Into<Cow<'a, str>>) -> Tag<'a> {
+        self.attrs.push((Name(name), Some(value.into())));
         self
     }
 
     /// Returns the value of attribute `name` (case-insensitive).
     pub fn attr(&self, name: &str) -> Option<&str> {
-        let upper = name.to_ascii_uppercase();
         self.attrs
             .iter()
-            .find(|(n, _)| *n == upper)
+            .find(|(n, _)| *n == name)
             .and_then(|(_, v)| v.as_deref())
     }
 
     /// Replaces or inserts attribute `name`.
-    pub fn set_attr(&mut self, name: &str, value: &str) {
-        let upper = name.to_ascii_uppercase();
-        for (n, v) in self.attrs.iter_mut() {
-            if *n == upper {
-                *v = Some(value.to_string());
-                return;
-            }
+    pub fn set_attr(&mut self, name: &'a str, value: impl Into<Cow<'a, str>>) {
+        let value = Some(value.into());
+        match self.attrs.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, v)) => *v = value,
+            None => self.attrs.push((Name(name), value)),
         }
-        self.attrs.push((upper, Some(value.to_string())));
     }
 
     /// Equality modulo attribute order — the comparison the paper's
@@ -91,15 +156,15 @@ impl Tag {
     /// identical tags costs one derived comparison and no allocation;
     /// only same-name, same-kind tags whose attribute lists differ as
     /// written pay for sorting.
-    pub fn matches_modulo_order(&self, other: &Tag) -> bool {
-        if self == other {
-            return true;
-        }
+    pub fn matches_modulo_order(&self, other: &Tag<'_>) -> bool {
         if self.name != other.name
             || self.kind != other.kind
             || self.attrs.len() != other.attrs.len()
         {
             return false;
+        }
+        if self.attrs == other.attrs {
+            return true;
         }
         let mut mine: Vec<_> = self.attrs.iter().collect();
         let mut theirs: Vec<_> = other.attrs.iter().collect();
@@ -108,20 +173,21 @@ impl Tag {
         mine == theirs
     }
 
-    /// Appends the tag's HTML to `out` — the bytes [`fmt::Display`]
-    /// prints, without a formatter or an intermediate `String`.
+    /// Appends the tag's HTML to `out`, names uppercased — the bytes
+    /// [`fmt::Display`] prints, without a formatter or an intermediate
+    /// `String`.
     pub fn push_html(&self, out: &mut String) {
         if self.kind == TagKind::Close {
             out.push_str("</");
-            out.push_str(&self.name);
+            self.name.push_upper(out);
             out.push('>');
             return;
         }
         out.push('<');
-        out.push_str(&self.name);
+        self.name.push_upper(out);
         for (n, v) in &self.attrs {
             out.push(' ');
-            out.push_str(n);
+            n.push_upper(out);
             if let Some(val) = v {
                 out.push_str("=\"");
                 push_encoded(out, val);
@@ -135,7 +201,7 @@ impl Tag {
     }
 }
 
-impl fmt::Display for Tag {
+impl fmt::Display for Tag<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut html = String::new();
         self.push_html(&mut html);
@@ -143,15 +209,13 @@ impl fmt::Display for Tag {
     }
 }
 
-/// One lexical token of an HTML document. Text, comments and
-/// declarations are verbatim slices of the lexed input; tags are owned,
-/// because their names are normalized.
+/// One lexical token of an HTML document, borrowing the lexed input.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Token<'a> {
     /// A run of character data between tags, verbatim (entities intact).
     Text(&'a str),
     /// A markup tag.
-    Tag(Tag),
+    Tag(Tag<'a>),
     /// `<!-- ... -->` with the inner text.
     Comment(&'a str),
     /// `<!DOCTYPE ...>` or any other `<!...>` declaration, inner text.
@@ -160,7 +224,7 @@ pub enum Token<'a> {
 
 impl<'a> Token<'a> {
     /// Returns the tag if this token is one.
-    pub fn as_tag(&self) -> Option<&Tag> {
+    pub fn as_tag(&self) -> Option<&Tag<'a>> {
         match self {
             Token::Tag(t) => Some(t),
             _ => None,
@@ -173,6 +237,83 @@ impl<'a> Token<'a> {
             Token::Text(t) => Some(t),
             _ => None,
         }
+    }
+}
+
+/// The lexer as an iterator over the tokens of one document. Never
+/// fails: malformed constructs degrade to text or best-effort tags, as
+/// period browsers treated them.
+pub struct Lexer<'a> {
+    html: &'a str,
+    /// Start of the text not yet returned.
+    pos: usize,
+    /// The markup found after a text run, returned on the next call.
+    pending: Option<Token<'a>>,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `html`.
+    pub fn new(html: &'a str) -> Lexer<'a> {
+        Lexer {
+            html,
+            pos: 0,
+            pending: None,
+        }
+    }
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        if let Some(token) = self.pending.take() {
+            return Some(token);
+        }
+        let (html, start) = (self.html, self.pos);
+        let bytes = html.as_bytes();
+        if start >= bytes.len() {
+            return None;
+        }
+        let mut i = start;
+        let (markup, end) = loop {
+            let Some(off) = html[i..].find('<') else {
+                self.pos = bytes.len();
+                return Some(Token::Text(&html[start..]));
+            };
+            i += off;
+            let rest = &html[i..];
+            if let Some(inner) = rest.strip_prefix("<!--") {
+                break match inner.find("-->") {
+                    Some(n) => (Token::Comment(&inner[..n]), i + 4 + n + 3),
+                    // Unterminated comment swallows the rest of the file.
+                    None => (Token::Comment(inner), bytes.len()),
+                };
+            }
+            if let Some(inner) = rest.strip_prefix("<!") {
+                break match inner.find('>') {
+                    Some(n) => (Token::Declaration(&inner[..n]), i + 2 + n + 1),
+                    None => (Token::Declaration(inner), bytes.len()),
+                };
+            }
+            // A '<' not followed by a letter or '/' is literal text.
+            let next = bytes.get(i + 1).copied();
+            if !matches!(next, Some(c) if c.is_ascii_alphabetic() || c == b'/') {
+                i += 1;
+                continue;
+            }
+            break match parse_tag(html, i) {
+                Some((tag, consumed)) => (Token::Tag(tag), i + consumed),
+                // Unterminated tag: the rest of the file is a final text
+                // run of its own.
+                None => (Token::Text(rest), bytes.len()),
+            };
+        };
+        self.pos = end;
+        if start < i {
+            self.pending = Some(markup);
+            return Some(Token::Text(&html[start..i]));
+        }
+        Some(markup)
     }
 }
 
@@ -190,87 +331,12 @@ impl<'a> Token<'a> {
 /// assert!(matches!(&tokens[1], Token::Text(t) if *t == "Hello "));
 /// ```
 pub fn lex(html: &str) -> Vec<Token<'_>> {
-    let mut tokens = Vec::new();
-    let bytes = html.as_bytes();
-    let mut i = 0;
-    let mut text_start = 0;
-
-    while i < bytes.len() {
-        if bytes[i] != b'<' {
-            i += 1;
-            continue;
-        }
-        if html[i..].starts_with("<!--") {
-            if text_start < i {
-                tokens.push(Token::Text(&html[text_start..i]));
-            }
-            match html[i + 4..].find("-->") {
-                Some(end) => {
-                    tokens.push(Token::Comment(&html[i + 4..i + 4 + end]));
-                    i += 4 + end + 3;
-                }
-                None => {
-                    // Unterminated comment swallows the rest of the file.
-                    tokens.push(Token::Comment(&html[i + 4..]));
-                    i = bytes.len();
-                }
-            }
-            text_start = i;
-            continue;
-        }
-        if html[i..].starts_with("<!") {
-            if text_start < i {
-                tokens.push(Token::Text(&html[text_start..i]));
-            }
-            match html[i..].find('>') {
-                Some(end) => {
-                    tokens.push(Token::Declaration(&html[i + 2..i + end]));
-                    i += end + 1;
-                }
-                None => {
-                    tokens.push(Token::Declaration(&html[i + 2..]));
-                    i = bytes.len();
-                }
-            }
-            text_start = i;
-            continue;
-        }
-        // A '<' not followed by a letter or '/' is literal text.
-        let next = bytes.get(i + 1).copied();
-        let is_tag_start = matches!(next, Some(c) if c.is_ascii_alphabetic() || c == b'/');
-        if !is_tag_start {
-            i += 1;
-            continue;
-        }
-        match parse_tag(html, i) {
-            Some((tag, consumed)) => {
-                if text_start < i {
-                    tokens.push(Token::Text(&html[text_start..i]));
-                }
-                tokens.push(Token::Tag(tag));
-                i += consumed;
-                text_start = i;
-            }
-            None => {
-                // Unterminated tag: flush preceding text, keep the rest as
-                // a final text run.
-                if text_start < i {
-                    tokens.push(Token::Text(&html[text_start..i]));
-                }
-                text_start = i;
-                break;
-            }
-        }
-    }
-    if text_start < bytes.len() {
-        tokens.push(Token::Text(&html[text_start..]));
-    }
-    tokens
+    Lexer::new(html).collect()
 }
 
 /// Parses a tag beginning at byte `start` (which is `<`). Returns the tag
 /// and the number of bytes consumed, or `None` if no closing `>` exists.
-fn parse_tag(html: &str, start: usize) -> Option<(Tag, usize)> {
+fn parse_tag(html: &str, start: usize) -> Option<(Tag<'_>, usize)> {
     let bytes = html.as_bytes();
     let mut i = start + 1;
     let kind_close = bytes.get(i) == Some(&b'/');
@@ -283,10 +349,10 @@ fn parse_tag(html: &str, start: usize) -> Option<(Tag, usize)> {
     {
         i += 1;
     }
-    let name = html[name_start..i].to_ascii_uppercase();
-    if name.is_empty() {
+    if i == name_start {
         return None;
     }
+    let name = Name(&html[name_start..i]);
     let mut attrs = Vec::new();
     let mut self_close = false;
     loop {
@@ -321,7 +387,7 @@ fn parse_tag(html: &str, start: usize) -> Option<(Tag, usize)> {
             i += 1;
             continue;
         }
-        let attr_name = html[an_start..i].to_ascii_uppercase();
+        let attr_name = Name(&html[an_start..i]);
         // Skip whitespace before a possible '='.
         let mut j = i;
         while j < bytes.len() && bytes[j].is_ascii_whitespace() {
@@ -404,7 +470,7 @@ mod tests {
         let names: Vec<&str> = tokens
             .iter()
             .filter_map(|t| t.as_tag())
-            .map(|t| t.name.as_str())
+            .map(|t| t.name.0)
             .collect();
         assert_eq!(names, vec!["HTML", "BODY", "P", "P", "BODY", "HTML"]);
     }
@@ -416,6 +482,7 @@ mod tests {
         assert_eq!(tag.name, "A");
         assert_eq!(tag.attrs[0].0, "HREF");
         assert_eq!(tag.attr("href"), Some("/Path/File.html"));
+        assert_eq!(tag.to_string(), r#"<A HREF="/Path/File.html">"#);
     }
 
     #[test]
@@ -428,7 +495,7 @@ mod tests {
         assert_eq!(
             tag.attrs
                 .iter()
-                .find(|(n, _)| n == "ISMAP")
+                .find(|(n, _)| *n == "ISMAP")
                 .map(|(_, v)| v.clone()),
             Some(None)
         );

@@ -36,6 +36,14 @@ pub struct Link {
     pub kind: LinkKind,
 }
 
+/// The tags that carry a link, and the attribute that holds it.
+const LINK_ATTRS: [(&str, &str, LinkKind); 4] = [
+    ("A", "HREF", LinkKind::Anchor),
+    ("IMG", "SRC", LinkKind::Image),
+    ("FORM", "ACTION", LinkKind::Form),
+    ("LINK", "HREF", LinkKind::Meta),
+];
+
 /// Extracts all links from a token stream, resolving each against `base`
 /// when one is given.
 ///
@@ -66,25 +74,21 @@ pub fn extract_links(tokens: &[Token<'_>], base: Option<&Url>) -> Vec<Link> {
         if tag.kind == TagKind::Close {
             continue;
         }
-        let (attr, kind) = match tag.name.as_str() {
-            "A" => ("HREF", LinkKind::Anchor),
-            "IMG" => ("SRC", LinkKind::Image),
-            "FORM" => ("ACTION", LinkKind::Form),
-            "LINK" => ("HREF", LinkKind::Meta),
-            "BASE" => {
-                if let Some(href) = tag.attr("HREF") {
-                    if let Ok(u) = Url::parse(href) {
-                        effective_base = Some(u);
-                    }
-                    links.push(Link {
-                        raw: href.to_string(),
-                        resolved: effective_base.clone(),
-                        kind: LinkKind::Meta,
-                    });
+        if tag.name == "BASE" {
+            if let Some(href) = tag.attr("HREF") {
+                if let Ok(u) = Url::parse(href) {
+                    effective_base = Some(u);
                 }
-                continue;
+                links.push(Link {
+                    raw: href.to_string(),
+                    resolved: effective_base.clone(),
+                    kind: LinkKind::Meta,
+                });
             }
-            _ => continue,
+            continue;
+        }
+        let Some(&(_, attr, kind)) = LINK_ATTRS.iter().find(|(name, ..)| tag.name == *name) else {
+            continue;
         };
         if let Some(value) = tag.attr(attr) {
             let resolved = effective_base.as_ref().and_then(|b| b.join(value).ok());
@@ -125,13 +129,14 @@ pub fn extract_followable(tokens: &[Token<'_>], base: &Url) -> Vec<Url> {
 /// what snapshot does before serving an archived copy so that relative
 /// links still work (§4.1).
 pub fn rewrite_base<'a>(tokens: &[Token<'a>], base: &Url) -> Vec<Token<'a>> {
+    let href = base.to_string();
     let mut out: Vec<Token<'a>> = Vec::with_capacity(tokens.len() + 1);
     let mut replaced = false;
     for token in tokens {
         match token {
             Token::Tag(tag) if tag.name == "BASE" && tag.kind != TagKind::Close => {
                 let mut t = tag.clone();
-                t.set_attr("HREF", &base.to_string());
+                t.set_attr("HREF", href.clone());
                 out.push(Token::Tag(t));
                 replaced = true;
             }
@@ -139,7 +144,7 @@ pub fn rewrite_base<'a>(tokens: &[Token<'a>], base: &Url) -> Vec<Token<'a>> {
         }
     }
     if !replaced {
-        let base_tag = Token::Tag(Tag::open("BASE").with_attr("HREF", &base.to_string()));
+        let base_tag = Token::Tag(Tag::open("BASE").with_attr("HREF", href));
         // After <HEAD> if present, else after <HTML>, else at the front.
         let pos = out
             .iter()

@@ -23,6 +23,13 @@ pub struct Word<'a> {
 /// Splits a text run into words on whitespace, flagging sentence-ending
 /// words. The words borrow from `text`; nothing is copied.
 ///
+/// The words are exactly those of [`str::split_whitespace`]. A run of
+/// pure ASCII text, nearly every run of a page, is scanned byte by byte
+/// against the ASCII members of Unicode `White_Space` (tab, line feed,
+/// vertical tab, form feed, carriage return and space; note that
+/// [`u8::is_ascii_whitespace`] leaves out vertical tab); any other run
+/// takes `split_whitespace`'s char-by-char path.
+///
 /// # Examples
 ///
 /// ```
@@ -35,10 +42,32 @@ pub struct Word<'a> {
 /// assert!(words[3].ends_sentence);
 /// ```
 pub fn split_words(text: &str) -> impl Iterator<Item = Word<'_>> {
-    text.split_whitespace().map(|w| Word {
-        text: w,
-        ends_sentence: word_ends_sentence(w),
+    let (bytes, ascii) = (text.as_bytes(), text.is_ascii());
+    let mut unicode = text.split_whitespace();
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let word = if ascii {
+            while bytes.get(i).is_some_and(|&b| is_ascii_space(b)) {
+                i += 1;
+            }
+            let start = i;
+            while bytes.get(i).is_some_and(|&b| !is_ascii_space(b)) {
+                i += 1;
+            }
+            (start < i).then(|| &text[start..i])?
+        } else {
+            unicode.next()?
+        };
+        Some(Word {
+            text: word,
+            ends_sentence: word_ends_sentence(word),
+        })
     })
+}
+
+/// The ASCII members of Unicode `White_Space`.
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ')
 }
 
 /// Decides whether a word terminates an English sentence.
@@ -46,7 +75,18 @@ pub fn split_words(text: &str) -> impl Iterator<Item = Word<'_>> {
 /// A terminator is `.`, `!` or `?`, optionally followed by closing quotes
 /// or brackets. Common abbreviations and single initials (`Dr.`, `U.S.`,
 /// `T.`) do not terminate.
+#[inline]
 pub fn word_ends_sentence(word: &str) -> bool {
+    // Most words end in a letter: only a terminator, a closer or the
+    // last byte of `»` can end a sentence-ending word.
+    matches!(
+        word.as_bytes().last(),
+        Some(b'.' | b'!' | b'?' | b'"' | b'\'' | b')' | b']' | 0xBB)
+    ) && ends_with_terminator(word)
+}
+
+/// [`word_ends_sentence`] for a word whose last byte may end one.
+fn ends_with_terminator(word: &str) -> bool {
     // Strip trailing closers.
     let trimmed = word.trim_end_matches(['"', '\'', ')', ']', '»']);
     let Some(last) = trimmed.chars().last() else {
@@ -77,13 +117,6 @@ pub fn word_ends_sentence(word: &str) -> bool {
         }
     }
     true
-}
-
-/// Collapses runs of whitespace to single spaces and trims the ends —
-/// the normalization under which whitespace "should not affect
-/// comparison".
-pub fn normalize_whitespace(text: &str) -> String {
-    text.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
 #[cfg(test)]
@@ -140,11 +173,5 @@ mod tests {
         assert!(split_words("  \t\n ").next().is_none());
         assert!(!word_ends_sentence(""));
         assert!(!word_ends_sentence("\"\""));
-    }
-
-    #[test]
-    fn normalize_whitespace_collapses() {
-        assert_eq!(normalize_whitespace("  a\t\tb\n c  "), "a b c");
-        assert_eq!(normalize_whitespace(""), "");
     }
 }

@@ -39,6 +39,22 @@ impl fmt::Display for UrlError {
 
 impl std::error::Error for UrlError {}
 
+/// Percent-encodes `s` for a query-string value: every byte but RFC
+/// 3986's unreserved characters becomes `%XX`. The result is also safe
+/// inside an HTML attribute, since it holds no `"`, `&`, `<` or `>`.
+pub fn urlencode(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for &b in s.as_bytes() {
+        match b {
+            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' => {
+                out.push(b as char)
+            }
+            other => out.push_str(&format!("%{other:02X}")),
+        }
+    }
+    out
+}
+
 impl Url {
     /// Parses an absolute URL.
     ///

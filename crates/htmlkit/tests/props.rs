@@ -8,12 +8,15 @@
 //!   and display→parse round-trips;
 //! - entity decode of encode is the identity;
 //! - `Tag::matches_modulo_order` (same-order shortcut first) agrees with
-//!   an always-sorting compare.
+//!   an always-sorting compare;
+//! - `split_words` finds exactly `str::split_whitespace`'s words.
 
 use aide_htmlkit::entity::{decode_entities, encode_entities};
-use aide_htmlkit::lexer::{lex, serialize, Tag, TagKind, Token};
+use aide_htmlkit::lexer::{lex, serialize, Name, Tag, TagKind, Token};
+use aide_htmlkit::text::{split_words, word_ends_sentence};
 use aide_htmlkit::url::Url;
 use proptest::prelude::*;
+use std::borrow::Cow;
 
 fn html_soup() -> impl Strategy<Value = String> {
     proptest::collection::vec(
@@ -76,7 +79,8 @@ proptest! {
 
     #[test]
     fn entity_encode_decode_identity(s in "[ -~]{0,40}") {
-        prop_assert_eq!(decode_entities(&encode_entities(&s)), s);
+        let encoded = encode_entities(&s);
+        prop_assert_eq!(decode_entities(&encoded), s);
     }
 
     #[test]
@@ -130,12 +134,18 @@ proptest! {
 /// The reference for [`Tag::matches_modulo_order`]: always sorts, never
 /// takes the same-order shortcut.
 fn sorted_match(a: &Tag, b: &Tag) -> bool {
-    let sorted = |t: &Tag| {
-        let mut attrs = t.attrs.clone();
-        attrs.sort();
-        attrs
-    };
-    a.name == b.name && a.kind == b.kind && sorted(a) == sorted(b)
+    let (mut x, mut y): (Vec<_>, Vec<_>) = (a.attrs.iter().collect(), b.attrs.iter().collect());
+    x.sort();
+    y.sort();
+    a.name == b.name && a.kind == b.kind && x == y
+}
+
+/// `attrs` as a tag's attribute list, borrowing it.
+fn borrowed(attrs: &[(String, Option<String>)]) -> Vec<(Name<'_>, Option<Cow<'_, str>>)> {
+    attrs
+        .iter()
+        .map(|(n, v)| (Name(n), v.as_deref().map(Cow::Borrowed)))
+        .collect()
 }
 
 /// Attribute lists over few names and values, so repeats and ties are
@@ -161,7 +171,7 @@ proptest! {
         edit in 0usize..5,
         at in 0usize..6,
     ) {
-        let a = Tag { name: "A".to_string(), attrs, kind: TagKind::Open };
+        let a = Tag { name: Name("A"), attrs: borrowed(&attrs), kind: TagKind::Open };
         // `b` is a random permutation of `a`'s attributes (a stable sort
         // on few keys, so often the same order, which takes the
         // shortcut)...
@@ -179,7 +189,7 @@ proptest! {
             0 => {}
             1 => {
                 if let Some(attr) = b.attrs.get_mut(at) {
-                    attr.1 = Some("z".to_string());
+                    attr.1 = Some(Cow::Borrowed("z"));
                 }
             }
             2 => {
@@ -188,10 +198,52 @@ proptest! {
                 }
             }
             3 => b.kind = TagKind::Close,
-            _ => b.attrs = other,
+            _ => b.attrs = borrowed(&other),
         }
         prop_assert_eq!(a.matches_modulo_order(&b), sorted_match(&a, &b));
         prop_assert_eq!(b.matches_modulo_order(&a), sorted_match(&b, &a));
         prop_assert!(a.matches_modulo_order(&a.clone()));
+    }
+}
+
+/// Text over words and every kind of whitespace `split_whitespace`
+/// knows: ASCII (vertical tab and form feed included), or with
+/// non-ASCII spaces and letters mixed in when `unicode` is set.
+fn spaced_text() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        Just("word"),
+        Just("end."),
+        Just("Dr."),
+        Just(" "),
+        Just("\t"),
+        Just("\n"),
+        Just("\r"),
+        Just("\u{0B}"),
+        Just("\u{0C}"),
+        Just("\u{1F}"),
+        Just("\u{A0}"),
+        Just("\u{85}"),
+        Just("\u{2028}"),
+        Just("\u{3000}"),
+        Just("caf\u{E9}"),
+    ];
+    (proptest::collection::vec(piece, 0..40), 0u8..2).prop_map(|(v, unicode)| {
+        v.into_iter()
+            .filter(|p: &&str| unicode == 1 || p.is_ascii())
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+    #[test]
+    fn split_words_equals_split_whitespace(s in spaced_text()) {
+        let words: Vec<_> = split_words(&s).collect();
+        let expected: Vec<_> = s.split_whitespace().collect();
+        prop_assert_eq!(words.iter().map(|w| w.text).collect::<Vec<_>>(), expected);
+        for w in words {
+            prop_assert_eq!(w.ends_sentence, word_ends_sentence(w.text));
+            prop_assert!(within(&s, w.text), "{:?} was copied out of the text", w.text);
+        }
     }
 }

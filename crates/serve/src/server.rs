@@ -38,6 +38,7 @@ use aide::cgi::{parse_query, remember_page};
 use aide::engine::AideEngine;
 use aide_htmldiff::Options as DiffOptions;
 use aide_htmlkit::entity::encode_entities;
+use aide_htmlkit::url::urlencode;
 use aide_obs::CounterCell;
 use aide_rcs::archive::{RevId, RevisionMeta};
 use aide_rcs::repo::{MemRepository, Repository};
@@ -346,8 +347,9 @@ impl<R: Repository> AideServer<R> {
         );
         for url in &urls {
             body.push_str(&format!(
-                "<LI><A HREF=\"/history?url={url}\">{url}</A> \
+                "<LI><A HREF=\"/history?url={query}\">{url}</A> \
                  [<A HREF=\"/timemap/{url}\">timemap</A>]\n",
+                query = urlencode(url),
                 url = encode_entities(url)
             ));
         }
@@ -665,9 +667,10 @@ fn history_page(url: &str, revs: &[(RevisionMeta, bool)]) -> String {
          <H1>Versions of {url}</H1>\n<UL>\n",
         url = encode_entities(url)
     );
+    let query = urlencode(url);
     for (meta, seen) in revs {
         body.push_str(&format!(
-            "<LI>[<A HREF=\"/view?url={url}&rev={rev}\">{rev}</A>] {date} by {author}{seen}",
+            "<LI>[<A HREF=\"/view?url={query}&rev={rev}\">{rev}</A>] {date} by {author}{seen}",
             rev = meta.id,
             date = meta.date.to_http_date(),
             author = encode_entities(&meta.author),
@@ -675,7 +678,7 @@ fn history_page(url: &str, revs: &[(RevisionMeta, bool)]) -> String {
         ));
         if meta.id.0 > 1 {
             body.push_str(&format!(
-                " [<A HREF=\"/diff?url={url}&from=1.{prev}&to={rev}\">diff to previous</A>]",
+                " [<A HREF=\"/diff?url={query}&from=1.{prev}&to={rev}\">diff to previous</A>]",
                 prev = meta.id.0 - 1,
                 rev = meta.id,
             ));

@@ -7,6 +7,8 @@ mod common;
 
 use aide::engine::AideEngine;
 use aide::fixed::FixedCollection;
+use aide_htmlkit::entity::encode_entities;
+use aide_htmlkit::url::urlencode;
 use aide_rcs::repo::MemRepository;
 use aide_serve::AideServer;
 use aide_simweb::net::Web;
@@ -82,4 +84,52 @@ fn report_links_drive_the_full_cycle() {
     assert!(page.contains("AIDE HtmlDiff"));
     let page = ok(&server, &link(&whats_new, "op=rlog"));
     assert!(page.contains(&format!("Versions of {URL}")));
+}
+
+/// Asserts that every `HREF="…"` in `html` ends where its attribute
+/// does: no raw `"` inside a link target.
+fn assert_hrefs_closed(html: &str) {
+    for rest in html.split("HREF=\"").skip(1) {
+        let end = rest.find('"').expect("closing quote");
+        assert!(
+            rest[end + 1..].starts_with('>'),
+            "raw quote in href: {rest}"
+        );
+    }
+}
+
+#[test]
+fn urls_with_ampersands_and_quotes_survive_index_and_history_links() {
+    // Percent-encoded query values: `&` no longer splits the URL, and
+    // `"` no longer ends the attribute.
+    let web = common::fixture_web();
+    let engine = AideEngine::new(web.clone());
+    engine.register_user(USER, config::table1());
+    let urls = [
+        "http://www.usenix.org/q?a=1&b=2",
+        "http://www.usenix.org/say\"hi\".html",
+    ];
+    for (k, body) in ["<P>first text.", "<P>second text."].iter().enumerate() {
+        engine.clock().advance(Duration::days(1));
+        for url in urls {
+            if k == 0 {
+                web.set_page(url, body, engine.clock().now()).unwrap();
+            } else {
+                web.touch_page(url, body, engine.clock().now()).unwrap();
+            }
+            engine.remember(USER, url).unwrap();
+        }
+    }
+    let server = AideServer::new(Arc::new(engine));
+    let index = ok(&server, "/");
+    assert_hrefs_closed(&index);
+    for url in urls {
+        let history = ok(&server, &link(&index, &format!("?url={}", urlencode(url))));
+        assert!(history.contains(&format!("Versions of {}", encode_entities(url))));
+        assert_hrefs_closed(&history);
+        let page = ok(&server, &link(&history, "/view?"));
+        assert!(page.contains("second text."), "{page}");
+        let page = ok(&server, &link(&history, "/diff?"));
+        assert!(page.contains("AIDE HtmlDiff") && page.contains("second"));
+    }
 }

@@ -4,6 +4,7 @@
 
 mod common;
 
+use aide_htmlkit::url::urlencode;
 use aide_rcs::repo::Repository;
 use aide_serve::AideServer;
 use aide_util::time::Duration;
@@ -54,7 +55,8 @@ fn rlog_and_co<R: Repository>(s: &AideServer<R>) {
     let rlog = get(s, &format!("/rlog?url={URL}&user={USER}"));
     assert_eq!(rlog, get(s, &format!("/history?url={URL}&user={USER}")));
     assert!(body(&rlog).contains(">1.1</A>") && body(&rlog).contains("(seen)"));
-    assert!(body(&rlog).contains(&format!("/diff?url={URL}&from=1.2&to=1.3")));
+    let diff_link = format!("/diff?url={}&from=1.2&to=1.3", urlencode(URL));
+    assert!(body(&rlog).contains(&diff_link));
     // No user (What's New's History link carries none): no seen flags.
     let anon = ok(s, &format!("/cgi-bin/snapshot?op=rlog&url={URL}"));
     assert!(anon.contains(">1.3</A>") && !anon.contains("(seen)"));

@@ -173,7 +173,7 @@ pub fn parse_bookmark_file(text: &str) -> Vec<Bookmark> {
                 aide_htmlkit::lexer::TagKind::Close => {
                     if let Some(url) = pending_url.take() {
                         out.push(Bookmark {
-                            title: aide_htmlkit::entity::decode_entities(title.trim()),
+                            title: aide_htmlkit::entity::decode_entities(title.trim()).into_owned(),
                             url,
                         });
                     }

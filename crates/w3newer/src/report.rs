@@ -9,6 +9,7 @@
 
 use crate::checker::{RunReport, SkipReason, UrlStatus};
 use aide_htmlkit::entity::encode_entities;
+use aide_htmlkit::url::urlencode;
 
 /// The snapshot CGI path the three action links name; aide-serve
 /// answers it.
@@ -32,20 +33,6 @@ impl Default for ReportOptions {
             action_links: true,
         }
     }
-}
-
-/// Percent-encodes a URL for inclusion in a query string.
-fn urlencode(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for &b in s.as_bytes() {
-        match b {
-            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' => {
-                out.push(b as char)
-            }
-            other => out.push_str(&format!("%{other:02X}")),
-        }
-    }
-    out
 }
 
 fn action_links(url: &str, opts: &ReportOptions) -> String {
