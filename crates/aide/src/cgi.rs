@@ -9,6 +9,7 @@
 
 use crate::engine::AideEngine;
 use aide_htmlkit::entity::encode_entities;
+use aide_htmlkit::url::percent_decode;
 use aide_rcs::repo::Repository;
 use aide_snapshot::service::RememberOutcome;
 use std::collections::BTreeMap;
@@ -36,23 +37,7 @@ pub struct CgiResponse {
 /// Decodes `%XX` escapes and `+` in a query component. A `%` not
 /// followed by two hex digits stays as it is.
 pub fn urldecode(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let hex = |i: usize| bytes.get(i).and_then(|&b| (b as char).to_digit(16));
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        let (byte, len) = match bytes[i] {
-            b'+' => (b' ', 1),
-            b'%' => match (hex(i + 1), hex(i + 2)) {
-                (Some(hi), Some(lo)) => ((hi * 16 + lo) as u8, 3),
-                _ => (b'%', 1),
-            },
-            b => (b, 1),
-        };
-        out.push(byte);
-        i += len;
-    }
-    String::from_utf8_lossy(&out).into_owned()
+    percent_decode(&s.replace('+', " "))
 }
 
 /// Parses a query string (`op=diff&url=http%3A%2F%2Fx%2F`).

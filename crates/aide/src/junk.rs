@@ -17,7 +17,7 @@
 use aide_diffcore::lcs::weighted_lcs;
 use aide_htmldiff::compare::{compare_tokens, CompareOptions};
 use aide_htmldiff::token::{DiffToken, Inline};
-use aide_htmldiff::tokenize;
+use aide_htmldiff::tokenize_pair;
 
 /// The verdict on one change.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,8 +126,7 @@ pub fn is_noise_word(word: &str) -> bool {
 
 /// Classifies the change between two HTML documents.
 pub fn classify(old_html: &str, new_html: &str) -> JunkReport {
-    let old = tokenize(old_html);
-    let new = tokenize(new_html);
+    let (old, new) = tokenize_pair(old_html, new_html);
     let al = compare_tokens(&old, &new, &CompareOptions::default());
 
     let mut changed_words: Vec<String> = Vec::new();

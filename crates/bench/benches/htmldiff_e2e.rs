@@ -5,7 +5,7 @@
 //! the server-side cost §4.2 worries about ("the need to execute
 //! HtmlDiff on the server can result in high processor loads").
 
-use aide_htmldiff::{html_diff, tokenize, Options};
+use aide_htmldiff::{html_diff, tokenize, tokenize_pair, Options};
 use aide_util::rng::Rng;
 use aide_workloads::edits::EditModel;
 use aide_workloads::page::Page;
@@ -51,7 +51,7 @@ fn bench_change_rates(c: &mut Criterion) {
 fn bench_tokenize(c: &mut Criterion) {
     let mut rng = Rng::new(9);
     let html = Page::generate(&mut rng, 32 * 1024).render();
-    let (page, _) = pair(8 * 1024, EditModel::InPlaceEdit { sentences: 2 });
+    let (page, edited) = pair(8 * 1024, EditModel::InPlaceEdit { sentences: 2 });
     let mut group = c.benchmark_group("tokenize");
     group.throughput(Throughput::Bytes(html.len() as u64));
     group.bench_function("32kb", |b| {
@@ -60,6 +60,14 @@ fn bench_tokenize(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(page.len() as u64));
     group.bench_function("8kb", |b| {
         b.iter(|| black_box(tokenize(&page)));
+    });
+    group.finish();
+    // Both pages of the cold-dig diff, the newer one copying the older
+    // one's unchanged segments: compare with twice `tokenize/8kb`.
+    let mut group = c.benchmark_group("tokenize_pair");
+    group.throughput(Throughput::Bytes((page.len() + edited.len()) as u64));
+    group.bench_function("8kb_inplace", |b| {
+        b.iter(|| black_box(tokenize_pair(&page, &edited)));
     });
     group.finish();
 }

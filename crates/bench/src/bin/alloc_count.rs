@@ -5,6 +5,7 @@
 //! seeded 8 KB page (a two-sentence in-place edit, the cold-dig shape):
 //!
 //! - one `tokenize` of the page;
+//! - one `tokenize_pair` of the page and its edit;
 //! - one `html_diff` of the page against its edit;
 //! - one view, `serialize(rewrite_base(lex(..)))`.
 //!
@@ -16,7 +17,7 @@
 //! cargo run --release -p aide-bench --bin alloc_count
 //! ```
 
-use aide_htmldiff::{html_diff, tokenize, Options};
+use aide_htmldiff::{html_diff, tokenize, tokenize_pair, Options};
 use aide_htmlkit::url::Url;
 use aide_htmlkit::{lex, rewrite_base, serialize};
 use aide_util::rng::Rng;
@@ -79,6 +80,9 @@ fn main() {
     println!("{:<10} {:>8} {:>10}", "operation", "allocs", "bytes");
     count("tokenize", || {
         black_box(tokenize(black_box(&old)));
+    });
+    count("pair", || {
+        black_box(tokenize_pair(black_box(&old), black_box(&new)));
     });
     count("html_diff", || {
         black_box(html_diff(black_box(&old), black_box(&new), &opts));

@@ -60,4 +60,4 @@ pub use compare::{compare_tokens, CompareOptions, TokenAlignment};
 pub use merge::DiffStats;
 pub use present::{html_diff, DiffResult, Options, Presentation};
 pub use token::{token_class_hash, DiffToken, Inline, Sentence};
-pub use tokenize::tokenize;
+pub use tokenize::{tokenize, tokenize_pair};

@@ -23,7 +23,7 @@ use crate::merge::{
 };
 use crate::muddle::{analyze, MuddleReport, MuddleThresholds};
 use crate::token::{push_words, DiffToken, Inline, Sentence};
-use crate::tokenize::tokenize;
+use crate::tokenize::tokenize_pair;
 use aide_diffcore::lcs::weighted_lcs;
 use aide_diffcore::script::{Alignment, EditOp};
 
@@ -104,8 +104,7 @@ pub struct DiffResult {
 
 /// Compares two HTML documents and renders the differences.
 pub fn html_diff(old_html: &str, new_html: &str, opts: &Options) -> DiffResult {
-    let old = tokenize(old_html);
-    let new = tokenize(new_html);
+    let (old, new) = tokenize_pair(old_html, new_html);
     diff_tokens(&old, &new, opts)
 }
 

@@ -12,12 +12,16 @@
 //!   byte-identical merged page (and identical stats) as the naive full
 //!   DP, for any gap-worker count;
 //! - the fused single-pass tokenizer yields the tokens, bytes and class
-//!   hashes of the two-pass tokenizer it replaced.
+//!   hashes of the two-pass tokenizer it replaced;
+//! - tokenizing a pair, which copies the older page's tokens wherever
+//!   the newer page repeats a segment of it, yields exactly the tokens of
+//!   tokenizing each page alone, in both directions.
 
 mod oracle;
 
 use aide_htmldiff::{
-    html_diff, token_class_hash, tokenize, CompareOptions, DiffToken, Options, Sentence,
+    html_diff, token_class_hash, tokenize, tokenize_pair, CompareOptions, DiffToken, Options,
+    Sentence,
 };
 use oracle::{owned, two_pass_tokenize, TwoPassToken};
 use proptest::prelude::*;
@@ -356,4 +360,141 @@ proptest! {
             prop_assert_eq!(token_class_hash(t), token_class_hash(&rebuilt));
         }
     }
+}
+
+/// Asserts that `tokenize_pair` yields `tokenize`'s tokens for both
+/// pages, both ways round: equal as tokens, as written (`Debug` shows
+/// tag names in their source case), by class hash and by rendered bytes.
+fn assert_pair_tokenizes_alone(a: &str, b: &str) -> Result<(), TestCaseError> {
+    for (old, new) in [(a, b), (b, a)] {
+        let (po, pn) = tokenize_pair(old, new);
+        for (pair, alone) in [(po, tokenize(old)), (pn, tokenize(new))] {
+            prop_assert_eq!(&pair, &alone);
+            prop_assert_eq!(format!("{pair:?}"), format!("{alone:?}"));
+            for (p, q) in pair.iter().zip(&alone) {
+                prop_assert_eq!(token_class_hash(p), token_class_hash(q));
+                let (mut x, mut y) = (String::new(), String::new());
+                p.render_into(&mut x);
+                q.render_into(&mut y);
+                prop_assert_eq!(x, y);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Fragments that change how what follows them lexes: `<PRE>`-family
+/// toggles, comment and declaration openers, unterminated tags and
+/// quotes, and non-ASCII text (U+00A0 splits no ASCII word).
+const HOSTILE: &[&str] = &[
+    "<PRE>",
+    "</PRE>",
+    "<xmp>",
+    "</XMP>",
+    "<LISTING>",
+    "<!--",
+    "-->",
+    "<!",
+    "<!-- x -->",
+    "<A HREF=\"",
+    "<IMG SRC='",
+    "\"",
+    "'",
+    "<B",
+    "</",
+    "<",
+    ">",
+    "<P",
+    "<HR>",
+    "<P>",
+    "\n",
+    "\u{A0}",
+    "caf\u{E9} ",
+    "\u{65E5}\u{672C} ",
+    "\u{3000}",
+    "\u{2028}",
+];
+
+/// Inserts `frag` into `page` at about `at`, on a char boundary.
+fn splice(page: &mut String, at: usize, frag: &str) {
+    let mut at = at % (page.len() + 1);
+    while !page.is_char_boundary(at) {
+        at -= 1;
+    }
+    page.insert_str(at, frag);
+}
+
+/// An edit-structured pair with hostile fragments spliced into either
+/// page, or into both at the same place.
+fn hostile_pair() -> impl Strategy<Value = (String, String)> {
+    let splices = proptest::collection::vec((0usize..3, 0usize..4000, 0usize..HOSTILE.len()), 1..5);
+    (edit_structured_html_pair(), splices).prop_map(|((mut a, mut b), splices)| {
+        for (side, at, frag) in splices {
+            let frag = HOSTILE[frag];
+            match side {
+                0 => splice(&mut a, at, frag),
+                1 => splice(&mut b, at, frag),
+                _ => {
+                    splice(&mut a, at, frag);
+                    splice(&mut b, at, frag);
+                }
+            }
+        }
+        (a, b)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn pair_tokenizes_as_alone_on_revisions(ab in edit_structured_html_pair()) {
+        assert_pair_tokenizes_alone(&ab.0, &ab.1)?;
+    }
+
+    #[test]
+    fn pair_tokenizes_as_alone_on_soup(
+        head in tokenizer_soup(),
+        x in tokenizer_soup(),
+        y in tokenizer_soup(),
+        tail in tokenizer_soup(),
+    ) {
+        // A shared head and tail around two different middles, and two
+        // unrelated pages.
+        assert_pair_tokenizes_alone(&format!("{head}{x}{tail}"), &format!("{head}{y}{tail}"))?;
+        assert_pair_tokenizes_alone(&x, &y)?;
+    }
+
+    #[test]
+    fn pair_tokenizes_as_alone_on_hostile_splices(ab in hostile_pair()) {
+        assert_pair_tokenizes_alone(&ab.0, &ab.1)?;
+    }
+}
+
+#[test]
+fn pair_copies_unchanged_segments_and_shares_their_arena() {
+    let old = "<P>One kept sentence.<P>Two <B>kept</B> words.<P>Old end.";
+    let new = "<P>One kept sentence.<P>Two <B>kept</B> words.<P>New end.";
+    let (a, b) = tokenize_pair(old, new);
+    // Both kept sentences are copies: their words are slices of `old`.
+    for k in [1, 3] {
+        let s = b[k].as_sentence().unwrap();
+        assert_eq!(s, a[k].as_sentence().unwrap());
+        assert!(s
+            .items
+            .iter()
+            .any(|i| matches!(i, aide_htmldiff::Inline::Word(w) if within(old, w))));
+    }
+    // The changed tail is lexed from `new`.
+    let tail = b[5].as_sentence().unwrap();
+    assert!(tail
+        .items
+        .iter()
+        .all(|i| matches!(i, aide_htmldiff::Inline::Word(w) if within(new, w))));
+    // Same segment, other <PRE> depth: not copied, and still right.
+    let old = "<P>a  b<P>tail";
+    let new = "<PRE>a  b<P>tail";
+    assert_pair_tokenizes_alone(old, new).unwrap();
+    let (_, b) = tokenize_pair(old, new);
+    assert_eq!(b[1].as_sentence().unwrap().render(), "a  b");
 }

@@ -44,7 +44,7 @@ pub fn decode_entities(text: &str) -> Cow<'_, str> {
                 let name = &text[i + 1..semi];
                 match decode_one(name) {
                     Some(decoded) => {
-                        out.push_str(&decoded);
+                        out.push(decoded);
                         i = semi + 1;
                     }
                     None => {
@@ -71,14 +71,15 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-fn decode_one(name: &str) -> Option<String> {
+/// The character entity `&name;` stands for, if it is one.
+fn decode_one(name: &str) -> Option<char> {
     if let Some(rest) = name.strip_prefix('#') {
         let code = if let Some(hex) = rest.strip_prefix('x').or_else(|| rest.strip_prefix('X')) {
             u32::from_str_radix(hex, 16).ok()?
         } else {
             rest.parse::<u32>().ok()?
         };
-        return char::from_u32(code).map(|c| c.to_string());
+        return char::from_u32(code);
     }
     let ch = match name {
         "amp" => '&',
@@ -110,7 +111,7 @@ fn decode_one(name: &str) -> Option<String> {
         "sect" => '§',
         _ => return None,
     };
-    Some(ch.to_string())
+    Some(ch)
 }
 
 /// Encodes the characters that must be escaped in HTML text content.

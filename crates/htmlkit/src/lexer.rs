@@ -254,11 +254,27 @@ pub struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     /// A lexer at the start of `html`.
     pub fn new(html: &'a str) -> Lexer<'a> {
+        Lexer::resume(html, 0)
+    }
+
+    /// A lexer over `html` that starts at byte `at`, which must be a
+    /// char boundary: where another lexer over the same bytes stood just
+    /// after returning a tag, or any tag's end.
+    pub fn resume(html: &'a str, at: usize) -> Lexer<'a> {
         Lexer {
             html,
-            pos: 0,
+            pos: at,
             pending: None,
         }
+    }
+
+    /// The byte offset just past the last token returned, when that
+    /// token was markup. (After a text run, the markup found behind it
+    /// is already consumed and held back.) A tag ends at its `>`: no
+    /// byte past it is read to lex it, so the tokens up to any tag are a
+    /// function of the bytes up to its end.
+    pub fn offset(&self) -> usize {
+        self.pos
     }
 }
 

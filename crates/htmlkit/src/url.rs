@@ -55,6 +55,57 @@ pub fn urlencode(s: &str) -> String {
     out
 }
 
+/// Percent-encodes `s` for a path segment that embeds a whole URL (the
+/// Memento routes' `/timemap/<url>`): `%`, space, `"`, `#`, `<`, `>`,
+/// the other bytes a client would escape in a path, controls and
+/// non-ASCII bytes become `%XX`; the rest, `/`, `?`, `&` and `=`
+/// included, stay as written. [`percent_decode`] inverts it.
+///
+/// # Examples
+///
+/// ```
+/// use aide_htmlkit::url::{percent_decode, urlencode_path};
+///
+/// let url = "http://h/say \"hi\" 100%.html?a=1&b=2";
+/// let path = urlencode_path(url);
+/// assert_eq!(path, "http://h/say%20%22hi%22%20100%25.html?a=1&b=2");
+/// assert_eq!(percent_decode(&path), url);
+/// ```
+pub fn urlencode_path(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for &b in s.as_bytes() {
+        match b {
+            b'!' | b'$' | b'&'..=b';' | b'=' | b'?'..=b'[' | b']' | b'_' | b'a'..=b'z' | b'~' => {
+                out.push(b as char)
+            }
+            other => out.push_str(&format!("%{other:02X}")),
+        }
+    }
+    out
+}
+
+/// Decodes every `%XX` in `s`; a `%` not followed by two hex digits
+/// passes through. Unlike a query value, `+` stays `+`.
+pub fn percent_decode(s: &str) -> String {
+    let bytes = s.as_bytes();
+    let hex = |i: usize| bytes.get(i).and_then(|&b| (b as char).to_digit(16));
+    let mut out = Vec::with_capacity(bytes.len());
+    let mut i = 0;
+    while i < bytes.len() {
+        match (bytes[i], hex(i + 1), hex(i + 2)) {
+            (b'%', Some(hi), Some(lo)) => {
+                out.push((hi * 16 + lo) as u8);
+                i += 3;
+            }
+            (b, _, _) => {
+                out.push(b);
+                i += 1;
+            }
+        }
+    }
+    String::from_utf8_lossy(&out).into_owned()
+}
+
 impl Url {
     /// Parses an absolute URL.
     ///

@@ -6,7 +6,8 @@
 //! - text content survives lexing;
 //! - URL join results are well-formed (absolute path, no dot segments)
 //!   and display→parse round-trips;
-//! - entity decode of encode is the identity;
+//! - entity decode of encode is the identity, and decoding pushes the
+//!   characters a one-`String`-per-entity reference decoder produced;
 //! - `Tag::matches_modulo_order` (same-order shortcut first) agrees with
 //!   an always-sorting compare;
 //! - `split_words` finds exactly `str::split_whitespace`'s words.
@@ -245,5 +246,119 @@ proptest! {
             prop_assert_eq!(w.ends_sentence, word_ends_sentence(w.text));
             prop_assert!(within(&s, w.text), "{:?} was copied out of the text", w.text);
         }
+    }
+}
+
+/// The entity decoder as it was when each entity built a `String`: the
+/// reference `decode_entities` must reproduce.
+fn reference_decode(text: &str) -> String {
+    const NAMED: &[(&str, char)] = &[
+        ("amp", '&'),
+        ("lt", '<'),
+        ("gt", '>'),
+        ("quot", '"'),
+        ("apos", '\''),
+        ("nbsp", '\u{A0}'),
+        ("copy", '©'),
+        ("reg", '®'),
+        ("trade", '™'),
+        ("agrave", 'à'),
+        ("aacute", 'á'),
+        ("eacute", 'é'),
+        ("egrave", 'è'),
+        ("iacute", 'í'),
+        ("oacute", 'ó'),
+        ("uacute", 'ú'),
+        ("ntilde", 'ñ'),
+        ("ouml", 'ö'),
+        ("uuml", 'ü'),
+        ("auml", 'ä'),
+        ("szlig", 'ß'),
+        ("ccedil", 'ç'),
+        ("Agrave", 'À'),
+        ("Eacute", 'É'),
+        ("middot", '·'),
+        ("para", '¶'),
+        ("sect", '§'),
+    ];
+    fn one(name: &str) -> Option<String> {
+        if let Some(rest) = name.strip_prefix('#') {
+            let code = match rest.strip_prefix('x').or_else(|| rest.strip_prefix('X')) {
+                Some(hex) => u32::from_str_radix(hex, 16).ok()?,
+                None => rest.parse::<u32>().ok()?,
+            };
+            return char::from_u32(code).map(|c| c.to_string());
+        }
+        NAMED
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, c)| c.to_string())
+    }
+    let mut out = String::new();
+    let mut i = 0;
+    while let Some(c) = text[i..].chars().next() {
+        if c != '&' {
+            out.push(c);
+            i += c.len_utf8();
+            continue;
+        }
+        let semi = text[i + 1..]
+            .char_indices()
+            .take(12)
+            .find(|&(_, c)| c == ';')
+            .map(|(off, _)| i + 1 + off);
+        match semi.and_then(|semi| Some((semi, one(&text[i + 1..semi])?))) {
+            Some((semi, decoded)) => {
+                out.push_str(&decoded);
+                i = semi + 1;
+            }
+            None => {
+                out.push('&');
+                i += 1;
+            }
+        }
+    }
+    out
+}
+
+fn entity_soup() -> impl Strategy<Value = String> {
+    proptest::collection::vec(
+        prop_oneof![
+            Just("&amp;"),
+            Just("&lt;"),
+            Just("&GT;"),
+            Just("&nbsp;"),
+            Just("&eacute;"),
+            Just("&Eacute;"),
+            Just("&sect;"),
+            Just("&#65;"),
+            Just("&#x42;"),
+            Just("&#X263A;"),
+            Just("&#1114112;"),
+            Just("&#xD800;"),
+            Just("&#;"),
+            Just("&#x;"),
+            Just("&bogus;"),
+            Just("&averyveryverylongname;"),
+            Just("&copy"),
+            Just("&"),
+            Just(";"),
+            Just("#"),
+            Just("x"),
+            Just("caf\u{E9}"),
+            Just("\u{65E5}"),
+            Just(" "),
+        ],
+        0..24,
+    )
+    .prop_map(|v| v.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn decode_entities_matches_the_reference(s in entity_soup()) {
+        prop_assert_eq!(decode_entities(&s), reference_decode(&s));
     }
 }

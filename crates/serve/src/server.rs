@@ -38,7 +38,7 @@ use aide::cgi::{parse_query, remember_page};
 use aide::engine::AideEngine;
 use aide_htmldiff::Options as DiffOptions;
 use aide_htmlkit::entity::encode_entities;
-use aide_htmlkit::url::urlencode;
+use aide_htmlkit::url::{percent_decode, urlencode, urlencode_path};
 use aide_obs::CounterCell;
 use aide_rcs::archive::{RevId, RevisionMeta};
 use aide_rcs::repo::{MemRepository, Repository};
@@ -298,15 +298,16 @@ impl<R: Repository> AideServer<R> {
             return self.finish(error_response(400, "origin-form request target required"));
         }
         // Memento-family routes embed the archived URL — query string
-        // and all — in the path, so they route on the raw target.
+        // and all — in the path, so they route on the whole target,
+        // percent-decoded (the links they print are `urlencode_path`d).
         if let Some(url) = target.strip_prefix("/timegate/") {
-            return self.finish(self.timegate(req, url));
+            return self.finish(self.timegate(req, &percent_decode(url)));
         }
         if let Some(rest) = target.strip_prefix("/timemap/") {
-            return self.finish(self.timemap(req, rest));
+            return self.finish(self.timemap(req, &percent_decode(rest)));
         }
         if let Some(rest) = target.strip_prefix("/memento/") {
-            return self.finish(self.memento(req, rest));
+            return self.finish(self.memento(req, &percent_decode(rest)));
         }
         let (path, query) = match target.split_once('?') {
             Some((p, q)) => (p, q),
@@ -348,8 +349,9 @@ impl<R: Repository> AideServer<R> {
         for url in &urls {
             body.push_str(&format!(
                 "<LI><A HREF=\"/history?url={query}\">{url}</A> \
-                 [<A HREF=\"/timemap/{url}\">timemap</A>]\n",
+                 [<A HREF=\"/timemap/{path}\">timemap</A>]\n",
                 query = urlencode(url),
+                path = encode_entities(&urlencode_path(url)),
                 url = encode_entities(url)
             ));
         }
@@ -539,7 +541,8 @@ impl<R: Repository> AideServer<R> {
             Ok(hit) => hit,
             Err(e) => return error_response(404, &e.to_string()),
         };
-        let location = format!("/memento/{}/{url}", rev_date.to_rcs_date());
+        let path = urlencode_path(url);
+        let location = format!("/memento/{}/{path}", rev_date.to_rcs_date());
         WireResponse::new(302)
             .header("Vary", "accept-datetime")
             .header("Location", &location)
@@ -547,7 +550,7 @@ impl<R: Repository> AideServer<R> {
                 "Link",
                 &format!(
                     "<{url}>; rel=\"original\", \
-                     </timemap/{url}>; rel=\"timemap\"; type=\"application/link-format\", \
+                     </timemap/{path}>; rel=\"timemap\"; type=\"application/link-format\", \
                      <{location}>; rel=\"memento\"; datetime=\"{dt}\"",
                     dt = rev_date.to_http_date()
                 ),
@@ -574,8 +577,9 @@ impl<R: Repository> AideServer<R> {
             Ok(hit) => hit,
             Err(e) => return error_response(404, &e.to_string()),
         };
+        let path = urlencode_path(url);
         if rev_date != when {
-            let location = format!("/memento/{}/{url}", rev_date.to_rcs_date());
+            let location = format!("/memento/{}/{path}", rev_date.to_rcs_date());
             return WireResponse::new(302)
                 .header("Location", &location)
                 .body(format!("See {location}\n"));
@@ -586,8 +590,8 @@ impl<R: Repository> AideServer<R> {
         );
         let link = format!(
             "<{url}>; rel=\"original\", \
-             </timegate/{url}>; rel=\"timegate\", \
-             </timemap/{url}>; rel=\"timemap\"; type=\"application/link-format\"",
+             </timegate/{path}>; rel=\"timegate\", \
+             </timemap/{path}>; rel=\"timemap\"; type=\"application/link-format\"",
         );
         self.cached(req, &etag, "text/html", || {
             snapshot
@@ -698,21 +702,22 @@ fn timemap_page(
     per: usize,
     metas: &[RevisionMeta],
 ) -> String {
+    let path = urlencode_path(url);
     let self_path = if page == 0 {
-        format!("/timemap/{url}")
+        format!("/timemap/{path}")
     } else {
-        format!("/timemap/{page}/{url}")
+        format!("/timemap/{page}/{path}")
     };
     let mut body = format!(
         "<{url}>;rel=\"original\",\n\
-         </timegate/{url}>;rel=\"timegate\",\n\
+         </timegate/{path}>;rel=\"timegate\",\n\
          <{self_path}>;rel=\"self\";type=\"application/link-format\",\n"
     );
     if page > 0 {
         let prev = if page == 1 {
-            format!("/timemap/{url}")
+            format!("/timemap/{path}")
         } else {
-            format!("/timemap/{}/{url}", page - 1)
+            format!("/timemap/{}/{path}", page - 1)
         };
         body.push_str(&format!(
             "<{prev}>;rel=\"prev\";type=\"application/link-format\",\n"
@@ -720,7 +725,7 @@ fn timemap_page(
     }
     if page + 1 < pages {
         body.push_str(&format!(
-            "</timemap/{}/{url}>;rel=\"next\";type=\"application/link-format\",\n",
+            "</timemap/{}/{path}>;rel=\"next\";type=\"application/link-format\",\n",
             page + 1
         ));
     }
@@ -736,7 +741,7 @@ fn timemap_page(
             "memento"
         };
         body.push_str(&format!(
-            "</memento/{stamp}/{url}>;rel=\"{rel}\";datetime=\"{dt}\",\n",
+            "</memento/{stamp}/{path}>;rel=\"{rel}\";datetime=\"{dt}\",\n",
             stamp = meta.date.to_rcs_date(),
             dt = meta.date.to_http_date(),
         ));

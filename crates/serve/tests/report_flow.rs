@@ -1,13 +1,14 @@
 //! Every link AIDE prints resolves on aide-serve: Figure 1's Remember,
 //! Diff and History (§6), the History page's view and diff links
-//! (§8.1) and What's New's `rcsdiff` and `rlog` (§8.2), each clicked
+//! (§8.1), What's New's `rcsdiff` and `rlog` (§8.2), and the index's
+//! TimeMap links with every Memento link they lead to, each clicked
 //! exactly as printed.
 
 mod common;
 
 use aide::engine::AideEngine;
 use aide::fixed::FixedCollection;
-use aide_htmlkit::entity::encode_entities;
+use aide_htmlkit::entity::{decode_entities, encode_entities};
 use aide_htmlkit::url::urlencode;
 use aide_rcs::repo::MemRepository;
 use aide_serve::AideServer;
@@ -16,7 +17,7 @@ use aide_snapshot::service::SnapshotService;
 use aide_util::time::{Clock, Duration, Timestamp};
 use aide_w3newer::config;
 use aide_workloads::usenix::{USENIX_1995_09_29, USENIX_1995_11_03};
-use common::{ok, URL};
+use common::{get, header, ok, status_line, URL};
 use std::sync::Arc;
 
 const USER: &str = "douglis@research.att.com";
@@ -131,5 +132,87 @@ fn urls_with_ampersands_and_quotes_survive_index_and_history_links() {
         assert!(page.contains("second text."), "{page}");
         let page = ok(&server, &link(&history, "/diff?"));
         assert!(page.contains("AIDE HtmlDiff") && page.contains("second"));
+    }
+}
+
+/// The server-local targets (`</…>`) of a link-format list: a TimeMap
+/// body or a `Link` header.
+fn link_targets(list: &str) -> Vec<String> {
+    list.split("</")
+        .skip(1)
+        .filter_map(|rest| rest.split('>').next())
+        .map(|path| format!("/{path}"))
+        .collect()
+}
+
+/// GETs `target`, follows one redirect, and asserts that the page is
+/// the memento or TimeMap of `url`; returns the final response.
+fn follow_memento_link(server: &AideServer, target: &str, url: &str) -> String {
+    let mut resp = get(server, target);
+    if status_line(&resp) == "HTTP/1.1 302 Found" {
+        let location = header(&resp, "Location").expect("Location").to_string();
+        resp = get(server, &location);
+    }
+    assert_eq!(status_line(&resp), "HTTP/1.1 200 OK", "{target}: {resp}");
+    let original = format!("<{url}>;");
+    let names_url = header(&resp, "Link").is_some_and(|l| l.starts_with(&original))
+        || common::body(&resp).starts_with(&original);
+    assert!(names_url, "{target} is not about {url}: {resp}");
+    resp
+}
+
+#[test]
+fn memento_links_resolve_for_urls_with_quotes_spaces_ampersands_and_percents() {
+    let web = common::fixture_web();
+    let engine = AideEngine::new(web.clone());
+    engine.register_user(USER, config::table1());
+    let urls = [
+        "http://www.usenix.org/say\"hi\".html",
+        "http://www.usenix.org/two words.html",
+        "http://www.usenix.org/q?a=1&b=2",
+        "http://www.usenix.org/50%off%41.html",
+    ];
+    for (k, body) in ["<P>first text.", "<P>second text."].iter().enumerate() {
+        engine.clock().advance(Duration::days(1));
+        for url in urls {
+            if k == 0 {
+                web.set_page(url, body, engine.clock().now()).unwrap();
+            } else {
+                web.touch_page(url, body, engine.clock().now()).unwrap();
+            }
+            engine.remember(USER, url).unwrap();
+        }
+    }
+    let server = AideServer::new(Arc::new(engine));
+    let index = ok(&server, "/");
+    for url in urls {
+        // The index line of `url`, and its TimeMap link as a browser
+        // reads the attribute.
+        let line = index
+            .lines()
+            .find(|l| l.contains(&format!("?url={}\"", urlencode(url))))
+            .unwrap_or_else(|| panic!("no index line for {url}: {index}"));
+        let timemap = decode_entities(&link(line, "/timemap/")).into_owned();
+        let resp = follow_memento_link(&server, &timemap, url);
+        let targets = link_targets(common::body(&resp));
+        // timegate, self and both mementos.
+        assert_eq!(targets.len(), 4, "{resp}");
+        for target in targets {
+            let resp = follow_memento_link(&server, &target, url);
+            for target in link_targets(header(&resp, "Link").unwrap_or("")) {
+                follow_memento_link(&server, &target, url);
+            }
+        }
+        // The TimeGate's redirect and its own links.
+        let gate = get(
+            &server,
+            &format!("/timegate/{}", &timemap["/timemap/".len()..]),
+        );
+        assert_eq!(status_line(&gate), "HTTP/1.1 302 Found", "{gate}");
+        for target in link_targets(header(&gate, "Link").unwrap()) {
+            follow_memento_link(&server, &target, url);
+        }
+        let memento = follow_memento_link(&server, header(&gate, "Location").unwrap(), url);
+        assert!(common::body(&memento).contains("second text."), "{memento}");
     }
 }

@@ -41,7 +41,7 @@ use crate::cache::{CacheStats, PageCache};
 use crate::control::ControlFile;
 use crate::locks::LockTable;
 use aide_htmldiff::present::diff_tokens;
-use aide_htmldiff::{tokenize, Options as DiffOptions};
+use aide_htmldiff::{tokenize_pair, Options as DiffOptions};
 use aide_htmlkit::lexer::{lex, serialize};
 use aide_htmlkit::links::rewrite_base;
 use aide_htmlkit::url::Url;
@@ -461,8 +461,7 @@ impl<R: Repository> SnapshotService<R> {
         let mut labeled = opts.clone();
         labeled.old_label = from.to_string();
         labeled.new_label = to.to_string();
-        let old_tokens = tokenize(&old);
-        let new_tokens = tokenize(&new);
+        let (old_tokens, new_tokens) = tokenize_pair(&old, &new);
         aide_obs::observe!(
             "snapshot.diff.tokens",
             (old_tokens.len() + new_tokens.len()) as u64,
