@@ -380,7 +380,11 @@ impl<R: Repository> AideEngine<R> {
     }
 
     /// History of a URL with this user's seen flags.
-    pub fn history(&self, id: &str, url: &str) -> Result<Vec<(RevisionMeta, bool)>, EngineError> {
+    pub fn history(
+        &self,
+        id: &str,
+        url: &str,
+    ) -> Result<Vec<(Arc<RevisionMeta>, bool)>, EngineError> {
         Ok(self.snapshot.history(&UserId::new(id), url)?)
     }
 

@@ -1,11 +1,11 @@
 //! Criterion bench: repository backends head to head.
 //!
-//! Check-in (store), checkout (load, cached and cold), and recovery
-//! (opening a populated store) for the in-memory reference repository
-//! vs the persistent `aide-store` engine. The disk engine runs over an
-//! in-memory VFS so the numbers measure the engine — WAL framing, group
-//! commit, segment checkpointing, index rebuild — rather than the host
-//! filesystem.
+//! Check-in (store), checkout (load, cached and cold), recovery
+//! (opening a populated store), and a Remember-shaped write by history
+//! depth, for the in-memory reference repository vs the persistent
+//! `aide-store` engine. The disk engine runs over an in-memory VFS so
+//! the numbers measure the engine — WAL framing, group commit, segment
+//! checkpointing, index rebuild — rather than the host filesystem.
 
 use aide_rcs::archive::Archive;
 use aide_rcs::repo::{MemRepository, Repository};
@@ -21,16 +21,27 @@ use std::sync::Arc;
 
 /// A 10 KB page archive with `revisions` small-edit revisions.
 fn build_archive(seed: u64, revisions: usize) -> Archive {
+    build_history(seed, revisions, 0).0
+}
+
+/// [`build_archive`], plus the `more` page texts the same edit model
+/// produces next.
+fn build_history(seed: u64, revisions: usize, more: usize) -> (Archive, Vec<String>) {
     let mut rng = Rng::new(seed);
     let mut page = Page::generate(&mut rng, 10 * 1024);
     let mut archive = Archive::create("bench", &page.render(), "u", "init", Timestamp(0));
-    for step in 1..revisions {
+    let mut next = Vec::new();
+    for step in 1..revisions + more {
         EditModel::InPlaceEdit { sentences: 2 }.apply(&mut page, &mut rng, step as u64);
-        archive
-            .checkin(&page.render(), "u", "edit", Timestamp(step as u64 * 100))
-            .unwrap();
+        if step < revisions {
+            archive
+                .checkin(&page.render(), "u", "edit", Timestamp(step as u64 * 100))
+                .unwrap();
+        } else {
+            next.push(page.render());
+        }
     }
-    archive
+    (archive, next)
 }
 
 fn mem_vfs_repo(opts: StoreOptions) -> DiskRepository {
@@ -137,5 +148,51 @@ fn bench_recovery(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_store, bench_load, bench_recovery);
+/// Remember-shaped writes — load, clone, check in, `store_checkin` — on
+/// 64 keys whose archives start `depth` revisions deep, round robin, so
+/// each key grows by only a few revisions while the case runs. The disk
+/// engine checkpoints and compacts inline, as it does with no
+/// background compactor. ROADMAP item 8's bound: depth 480 costs at
+/// most 1.5× depth 30 on both backends.
+fn bench_remember_by_depth(c: &mut Criterion) {
+    const KEYS: usize = 64;
+    let mut group = c.benchmark_group("remember_by_depth");
+    for depth in [30usize, 480] {
+        let (archive, texts) = build_history(11, depth, 64);
+        let keys: Vec<String> = (0..KEYS)
+            .map(|i| format!("http://bench/deep{i}.html"))
+            .collect();
+        let mem = MemRepository::new();
+        let disk = mem_vfs_repo(StoreOptions::default());
+        for repo in [&mem as &dyn Repository, &disk] {
+            for key in &keys {
+                repo.store(key, &archive).unwrap();
+            }
+        }
+        for (name, repo) in [("mem", &mem as &dyn Repository), ("disk", &disk)] {
+            let mut step = 0usize;
+            group.bench_function(BenchmarkId::new(name, depth), |b| {
+                b.iter(|| {
+                    let key = &keys[step % KEYS];
+                    let text = &texts[(step / KEYS) % texts.len()];
+                    step += 1;
+                    let base = repo.load(key).unwrap().unwrap();
+                    let mut next = (*base).clone();
+                    next.checkin(text, "u", "edit", Timestamp(1 << 40 | step as u64))
+                        .unwrap();
+                    repo.store_checkin(key, &base, Arc::new(next)).unwrap();
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_store,
+    bench_load,
+    bench_recovery,
+    bench_remember_by_depth
+);
 criterion_main!(benches);

@@ -113,7 +113,7 @@ fn run(cmd: RcsCommand) -> Result<ExitCode, String> {
             let mut out = format!(
                 "RCS file: {archive}\nhead: {}\ndescription: {}\ntotal revisions: {}\n{}\n",
                 a.head(),
-                a.description,
+                a.description(),
                 a.len(),
                 "-".repeat(28)
             );

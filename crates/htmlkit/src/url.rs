@@ -84,6 +84,44 @@ pub fn urlencode_path(s: &str) -> String {
     out
 }
 
+/// Makes `s` a URI reference (RFC 3986) for a link target such as a
+/// `Link` header's `<…>`: percent-encodes space, `"`, `<`, `>`, `\`,
+/// `^`, `` ` ``, `{`, `|`, `}`, controls, non-ASCII bytes and a `%` that
+/// does not start a `%XX` escape. Everything a URI may hold stays as
+/// written, `:/?#[]@!$&'()*+,;=` and existing escapes included, so a
+/// URL that is already a URI reference comes back unchanged.
+///
+/// # Examples
+///
+/// ```
+/// use aide_htmlkit::url::uri_reference;
+///
+/// assert_eq!(uri_reference("http://h/a b<c>.html?x=1&y=%41"), "http://h/a%20b%3Cc%3E.html?x=1&y=%41");
+/// assert_eq!(uri_reference("http://h/100%.html"), "http://h/100%25.html");
+/// ```
+pub fn uri_reference(s: &str) -> String {
+    let bytes = s.as_bytes();
+    let hex = |i: usize| bytes.get(i).is_some_and(u8::is_ascii_hexdigit);
+    let mut out = String::with_capacity(s.len());
+    for (i, &b) in bytes.iter().enumerate() {
+        match b {
+            b'%' if hex(i + 1) && hex(i + 2) => out.push('%'),
+            b'!'
+            | b'#'
+            | b'$'
+            | b'&'..=b';'
+            | b'='
+            | b'?'..=b'['
+            | b']'
+            | b'_'
+            | b'a'..=b'z'
+            | b'~' => out.push(b as char),
+            other => out.push_str(&format!("%{other:02X}")),
+        }
+    }
+    out
+}
+
 /// Decodes every `%XX` in `s`; a `%` not followed by two hex digits
 /// passes through. Unlike a query value, `+` stays `+`.
 pub fn percent_decode(s: &str) -> String {

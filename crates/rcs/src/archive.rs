@@ -9,8 +9,10 @@
 //! the "time travel" §2.2 compares to 3DFS.
 
 use crate::delta::{Delta, DeltaError};
+use crate::format;
 use aide_util::time::Timestamp;
 use std::fmt;
+use std::sync::Arc;
 
 /// A trunk revision number, rendered `1.<n>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -122,19 +124,107 @@ impl From<DeltaError> for ArchiveError {
     }
 }
 
+/// Revisions per [`Chunk`]. A check-in copies the newest chunk's
+/// entries, so this bounds what it copies; a walk follows one pointer
+/// per chunk and reads each chunk's entries in a row.
+const CHUNK: usize = 16;
+
+/// One revision: its metadata and the reverse delta that recovers the
+/// previous revision's text from this one's (`None` for the first
+/// revision).
+///
+/// The delta sits in the chunk, so a checkout reads its chunks in a
+/// row; cloning a revision copies its delta. Measured on a cold
+/// checkout 60 revisions deep (aidebench cold-dig, 2-vCPU shared host):
+/// one pointer per revision spent 4.5 µs finding the revision, where a
+/// scan of an array of them spent 0.4 µs and chunks 1.5–1.9 µs; and
+/// deltas behind pointers of their own made the checkout 36.6 µs,
+/// against 30.1 µs for an array archive that a deep copy at every store
+/// kept together and 31.2 µs for deltas copied with their chunk.
+#[derive(Clone)]
+struct Rev {
+    meta: Arc<RevisionMeta>,
+    back: Option<Delta>,
+}
+
+impl Rev {
+    fn new(meta: RevisionMeta, back: Option<Delta>) -> Rev {
+        Rev {
+            meta: Arc::new(meta),
+            back,
+        }
+    }
+}
+
+/// Up to [`CHUNK`] consecutive revisions, oldest first, and the chunk
+/// of the revisions before them. Chunks never change once built, and
+/// are shared between archives.
+struct Chunk {
+    revs: Vec<Rev>,
+    prev: Option<Arc<Chunk>>,
+}
+
+impl Drop for Chunk {
+    /// Unlinks the chunks this one alone holds one by one, so dropping a
+    /// long history does not recurse once per chunk.
+    fn drop(&mut self) {
+        let mut prev = self.prev.take();
+        while let Some(chunk) = prev {
+            prev = match Arc::try_unwrap(chunk) {
+                Ok(mut chunk) => chunk.prev.take(),
+                Err(_) => None,
+            };
+        }
+    }
+}
+
 /// One document's complete history.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The revisions sit in a chain of chunks from the head back to `1.1`,
+/// and each chunk is shared: cloning an archive copies one pointer, not
+/// its history. A check-in on a clone builds one new newest chunk —
+/// a copy of the old newest chunk's entries plus the new revision, or
+/// the new revision alone once that chunk is full — and shares every
+/// other chunk with the archive it was cloned from. So a check-in
+/// copies at most 15 revisions' metadata pointers and
+/// deltas, at any history depth.
+#[derive(Clone)]
 pub struct Archive {
     /// Free-form description (AIDE stores the source URL here).
-    pub description: String,
-    /// Metadata for every revision, oldest first. Non-empty.
-    pub(crate) metas: Vec<RevisionMeta>,
+    pub(crate) description: String,
+    /// The newest chunk, never empty; older ones follow its `prev` links.
+    head: Arc<Chunk>,
     /// Full text of the newest revision.
-    pub(crate) head_text: String,
-    /// `reverse_deltas[k]` transforms revision `k+2`'s text into revision
-    /// `k+1`'s text (0-based: delta k recovers `metas[k]` from
-    /// `metas[k+1]`). Length is `metas.len() - 1`.
-    pub(crate) reverse_deltas: Vec<Delta>,
+    pub(crate) head_text: Arc<str>,
+    /// Revisions in the chain.
+    len: usize,
+    /// `emit(self).len()`, kept up to date by every check-in.
+    pub(crate) emit_len: usize,
+}
+
+impl PartialEq for Archive {
+    fn eq(&self, other: &Archive) -> bool {
+        self.len == other.len
+            && self.emit_len == other.emit_len
+            && self.description == other.description
+            && self.head_text == other.head_text
+            && self
+                .chain()
+                .zip(other.chain())
+                .all(|((m, d), (om, od))| m == om && d == od)
+    }
+}
+
+impl Eq for Archive {}
+
+impl fmt::Debug for Archive {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Archive")
+            .field("description", &self.description)
+            .field("metas", &self.metas())
+            .field("head_text", &self.head_text)
+            .finish()
+    }
 }
 
 impl Archive {
@@ -162,32 +252,96 @@ impl Archive {
         log: &str,
         date: Timestamp,
     ) -> Archive {
-        Archive {
-            description: description.to_string(),
-            metas: vec![RevisionMeta {
-                id: RevId::FIRST,
-                date,
-                author: author.to_string(),
-                log: log.to_string(),
-                text_len: text.len(),
-            }],
-            head_text: text.to_string(),
-            reverse_deltas: Vec::new(),
+        let meta = RevisionMeta {
+            id: RevId::FIRST,
+            date,
+            author: author.to_string(),
+            log: log.to_string(),
+            text_len: text.len(),
+        };
+        Archive::from_parts(description.to_string(), meta, Vec::new(), Arc::from(text))
+    }
+
+    /// Builds an archive from its first revision's metadata, each later
+    /// revision's (oldest first) with the reverse delta that recovers its
+    /// predecessor from it, and the head's text.
+    pub(crate) fn from_parts(
+        description: String,
+        first: RevisionMeta,
+        later: Vec<(RevisionMeta, Delta)>,
+        head_text: Arc<str>,
+    ) -> Archive {
+        let len = 1 + later.len();
+        let mut head = Chunk {
+            revs: vec![Rev::new(first, None)],
+            prev: None,
+        };
+        for (meta, back) in later {
+            if head.revs.len() == CHUNK {
+                let full = std::mem::replace(
+                    &mut head,
+                    Chunk {
+                        revs: Vec::with_capacity(CHUNK),
+                        prev: None,
+                    },
+                );
+                head.prev = Some(Arc::new(full));
+            }
+            head.revs.push(Rev::new(meta, Some(back)));
         }
+        let mut archive = Archive {
+            description,
+            head: Arc::new(head),
+            head_text,
+            len,
+            emit_len: 0,
+        };
+        archive.emit_len = format::emitted_len(&archive);
+        archive
+    }
+
+    /// Revisions newest first, each with the reverse delta that recovers
+    /// its predecessor (`None` for the first revision).
+    pub(crate) fn chain(&self) -> impl Iterator<Item = (&Arc<RevisionMeta>, Option<&Delta>)> {
+        self.revs().map(|rev| (&rev.meta, rev.back.as_ref()))
+    }
+
+    /// Revisions newest first.
+    fn revs(&self) -> impl Iterator<Item = &Rev> {
+        std::iter::successors(Some(&*self.head), |chunk| chunk.prev.as_deref())
+            .flat_map(|chunk| chunk.revs.iter().rev())
+    }
+
+    /// The newest revision.
+    fn head_rev(&self) -> &Rev {
+        // Chunks are never empty.
+        &self.head.revs[self.head.revs.len() - 1]
+    }
+
+    /// The free-form description (AIDE stores the source URL here).
+    pub fn description(&self) -> &str {
+        &self.description
+    }
+
+    /// `emit(self).len()`: the bytes of this archive's `,v` text, kept
+    /// up to date at every check-in, so counting them costs nothing.
+    pub fn emitted_len(&self) -> usize {
+        self.emit_len
     }
 
     /// The newest revision number.
-    #[expect(
-        clippy::expect_used,
-        reason = "archives hold at least one revision by construction (see `is_empty`)"
-    )]
     pub fn head(&self) -> RevId {
-        self.metas.last().expect("archive never empty").id
+        self.head_rev().meta.id
+    }
+
+    /// Metadata of the newest revision.
+    pub fn head_meta(&self) -> &RevisionMeta {
+        &self.head_rev().meta
     }
 
     /// Number of revisions stored.
     pub fn len(&self) -> usize {
-        self.metas.len()
+        self.len
     }
 
     /// Archives always hold at least one revision.
@@ -200,23 +354,26 @@ impl Archive {
         &self.head_text
     }
 
-    /// Revision metadata, oldest first (`rlog` order is newest first; see
-    /// [`Archive::log`]).
-    pub fn metas(&self) -> &[RevisionMeta] {
-        &self.metas
+    /// Revision metadata, oldest first, collected from the chain
+    /// ([`Archive::log`] walks it newest first, `rlog` order, without
+    /// collecting).
+    pub fn metas(&self) -> Vec<&Arc<RevisionMeta>> {
+        let mut metas: Vec<_> = self.log().collect();
+        metas.reverse();
+        metas
     }
 
     /// Metadata for one revision.
     pub fn meta(&self, rev: RevId) -> Result<&RevisionMeta, ArchiveError> {
-        self.metas
-            .iter()
-            .find(|m| m.id == rev)
+        self.revs()
+            .find(|r| r.meta.id == rev)
+            .map(|r| &*r.meta)
             .ok_or(ArchiveError::NoSuchRevision(rev))
     }
 
     /// `rlog`: revision metadata, newest first.
-    pub fn log(&self) -> Vec<&RevisionMeta> {
-        self.metas.iter().rev().collect()
+    pub fn log(&self) -> impl Iterator<Item = &Arc<RevisionMeta>> {
+        self.chain().map(|(meta, _)| meta)
     }
 
     /// Checks in `text` as a new head revision (`ci`).
@@ -234,33 +391,134 @@ impl Archive {
         log: &str,
         date: Timestamp,
     ) -> Result<CheckinOutcome, ArchiveError> {
-        if text == self.head_text {
+        if *text == *self.head_text {
             return Ok(CheckinOutcome::Unchanged(self.head()));
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "archives hold at least one revision by construction (see `is_empty`)"
-        )]
-        let head_meta = self.metas.last().expect("archive never empty");
-        if date < head_meta.date {
+        let head_date = self.head_meta().date;
+        if date < head_date {
             return Err(ArchiveError::DateRegression {
-                head: head_meta.date,
+                head: head_date,
                 attempted: date,
             });
         }
         // Reverse delta: from the new text back to the current head.
         let reverse = Delta::compute(text, &self.head_text);
-        self.reverse_deltas.push(reverse);
         let id = self.head().next();
-        self.metas.push(RevisionMeta {
-            id,
-            date,
-            author: author.to_string(),
-            log: log.to_string(),
-            text_len: text.len(),
-        });
-        self.head_text = text.to_string();
+        self.push_revision(
+            RevisionMeta {
+                id,
+                date,
+                author: author.to_string(),
+                log: log.to_string(),
+                text_len: text.len(),
+            },
+            text,
+            reverse,
+        );
         Ok(CheckinOutcome::NewRevision(id))
+    }
+
+    /// Makes `text` the head revision `meta`, with `reverse` recovering
+    /// the old head from it, and moves the `,v` length by what `emit`
+    /// writes differently: the header's head number, one delta-table
+    /// entry, the old head's text block now holding a delta, and the new
+    /// head's text block.
+    fn push_revision(&mut self, meta: RevisionMeta, text: &str, reverse: Delta) {
+        self.emit_len = self.emit_len
+            + format::header_len(meta.id)
+            + format::meta_entry_len(&meta)
+            + format::text_block_len(&meta, format::quoted_len(text))
+            + reverse.quoted_len()
+            - format::header_len(self.head())
+            - format::quoted_len(&self.head_text);
+        let rev = Rev::new(meta, Some(reverse));
+        let room = self.head.revs.len() < CHUNK;
+        match Arc::get_mut(&mut self.head) {
+            // No other archive shares the newest chunk: it takes the
+            // revision in place.
+            Some(chunk) if room => chunk.revs.push(rev),
+            _ => {
+                self.head = Arc::new(if room {
+                    let mut revs = Vec::with_capacity(self.head.revs.len() + 1);
+                    revs.extend_from_slice(&self.head.revs);
+                    revs.push(rev);
+                    Chunk {
+                        revs,
+                        prev: self.head.prev.clone(),
+                    }
+                } else {
+                    Chunk {
+                        revs: vec![rev],
+                        prev: Some(self.head.clone()),
+                    }
+                });
+            }
+        }
+        self.head_text = Arc::from(text);
+        self.len += 1;
+    }
+
+    /// The newest check-in: the head's metadata and the reverse delta
+    /// that recovers the previous head from the head text. `None` for a
+    /// one-revision archive. With [`Archive::replay_checkin`] this lets a
+    /// store log one revision instead of the whole archive.
+    pub fn newest_checkin(&self) -> Option<(&RevisionMeta, &Delta)> {
+        let head = self.head_rev();
+        Some((&head.meta, head.back.as_ref()?))
+    }
+
+    /// Re-applies a check-in that [`Archive::newest_checkin`] reported on
+    /// an archive equal to this one plus that revision: afterwards this
+    /// archive equals that one. `meta` must name the next revision and
+    /// keep dates non-decreasing; the delta is trusted, as a stored
+    /// delta is at checkout.
+    pub fn replay_checkin(
+        &mut self,
+        meta: RevisionMeta,
+        head_text: &str,
+        reverse: Delta,
+    ) -> Result<(), ArchiveError> {
+        if meta.id != self.head().next() {
+            return Err(ArchiveError::Corrupt(format!(
+                "check-in of {} onto head {}",
+                meta.id,
+                self.head()
+            )));
+        }
+        if meta.date < self.head_meta().date || meta.text_len != head_text.len() {
+            return Err(ArchiveError::Corrupt(format!(
+                "check-in of {} does not follow head {}",
+                meta.id,
+                self.head()
+            )));
+        }
+        self.push_revision(meta, head_text, reverse);
+        Ok(())
+    }
+
+    /// True if this archive is `base` with one revision checked in on
+    /// top of `base`'s own chunks (as a check-in on a clone of `base`
+    /// leaves it).
+    pub fn is_checkin_of(&self, base: &Archive) -> bool {
+        let same = |a: &Option<Arc<Chunk>>, b: Option<&Arc<Chunk>>| match (a, b) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        let shares_base = match self.head.revs.split_last() {
+            // A new chunk in front of the base's full one...
+            Some((_, [])) => same(&self.head.prev, Some(&base.head)),
+            // ...or a copy of the base's newest chunk, plus one.
+            Some((_, older)) => {
+                same(&self.head.prev, base.head.prev.as_ref())
+                    && older.len() == base.head.revs.len()
+                    && older
+                        .iter()
+                        .zip(&base.head.revs)
+                        .all(|(a, b)| Arc::ptr_eq(&a.meta, &b.meta))
+            }
+            None => false,
+        };
+        self.len == base.len + 1 && self.description == base.description && shares_base
     }
 
     /// Checks out the full text of `rev` (`co -r`).
@@ -274,32 +532,27 @@ impl Archive {
     /// history depth adds little to the one split and one join every
     /// non-head checkout pays.
     pub fn checkout(&self, rev: RevId) -> Result<String, ArchiveError> {
-        let pos = self
-            .metas
-            .iter()
-            .position(|m| m.id == rev)
-            .ok_or(ArchiveError::NoSuchRevision(rev))?;
-        // Deltas applied, i.e. the checkout's distance from the head.
-        aide_obs::observe!(
-            "rcs.checkout.chain",
-            (self.reverse_deltas.len() - pos) as u64,
-        );
-        Ok(Delta::apply_chain(
-            &self.head_text,
-            &self.reverse_deltas[pos..],
-            |_, _| {},
-        )?)
+        // The deltas from the head back to `rev`, then oldest first.
+        let mut deltas = Vec::new();
+        for r in self.revs() {
+            if r.meta.id == rev {
+                deltas.reverse();
+                // Deltas applied, i.e. the checkout's distance from the head.
+                aide_obs::observe!("rcs.checkout.chain", deltas.len() as u64);
+                return Ok(Delta::apply_chain(&self.head_text, &deltas, |_, _| {})?);
+            }
+            deltas.extend(r.back.as_ref());
+        }
+        Err(ArchiveError::NoSuchRevision(rev))
     }
 
     /// Checks out the revision in force at `date` (`co -d`): the newest
     /// revision whose check-in date is `<= date`.
     pub fn checkout_at(&self, date: Timestamp) -> Result<(RevId, String), ArchiveError> {
         let rev = self
-            .metas
-            .iter()
-            .rev()
-            .find(|m| m.date <= date)
-            .map(|m| m.id)
+            .revs()
+            .find(|r| r.meta.date <= date)
+            .map(|r| r.meta.id)
             .ok_or(ArchiveError::NothingAtDate(date))?;
         Ok((rev, self.checkout(rev)?))
     }
@@ -311,15 +564,14 @@ impl Archive {
     /// an exact tie. Unlike [`Archive::checkout_at`] this never fails:
     /// archives hold at least one revision by construction.
     pub fn closest_to(&self, date: Timestamp) -> (RevId, Timestamp) {
-        let mut best = &self.metas[0];
-        for m in &self.metas {
-            let d_best = best.date.0.abs_diff(date.0);
-            let d_m = m.date.0.abs_diff(date.0);
-            if d_m < d_best {
-                best = m;
+        // Newest first, so `<=` leaves the earliest of equally near ones.
+        let mut best = self.head_rev();
+        for r in self.revs() {
+            if r.meta.date.0.abs_diff(date.0) <= best.meta.date.0.abs_diff(date.0) {
+                best = r;
             }
         }
-        (best.id, best.date)
+        (best.meta.id, best.meta.date)
     }
 
     /// `rcsdiff`: the delta transforming `from`'s text into `to`'s.
@@ -332,19 +584,11 @@ impl Archive {
     /// Approximate storage footprint in bytes: head text plus all stored
     /// deltas plus metadata — what the §7 disk-usage experiment measures.
     pub fn byte_size(&self) -> usize {
-        let meta: usize = self
-            .metas
-            .iter()
-            .map(|m| m.author.len() + m.log.len() + 64)
+        let revisions: usize = self
+            .chain()
+            .map(|(m, back)| m.author.len() + m.log.len() + 64 + back.map_or(0, Delta::byte_size))
             .sum();
-        self.head_text.len()
-            + self
-                .reverse_deltas
-                .iter()
-                .map(Delta::byte_size)
-                .sum::<usize>()
-            + meta
-            + self.description.len()
+        self.head_text.len() + revisions + self.description.len()
     }
 }
 
@@ -468,7 +712,7 @@ mod tests {
     #[test]
     fn log_is_newest_first() {
         let a = sample();
-        let ids: Vec<RevId> = a.log().iter().map(|m| m.id).collect();
+        let ids: Vec<RevId> = a.log().map(|m| m.id).collect();
         assert_eq!(ids, vec![RevId(3), RevId(2), RevId(1)]);
     }
 
@@ -526,27 +770,74 @@ mod tests {
     /// An archive whose history is `head` plus hand-written reverse
     /// deltas, which need not be ones [`Delta::compute`] would produce.
     fn hand_built(head: &str, reverse_deltas: Vec<Delta>) -> Archive {
-        let metas = (0..=reverse_deltas.len() as u32)
-            .map(|i| RevisionMeta {
-                id: RevId(i + 1),
-                date: t(u64::from(i)),
-                author: "a".into(),
-                log: "l".into(),
-                text_len: 0,
-            })
-            .collect();
-        Archive {
-            description: "d".into(),
-            metas,
-            head_text: head.into(),
-            reverse_deltas,
+        let meta = |i: u32| RevisionMeta {
+            id: RevId(i + 1),
+            date: t(u64::from(i)),
+            author: "a".into(),
+            log: "l".into(),
+            text_len: 0,
+        };
+        let later = (1..).map(meta).zip(reverse_deltas).collect();
+        Archive::from_parts("d".into(), meta(0), later, head.into())
+    }
+
+    #[test]
+    fn long_histories_clone_compare_and_drop_without_recursing() {
+        // Deep enough that one stack frame per chunk would overflow a
+        // test thread's stack.
+        let a = hand_built("x\n", vec![Delta::default(); 200_000]);
+        let b = a.clone();
+        assert!(Arc::ptr_eq(&a.head, &b.head), "a clone shares the chunks");
+        assert_eq!(a, hand_built("x\n", vec![Delta::default(); 200_000]));
+        drop(a);
+        assert_eq!(b.len(), 200_001);
+        assert_eq!(b.checkout(RevId(1)).unwrap(), "x\n");
+    }
+
+    #[test]
+    fn checkins_across_chunk_boundaries_share_and_replay() {
+        let page = |i: usize| format!("title\nrevision {i}\nbody\n");
+        let mut a = Archive::create("d", &page(1), "me", "r1", t(0));
+        // Never cloned, so its check-ins fill its newest chunk in place.
+        let mut alone = a.clone();
+        for i in 2..=2 * CHUNK + 2 {
+            alone.checkin(&page(i), "me", "edit", t(i as u64)).unwrap();
+            let base = a.clone();
+            a.checkin(&page(i), "me", "edit", t(i as u64)).unwrap();
+            assert!(a.is_checkin_of(&base), "revision {i}");
+            assert!(!base.is_checkin_of(&a));
+            // A check-in on another clone of the base is one too, but not
+            // of the first check-in's result.
+            let mut fork = base.clone();
+            fork.checkin("fork\n", "me", "fork", t(i as u64)).unwrap();
+            assert!(fork.is_checkin_of(&base));
+            assert!(!fork.is_checkin_of(&a));
+            // A parsed copy holds the same history in chunks of its own.
+            let copy = crate::format::parse(&crate::format::emit(&base)).unwrap();
+            assert_eq!(copy, base);
+            assert!(!a.is_checkin_of(&copy), "revision {i}: not shared");
+            let mut replayed = copy;
+            let (meta, delta) = a.newest_checkin().unwrap();
+            replayed
+                .replay_checkin(meta.clone(), a.head_text(), delta.clone())
+                .unwrap();
+            assert_eq!(replayed, a);
         }
+        assert_eq!(a.len(), 2 * CHUNK + 2);
+        assert_eq!(alone, a);
+        assert_checkouts_match_chained(&alone);
+        assert_eq!(a.meta(RevId(CHUNK as u32)).unwrap().log, "edit");
+        assert_eq!(
+            a.checkout_at(t(CHUNK as u64 + 1)).unwrap().1,
+            page(CHUNK + 1)
+        );
     }
 
     /// Reference checkout: one whole-text `Delta::apply` per delta.
     fn chained_apply(a: &Archive, rev: RevId) -> Result<String, DeltaError> {
-        let mut text = a.head_text.clone();
-        for d in a.reverse_deltas[rev.0 as usize - 1..].iter().rev() {
+        let mut text = a.head_text.to_string();
+        let newest_first = a.chain().filter_map(|(_, back)| back);
+        for d in newest_first.take(a.len() - rev.0 as usize) {
             text = d.apply(&text)?;
         }
         Ok(text)

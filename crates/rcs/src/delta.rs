@@ -226,7 +226,7 @@ impl Delta {
     /// on the joined text instead.
     pub(crate) fn apply_chain(
         text: &str,
-        chain: &[Delta],
+        chain: &[&Delta],
         mut on_step: impl FnMut(usize, &[&str]),
     ) -> Result<String, DeltaError> {
         if chain.is_empty() {
@@ -322,6 +322,27 @@ impl Delta {
             }
         }
         Ok(Delta { edits })
+    }
+
+    /// Bytes the [`Delta::to_text`] form takes in RCS `@` syntax, with
+    /// its quotes and each `@` doubled, counted without writing it.
+    pub(crate) fn quoted_len(&self) -> usize {
+        let digits = crate::format::digits;
+        let mut len = 2;
+        for edit in &self.edits {
+            len += match edit {
+                Edit::Delete { line, count } => 3 + digits(*line) + digits(*count),
+                Edit::Add { line, lines } => {
+                    3 + digits(*line)
+                        + digits(lines.len())
+                        + lines
+                            .iter()
+                            .map(|l| l.len() + l.bytes().filter(|&b| b == b'@').count())
+                            .sum::<usize>()
+                }
+            };
+        }
+        len
     }
 
     /// Approximate storage cost of this delta in bytes, as stored in an

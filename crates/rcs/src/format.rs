@@ -16,6 +16,7 @@ use crate::archive::{Archive, RevId, RevisionMeta};
 use crate::delta::Delta;
 use aide_util::time::Timestamp;
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// Error from [`parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,6 +53,64 @@ fn quote_into(out: &mut String, s: &str) {
     out.push('@');
 }
 
+/// Bytes `s` takes in `@` syntax: the two quotes and each `@` doubled.
+pub(crate) fn quoted_len(s: &str) -> usize {
+    s.len() + 2 + s.bytes().filter(|&b| b == b'@').count()
+}
+
+/// Decimal digits of `n`.
+pub(crate) fn digits(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Bytes `1.<n>` takes.
+fn rev_len(rev: RevId) -> usize {
+    2 + digits(rev.0 as usize)
+}
+
+// The lengths below mirror `emit` piece by piece; `format::tests` and
+// the property tests pin them to `emit(..).len()`.
+
+/// Bytes of the admin header `emit` writes for head `head`.
+pub(crate) fn header_len(head: RevId) -> usize {
+    "head\t;\naccess;\nsymbols;\nlocks; strict;\ncomment\t@# @;\n\n".len() + rev_len(head)
+}
+
+/// Bytes of `meta`'s delta-table entry.
+pub(crate) fn meta_entry_len(meta: &RevisionMeta) -> usize {
+    let next = if meta.id.0 > 1 {
+        rev_len(RevId(meta.id.0 - 1))
+    } else {
+        0
+    };
+    rev_len(meta.id)
+        + "\ndate\t;\tauthor ".len()
+        + meta.date.to_rcs_date().len()
+        + quoted_len(&meta.author)
+        + ";\tstate Exp;\nbranches;\nnext\t;\n\n".len()
+        + next
+}
+
+/// Bytes of `meta`'s text block whose body takes `quoted_body` bytes in
+/// `@` syntax.
+pub(crate) fn text_block_len(meta: &RevisionMeta, quoted_body: usize) -> usize {
+    "\n\nlog\n\ntext\n\n\n".len() + rev_len(meta.id) + quoted_len(&meta.log) + quoted_body
+}
+
+/// `emit(archive).len()`, summed without writing the text.
+pub(crate) fn emitted_len(archive: &Archive) -> usize {
+    let mut len =
+        header_len(archive.head()) + "\ndesc\n\n\n".len() + quoted_len(&archive.description);
+    // A revision's text block holds the head text or the delta its
+    // successor carries back to it.
+    let mut body = quoted_len(archive.head_text());
+    for (meta, back) in archive.chain() {
+        len += meta_entry_len(meta) + text_block_len(meta, body);
+        body = back.map_or(0, Delta::quoted_len);
+    }
+    len
+}
+
 /// Serializes an archive in `,v` syntax.
 ///
 /// # Examples
@@ -77,7 +136,7 @@ pub fn emit(archive: &Archive) -> String {
     );
 
     // Delta table, newest first; `next` points at the previous trunk rev.
-    for meta in archive.metas().iter().rev() {
+    for (meta, _) in archive.chain() {
         let _ = write!(
             out,
             "{}\ndate\t{};\tauthor ",
@@ -96,20 +155,24 @@ pub fn emit(archive: &Archive) -> String {
     quote_into(&mut out, &archive.description);
     out.push_str("\n\n");
 
-    // Text blocks, newest first: head in full, others as reverse deltas.
+    // Text blocks, newest first: head in full, others as the reverse
+    // delta their successor carries.
     let mut delta_text = String::new();
-    for (idx, meta) in archive.metas().iter().enumerate().rev() {
+    let mut newer_back: Option<&Delta> = None;
+    for (meta, back) in archive.chain() {
         let _ = write!(out, "\n{}\nlog\n", meta.id);
         quote_into(&mut out, &meta.log);
         out.push_str("\ntext\n");
-        if meta.id == archive.head() {
-            quote_into(&mut out, archive.head_text());
-        } else {
-            delta_text.clear();
-            archive.reverse_deltas[idx].write_text(&mut delta_text);
-            quote_into(&mut out, &delta_text);
+        match newer_back {
+            None => quote_into(&mut out, archive.head_text()),
+            Some(delta) => {
+                delta_text.clear();
+                delta.write_text(&mut delta_text);
+                quote_into(&mut out, &delta_text);
+            }
         }
         out.push_str("\n\n");
+        newer_back = back;
     }
     out
 }
@@ -324,33 +387,32 @@ pub fn parse(text: &str) -> Result<Archive, FormatError> {
     let mut lens = vec![0usize; metas_desc.len()];
     lens[metas_desc.len() - 1] = head_text.len();
     let mut reached = reverse_deltas.len();
-    Delta::apply_chain(&head_text, &reverse_deltas, |k, lines| {
+    let chain: Vec<&Delta> = reverse_deltas.iter().collect();
+    Delta::apply_chain(&head_text, &chain, |k, lines| {
         lens[k] = lines.iter().map(|l| l.len()).sum();
         reached = k;
     })
     .map_err(|e| FormatError::new(format!("applying delta {}: {e}", reached - 1)))?;
 
-    let metas: Vec<RevisionMeta> = metas_desc
-        .into_iter()
-        .zip(blocks.iter())
-        .zip(lens)
-        .map(
-            |(((id, date, author), (_, log, _)), text_len)| RevisionMeta {
-                id,
-                date,
-                author,
-                log: log.clone(),
-                text_len,
-            },
-        )
-        .collect();
-
-    Ok(Archive {
+    let mut metas = metas_desc.into_iter().zip(blocks).zip(lens).map(
+        |(((id, date, author), (_, log, _)), text_len)| RevisionMeta {
+            id,
+            date,
+            author,
+            log,
+            text_len,
+        },
+    );
+    let Some(first) = metas.next() else {
+        return Err(FormatError::new("no revisions"));
+    };
+    let later = metas.zip(reverse_deltas).collect();
+    Ok(Archive::from_parts(
         description,
-        metas,
-        head_text,
-        reverse_deltas,
-    })
+        first,
+        later,
+        Arc::from(head_text),
+    ))
 }
 
 #[cfg(test)]

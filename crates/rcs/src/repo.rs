@@ -33,7 +33,17 @@
 //! serving-path requirement once archives hold years of history. The
 //! counted size of an archive is `emit(&archive).len()`: the bytes its
 //! `,v` serialization occupies, which is also exactly what `aide-store`
-//! keeps on disk, so both backends agree byte-for-byte.
+//! keeps on disk, so both backends agree byte-for-byte. The archive
+//! keeps that length up to date itself ([`Archive::emitted_len`]), so
+//! neither backend emits to count it.
+//!
+//! # Adding a revision
+//!
+//! [`Repository::store_checkin`] is the one way a revision is added to
+//! a stored archive: the caller loads the archive, checks the new text
+//! in on a clone (which shares every older revision), and hands both
+//! back. A backend may then write only the revision the check-in added;
+//! `aide-store` logs one check-in frame instead of the whole `,v` text.
 
 use crate::archive::Archive;
 use crate::format::emit;
@@ -122,6 +132,20 @@ pub trait Repository: Send + Sync {
     /// load-modify-store must provide their own per-key exclusion.
     fn store(&self, key: &str, archive: &Archive) -> Result<(), RepoError>;
 
+    /// Stores `archive`, which [`Archive::checkin`] made from `base` (the
+    /// archive [`load`](Repository::load) returned for `key`) by adding
+    /// one revision. The caller excludes other writers of `key` from the
+    /// load through this call. A backend may write only the added
+    /// revision; the default stores the whole archive.
+    fn store_checkin(
+        &self,
+        key: &str,
+        _base: &Archive,
+        archive: Arc<Archive>,
+    ) -> Result<(), RepoError> {
+        self.store(key, &archive)
+    }
+
     /// Removes the archive for `key`; returns whether one existed.
     fn remove(&self, key: &str) -> Result<bool, RepoError>;
 
@@ -148,6 +172,14 @@ macro_rules! delegate_repository {
             fn store(&self, key: &str, archive: &Archive) -> Result<(), RepoError> {
                 (**self).store(key, archive)
             }
+            fn store_checkin(
+                &self,
+                key: &str,
+                base: &Archive,
+                archive: Arc<Archive>,
+            ) -> Result<(), RepoError> {
+                (**self).store_checkin(key, base, archive)
+            }
             fn remove(&self, key: &str) -> Result<bool, RepoError> {
                 (**self).remove(key)
             }
@@ -171,17 +203,10 @@ delegate_repository!(Box<T>, Arc<T>);
 /// rarely share a lock.
 const MEM_SHARDS: usize = 64;
 
-/// One stored archive plus its serialized size, computed once at store
-/// time so accounting never re-emits.
-struct Stored {
-    archive: Arc<Archive>,
-    bytes: usize,
-}
-
 /// One bucket of the map plus its running accounting totals.
 #[derive(Default)]
 struct MemShard {
-    map: BTreeMap<String, Stored>,
+    map: BTreeMap<String, Arc<Archive>>,
     bytes: usize,
     revisions: usize,
 }
@@ -218,15 +243,23 @@ impl MemRepository {
         let mut all = Vec::new();
         for shard in &self.shards {
             let guard = shard.read();
-            all.extend(
-                guard
-                    .map
-                    .iter()
-                    .map(|(k, s)| (k.clone(), s.archive.clone())),
-            );
+            all.extend(guard.map.iter().map(|(k, a)| (k.clone(), a.clone())));
         }
         all.sort_by(|a, b| a.0.cmp(&b.0));
         all
+    }
+
+    /// Creates or replaces `key`'s archive, moving the running counters.
+    fn insert(&self, key: &str, archive: Arc<Archive>) {
+        let bytes = archive.emitted_len();
+        let revisions = archive.len();
+        let mut shard = self.shard(key).write();
+        if let Some(old) = shard.map.insert(key.to_string(), archive) {
+            shard.bytes -= old.emitted_len();
+            shard.revisions -= old.len();
+        }
+        shard.bytes += bytes;
+        shard.revisions += revisions;
     }
 
     /// The counters' ground truth: a full scan that re-emits every
@@ -252,18 +285,12 @@ impl Clone for MemRepository {
         let copy = MemRepository::new();
         for shard in &self.shards {
             let guard = shard.read();
-            for (k, s) in guard.map.iter() {
+            for (k, a) in guard.map.iter() {
                 let target = copy.shard(k);
                 let mut t = target.write();
-                t.bytes += s.bytes;
-                t.revisions += s.archive.len();
-                t.map.insert(
-                    k.clone(),
-                    Stored {
-                        archive: s.archive.clone(),
-                        bytes: s.bytes,
-                    },
-                );
+                t.bytes += a.emitted_len();
+                t.revisions += a.len();
+                t.map.insert(k.clone(), a.clone());
             }
         }
         copy
@@ -281,33 +308,23 @@ impl fmt::Debug for MemRepository {
 
 impl Repository for MemRepository {
     fn load(&self, key: &str) -> Result<Option<Arc<Archive>>, RepoError> {
-        Ok(self
-            .shard(key)
-            .read()
-            .map
-            .get(key)
-            .map(|s| s.archive.clone()))
+        Ok(self.shard(key).read().map.get(key).cloned())
     }
 
     fn store(&self, key: &str, archive: &Archive) -> Result<(), RepoError> {
-        // Serialize outside the guard (guards are never held across
-        // emit); the length feeds the shard's running counters.
-        let bytes = emit(archive).len();
-        let revisions = archive.len();
-        let handle = Arc::new(archive.clone());
-        let mut shard = self.shard(key).write();
-        if let Some(old) = shard.map.insert(
-            key.to_string(),
-            Stored {
-                archive: handle,
-                bytes,
-            },
-        ) {
-            shard.bytes -= old.bytes;
-            shard.revisions -= old.archive.len();
-        }
-        shard.bytes += bytes;
-        shard.revisions += revisions;
+        self.insert(key, Arc::new(archive.clone()));
+        Ok(())
+    }
+
+    /// Keeps the handed archive: the clone it was checked in on already
+    /// shares every older revision.
+    fn store_checkin(
+        &self,
+        key: &str,
+        _base: &Archive,
+        archive: Arc<Archive>,
+    ) -> Result<(), RepoError> {
+        self.insert(key, archive);
         Ok(())
     }
 
@@ -315,8 +332,8 @@ impl Repository for MemRepository {
         let mut shard = self.shard(key).write();
         match shard.map.remove(key) {
             Some(old) => {
-                shard.bytes -= old.bytes;
-                shard.revisions -= old.archive.len();
+                shard.bytes -= old.emitted_len();
+                shard.revisions -= old.len();
                 Ok(true)
             }
             None => Ok(false),
@@ -350,7 +367,7 @@ impl Repository for MemRepository {
         let mut v: Vec<(String, usize)> = Vec::new();
         for shard in &self.shards {
             let guard = shard.read();
-            v.extend(guard.map.iter().map(|(k, s)| (k.clone(), s.bytes)));
+            v.extend(guard.map.iter().map(|(k, a)| (k.clone(), a.emitted_len())));
         }
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         Ok(v)

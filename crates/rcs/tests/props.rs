@@ -140,7 +140,7 @@ proptest! {
             if expand_rev {
                 // Feed back an *expanded* keyword block, as a page saved
                 // from the viewer would contain.
-                let meta = archive.metas().last().unwrap();
+                let meta = archive.head_meta();
                 body = aide_rcs::keyword::expand(&body, meta, "page,v");
             }
             archive.checkin(&body, "user@host", "kw", Timestamp(i as u64 * 100)).unwrap();
@@ -183,6 +183,79 @@ proptest! {
                 parsed.checkout(meta.id).unwrap(),
                 archive.checkout(meta.id).unwrap()
             );
+        }
+    }
+}
+
+/// Authors and log messages, `@` and empty ones included.
+fn name_strategy() -> impl Strategy<Value = &'static str> {
+    prop_oneof![
+        Just("w3newer"),
+        Just("douglis@research.att.com"),
+        Just("@"),
+        Just(""),
+        Just("log @@ with @ signs"),
+    ]
+}
+
+/// Check-in sequences long enough to cross revision `1.9` → `1.10` and,
+/// in some cases, `1.99` → `1.100`.
+fn checkin_count() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..14, 98usize..103]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The `,v` length an archive keeps up to date equals what `emit`
+    /// writes, after creation, every check-in and a parse.
+    #[test]
+    fn maintained_emit_len_matches_emit(
+        first in text_strategy(),
+        texts in proptest::collection::vec(text_strategy(), 1..6),
+        names in proptest::collection::vec(name_strategy(), 2..5),
+        desc in name_strategy(),
+        count in checkin_count(),
+    ) {
+        let mut a = Archive::create(desc, &first, names[0], names[1], Timestamp(0));
+        prop_assert_eq!(a.emitted_len(), emit(&a).len());
+        for i in 0..count {
+            let text = format!("{}\nrevision {i}{}", texts[i % texts.len()], if i % 3 == 0 { "\n" } else { "" });
+            let text = if i % 7 == 6 { String::new() } else { text };
+            let name = names[i % names.len()];
+            a.checkin(&text, name, names[(i + 1) % names.len()], Timestamp(i as u64 * 60)).unwrap();
+            prop_assert_eq!(a.emitted_len(), emit(&a).len(), "after check-in {}", i);
+        }
+        let parsed = parse(&emit(&a)).unwrap();
+        prop_assert_eq!(parsed.emitted_len(), a.emitted_len());
+    }
+
+    /// Replaying a check-in — the head's metadata and text plus the
+    /// reverse delta in RCS text, as a store logs it — onto the archive
+    /// it was made from gives the checked-in archive, byte for byte.
+    #[test]
+    fn replayed_checkin_emits_like_the_checkin(
+        texts in proptest::collection::vec(text_strategy(), 2..8),
+        names in proptest::collection::vec(name_strategy(), 2..4),
+    ) {
+        let mut a = Archive::create("http://h/p@x", &texts[0], names[0], "init", Timestamp(0));
+        for (i, t) in texts.iter().enumerate().skip(1) {
+            let base = a.clone();
+            if !a.checkin(t, names[i % names.len()], names[(i + 1) % names.len()], Timestamp(i as u64 * 100)).unwrap().is_new() {
+                continue;
+            }
+            prop_assert!(a.is_checkin_of(&base));
+            prop_assert!(!base.is_checkin_of(&a));
+            let (meta, delta) = a.newest_checkin().unwrap();
+            let mut replayed = base.clone();
+            replayed
+                .replay_checkin(meta.clone(), a.head_text(), Delta::parse(&delta.to_text()).unwrap())
+                .unwrap();
+            prop_assert_eq!(emit(&replayed), emit(&a));
+            prop_assert_eq!(&replayed, &a);
+            // A replay names the next revision, so a second one fails.
+            let (meta, delta) = a.newest_checkin().unwrap();
+            prop_assert!(replayed.replay_checkin(meta.clone(), a.head_text(), delta.clone()).is_err());
         }
     }
 }

@@ -18,6 +18,7 @@ use aide_rcs::archive::{Archive, ArchiveError};
 use aide_rcs::repo::{RepoError, Repository};
 use aide_util::time::Timestamp;
 use std::fmt;
+use std::sync::Arc;
 
 /// The reserved repository key for scheduler rate state. The `aide:`
 /// scheme cannot collide with tracked page URLs.
@@ -62,20 +63,25 @@ impl From<ArchiveError> for PersistError {
 }
 
 /// Checks the book into the repository under [`RATE_BOOK_KEY`] as a new
-/// revision (or the initial one), dated `now`. An unchanged book is a
-/// no-op revision-wise but still round-trips through the store.
+/// revision (or the initial one), dated `now`. An unchanged book adds no
+/// revision and writes nothing. A new revision goes through
+/// [`Repository::store_checkin`], the path a Remember takes, so the
+/// store writes only that revision.
 pub fn save(book: &RateBook, repo: &dyn Repository, now: Timestamp) -> Result<(), PersistError> {
     let text = book.emit();
     let log = format!("rate snapshot: {} urls", book.len());
-    let archive = match repo.load(RATE_BOOK_KEY)? {
+    match repo.load(RATE_BOOK_KEY)? {
         Some(existing) => {
             let mut archive = (*existing).clone();
-            archive.checkin(&text, AUTHOR, &log, now)?;
-            archive
+            if archive.checkin(&text, AUTHOR, &log, now)?.is_new() {
+                repo.store_checkin(RATE_BOOK_KEY, &existing, Arc::new(archive))?;
+            }
         }
-        None => Archive::create(RATE_BOOK_KEY, &text, AUTHOR, &log, now),
-    };
-    repo.store(RATE_BOOK_KEY, &archive)?;
+        None => repo.store(
+            RATE_BOOK_KEY,
+            &Archive::create(RATE_BOOK_KEY, &text, AUTHOR, &log, now),
+        )?,
+    }
     Ok(())
 }
 

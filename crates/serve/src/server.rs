@@ -38,7 +38,7 @@ use aide::cgi::{parse_query, remember_page};
 use aide::engine::AideEngine;
 use aide_htmldiff::Options as DiffOptions;
 use aide_htmlkit::entity::encode_entities;
-use aide_htmlkit::url::{percent_decode, urlencode, urlencode_path};
+use aide_htmlkit::url::{percent_decode, uri_reference, urlencode, urlencode_path};
 use aide_obs::CounterCell;
 use aide_rcs::archive::{RevId, RevisionMeta};
 use aide_rcs::repo::{MemRepository, Repository};
@@ -47,6 +47,7 @@ use aide_snapshot::{diff_key, view_key, CacheStats, PageCache};
 use aide_util::checksum::fnv1a64;
 use aide_util::time::Timestamp;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// A request's decoded query parameters.
@@ -422,7 +423,7 @@ impl<R: Repository> AideServer<R> {
         };
         let mut key = format!("h|{url}|{user}");
         for (meta, seen) in &revs {
-            key.push_str(&format!("|{}@{}:{}", meta.id, meta.date.0, seen));
+            let _ = write!(key, "|{}@{}:{}", meta.id, meta.date.0, seen);
         }
         let etag = format!("h-{:016x}", fnv1a64(key.as_bytes()));
         self.cached(req, &etag, "text/html", || {
@@ -549,9 +550,10 @@ impl<R: Repository> AideServer<R> {
             .header(
                 "Link",
                 &format!(
-                    "<{url}>; rel=\"original\", \
+                    "<{original}>; rel=\"original\", \
                      </timemap/{path}>; rel=\"timemap\"; type=\"application/link-format\", \
                      <{location}>; rel=\"memento\"; datetime=\"{dt}\"",
+                    original = uri_reference(url),
                     dt = rev_date.to_http_date()
                 ),
             )
@@ -589,9 +591,10 @@ impl<R: Repository> AideServer<R> {
             fnv1a64(format!("m|{url}|{rev}|{}", rev_date.0).as_bytes())
         );
         let link = format!(
-            "<{url}>; rel=\"original\", \
+            "<{original}>; rel=\"original\", \
              </timegate/{path}>; rel=\"timegate\", \
              </timemap/{path}>; rel=\"timemap\"; type=\"application/link-format\"",
+            original = uri_reference(url),
         );
         self.cached(req, &etag, "text/html", || {
             snapshot
@@ -665,27 +668,31 @@ fn html_page(body: String) -> WireResponse {
 
 /// The `/history` page: one line per revision, newest first, with view
 /// and diff links and the user's seen flags.
-fn history_page(url: &str, revs: &[(RevisionMeta, bool)]) -> String {
+fn history_page(url: &str, revs: &[(Arc<RevisionMeta>, bool)]) -> String {
     let mut body = format!(
         "<HTML><HEAD><TITLE>History of {url}</TITLE></HEAD><BODY>\
          <H1>Versions of {url}</H1>\n<UL>\n",
         url = encode_entities(url)
     );
     let query = urlencode(url);
+    // Writing to a `String` cannot fail, so the `write!` results are
+    // discarded.
     for (meta, seen) in revs {
-        body.push_str(&format!(
+        let _ = write!(
+            body,
             "<LI>[<A HREF=\"/view?url={query}&rev={rev}\">{rev}</A>] {date} by {author}{seen}",
             rev = meta.id,
             date = meta.date.to_http_date(),
             author = encode_entities(&meta.author),
             seen = if *seen { " (seen)" } else { "" },
-        ));
+        );
         if meta.id.0 > 1 {
-            body.push_str(&format!(
+            let _ = write!(
+                body,
                 " [<A HREF=\"/diff?url={query}&from=1.{prev}&to={rev}\">diff to previous</A>]",
                 prev = meta.id.0 - 1,
                 rev = meta.id,
-            ));
+            );
         }
         body.push('\n');
     }
@@ -700,7 +707,7 @@ fn timemap_page(
     page: usize,
     pages: usize,
     per: usize,
-    metas: &[RevisionMeta],
+    metas: &[Arc<RevisionMeta>],
 ) -> String {
     let path = urlencode_path(url);
     let self_path = if page == 0 {
@@ -708,8 +715,9 @@ fn timemap_page(
     } else {
         format!("/timemap/{page}/{path}")
     };
+    let original = uri_reference(url);
     let mut body = format!(
-        "<{url}>;rel=\"original\",\n\
+        "<{original}>;rel=\"original\",\n\
          </timegate/{path}>;rel=\"timegate\",\n\
          <{self_path}>;rel=\"self\";type=\"application/link-format\",\n"
     );

@@ -9,7 +9,7 @@ mod common;
 use aide::engine::AideEngine;
 use aide::fixed::FixedCollection;
 use aide_htmlkit::entity::{decode_entities, encode_entities};
-use aide_htmlkit::url::urlencode;
+use aide_htmlkit::url::{percent_decode, urlencode};
 use aide_rcs::repo::MemRepository;
 use aide_serve::AideServer;
 use aide_simweb::net::Web;
@@ -135,18 +135,95 @@ fn urls_with_ampersands_and_quotes_survive_index_and_history_links() {
     }
 }
 
-/// The server-local targets (`</…>`) of a link-format list: a TimeMap
-/// body or a `Link` header.
-fn link_targets(list: &str) -> Vec<String> {
-    list.split("</")
-        .skip(1)
-        .filter_map(|rest| rest.split('>').next())
-        .map(|path| format!("/{path}"))
+/// One entry of a link-format list (RFC 6690): its target and its
+/// parameters.
+struct Link {
+    target: String,
+    params: Vec<(String, String)>,
+}
+
+impl Link {
+    fn param(&self, name: &str) -> Option<&str> {
+        self.params
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+/// Parses a whole link-format list — a TimeMap body or a `Link`
+/// header — strictly: every entry is `<target>` followed by
+/// `;name=value` or `;name="value"` parameters, entries are separated by
+/// commas, and each target is a URI reference (no space, `"`, `<` or
+/// `>`). Panics on anything else.
+fn parse_links(list: &str) -> Vec<Link> {
+    let mut links = Vec::new();
+    let mut rest = list.trim();
+    while !rest.is_empty() {
+        let body = rest
+            .strip_prefix('<')
+            .unwrap_or_else(|| panic!("entry does not open with '<': {rest:?} in {list:?}"));
+        let (target, after) = body
+            .split_once('>')
+            .unwrap_or_else(|| panic!("unclosed target in {list:?}"));
+        assert!(
+            !target.contains([' ', '"', '<']),
+            "target {target:?} is not a URI reference in {list:?}"
+        );
+        let mut params = Vec::new();
+        rest = after.trim_start();
+        while let Some(param) = rest.strip_prefix(';') {
+            let param = param.trim_start();
+            let (name, value) = param
+                .split_once('=')
+                .unwrap_or_else(|| panic!("parameter without a value in {list:?}"));
+            let (value, tail) = match value.strip_prefix('"') {
+                Some(quoted) => {
+                    let (v, tail) = quoted
+                        .split_once('"')
+                        .unwrap_or_else(|| panic!("unclosed quote in {list:?}"));
+                    (v, tail)
+                }
+                None => {
+                    let end = value.find([';', ',']).unwrap_or(value.len());
+                    value.split_at(end)
+                }
+            };
+            assert!(
+                !name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric()),
+                "bad parameter name {name:?} in {list:?}"
+            );
+            params.push((name.to_string(), value.to_string()));
+            rest = tail.trim_start();
+        }
+        links.push(Link {
+            target: target.to_string(),
+            params,
+        });
+        rest = match rest.strip_prefix(',') {
+            Some(next) => next.trim_start(),
+            None => {
+                assert!(rest.is_empty(), "junk after an entry: {rest:?} in {list:?}");
+                rest
+            }
+        };
+    }
+    links
+}
+
+/// The server-local targets (`</…>`) of a link-format list.
+fn link_targets(links: &[Link]) -> Vec<String> {
+    links
+        .iter()
+        .filter(|l| l.target.starts_with('/'))
+        .map(|l| l.target.clone())
         .collect()
 }
 
 /// GETs `target`, follows one redirect, and asserts that the page is
-/// the memento or TimeMap of `url`; returns the final response.
+/// the memento or TimeMap of `url`: its whole `Link` header, or its
+/// whole TimeMap body, parses, and its one `rel="original"` entry names
+/// `url`. Returns the final response.
 fn follow_memento_link(server: &AideServer, target: &str, url: &str) -> String {
     let mut resp = get(server, target);
     if status_line(&resp) == "HTTP/1.1 302 Found" {
@@ -154,11 +231,20 @@ fn follow_memento_link(server: &AideServer, target: &str, url: &str) -> String {
         resp = get(server, &location);
     }
     assert_eq!(status_line(&resp), "HTTP/1.1 200 OK", "{target}: {resp}");
-    let original = format!("<{url}>;");
-    let names_url = header(&resp, "Link").is_some_and(|l| l.starts_with(&original))
-        || common::body(&resp).starts_with(&original);
-    assert!(names_url, "{target} is not about {url}: {resp}");
+    let list = header(&resp, "Link").unwrap_or_else(|| common::body(&resp));
+    assert_original_is(&parse_links(list), url);
     resp
+}
+
+/// Asserts that exactly one entry is `rel="original"` and that its
+/// target names `url`.
+fn assert_original_is(links: &[Link], url: &str) {
+    let originals: Vec<&Link> = links
+        .iter()
+        .filter(|l| l.param("rel") == Some("original"))
+        .collect();
+    assert_eq!(originals.len(), 1, "one original link for {url}");
+    assert_eq!(percent_decode(&originals[0].target), percent_decode(url));
 }
 
 #[test]
@@ -194,12 +280,22 @@ fn memento_links_resolve_for_urls_with_quotes_spaces_ampersands_and_percents() {
             .unwrap_or_else(|| panic!("no index line for {url}: {index}"));
         let timemap = decode_entities(&link(line, "/timemap/")).into_owned();
         let resp = follow_memento_link(&server, &timemap, url);
-        let targets = link_targets(common::body(&resp));
-        // timegate, self and both mementos.
-        assert_eq!(targets.len(), 4, "{resp}");
-        for target in targets {
+        let links = parse_links(common::body(&resp));
+        let rels: Vec<_> = links.iter().map(|l| l.param("rel").unwrap_or("")).collect();
+        assert_eq!(
+            rels,
+            [
+                "original",
+                "timegate",
+                "self",
+                "first memento",
+                "last memento"
+            ],
+            "{resp}"
+        );
+        for target in link_targets(&links) {
             let resp = follow_memento_link(&server, &target, url);
-            for target in link_targets(header(&resp, "Link").unwrap_or("")) {
+            for target in link_targets(&parse_links(header(&resp, "Link").unwrap_or(""))) {
                 follow_memento_link(&server, &target, url);
             }
         }
@@ -209,7 +305,9 @@ fn memento_links_resolve_for_urls_with_quotes_spaces_ampersands_and_percents() {
             &format!("/timegate/{}", &timemap["/timemap/".len()..]),
         );
         assert_eq!(status_line(&gate), "HTTP/1.1 302 Found", "{gate}");
-        for target in link_targets(header(&gate, "Link").unwrap()) {
+        let gate_links = parse_links(header(&gate, "Link").unwrap());
+        assert_original_is(&gate_links, url);
+        for target in link_targets(&gate_links) {
             follow_memento_link(&server, &target, url);
         }
         let memento = follow_memento_link(&server, header(&gate, "Location").unwrap(), url);

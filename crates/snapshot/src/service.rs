@@ -342,6 +342,8 @@ impl<R: Repository> SnapshotService<R> {
                         // `Archive::checkin` would take.
                         (CheckinOutcome::Unchanged(existing.head()), false)
                     } else {
+                        // The clone shares every stored revision; the
+                        // store writes only the one the check-in adds.
                         let mut archive = (*existing).clone();
                         let out = archive.checkin(
                             body,
@@ -350,7 +352,7 @@ impl<R: Repository> SnapshotService<R> {
                             now,
                         )?;
                         if out.is_new() {
-                            self.repo.store(url, &archive)?;
+                            self.repo.store_checkin(url, &existing, Arc::new(archive))?;
                         }
                         (out, false)
                     }
@@ -476,12 +478,13 @@ impl<R: Repository> SnapshotService<R> {
     }
 
     /// History: the full revision log (newest first), with a per-user
-    /// seen flag for each revision.
+    /// seen flag for each revision. The metadata is the archive's own,
+    /// shared, not copied.
     pub fn history(
         &self,
         user: &UserId,
         url: &str,
-    ) -> Result<Vec<(RevisionMeta, bool)>, ServiceError> {
+    ) -> Result<Vec<(Arc<RevisionMeta>, bool)>, ServiceError> {
         aide_obs::counter!("snapshot.history", 1);
         let archive = self
             .load_degraded(url)?
@@ -490,7 +493,6 @@ impl<R: Repository> SnapshotService<R> {
             let seen = c.and_then(|c| c.get(url));
             archive
                 .log()
-                .into_iter()
                 .map(|m| {
                     let has = seen.map(|c| c.has_seen(m.id)).unwrap_or(false);
                     (m.clone(), has)
@@ -553,11 +555,11 @@ impl<R: Repository> SnapshotService<R> {
     /// Full revision metadata of `url`, oldest first — the TimeMap's
     /// source of truth (user-independent, unlike
     /// [`SnapshotService::history`]).
-    pub fn revisions(&self, url: &str) -> Result<Vec<RevisionMeta>, ServiceError> {
+    pub fn revisions(&self, url: &str) -> Result<Vec<Arc<RevisionMeta>>, ServiceError> {
         let archive = self
             .load_degraded(url)?
             .ok_or_else(|| ServiceError::NeverArchived(url.to_string()))?;
-        Ok(archive.metas().to_vec())
+        Ok(archive.metas().into_iter().cloned().collect())
     }
 
     /// The head revision of `url`, if archived.

@@ -1,7 +1,7 @@
 //! The checksummed record framing shared by the WAL and segment files.
 //!
-//! Every durable record — a stored archive or a tombstone — is one
-//! frame:
+//! Every durable record — a stored archive, a check-in or a tombstone —
+//! is one frame:
 //!
 //! ```text
 //! +------+----+---------+----------+-----------+-----------+---------+
@@ -10,16 +10,24 @@
 //! +------+----+---------+----------+-----------+-----------+---------+
 //! ```
 //!
-//! For a store record (`op = 1`) the data is a 4-byte little-endian
-//! revision count followed by the archive's `,v` serialization (the
-//! revision count lets recovery account stats without parsing every
-//! archive body). A tombstone (`op = 2`) carries no data. The trailing
-//! checksum is FNV-1a over everything between the magic byte and the
-//! checksum itself, so a torn append — the only in-file damage a
-//! crashed append-only writer can produce — is detected at the exact
-//! frame where the tear begins, and recovery truncates from there
+//! The ops and their data:
+//!
+//! - *store* (`op = 1`): a 4-byte little-endian revision count, then
+//!   the archive's `,v` serialization (the count lets recovery account
+//!   stats without parsing every archive body).
+//! - *tombstone* (`op = 2`): no data.
+//! - *check-in* (`op = 3`): one revision added to the key's archive —
+//!   see [`CheckinFrame`] for the layout. Replayed in order onto the
+//!   key's newest store record, skipped if that record already holds
+//!   its revision (DESIGN.md §4i).
+//!
+//! The trailing checksum is FNV-1a over everything between the magic
+//! byte and the checksum itself, so a torn append — the only in-file
+//! damage a crashed append-only writer can produce — is detected at the
+//! exact frame where the tear begins, and recovery truncates from there
 //! (the prefix-consistency invariant, DESIGN.md §4i).
 
+use aide_rcs::archive::RevisionMeta;
 use aide_util::checksum::fnv1a64;
 
 /// Frame magic byte: catches scans that drift off frame boundaries.
@@ -28,6 +36,8 @@ pub const MAGIC: u8 = 0xA5;
 pub const OP_STORE: u8 = 1;
 /// Op code: the key was removed; the frame masks any older record.
 pub const OP_REMOVE: u8 = 2;
+/// Op code: one check-in on top of the key's newest record.
+pub const OP_CHECKIN: u8 = 3;
 
 /// Fixed bytes before the key: magic, op, key_len, data_len.
 pub const HEADER_LEN: usize = 1 + 1 + 4 + 4;
@@ -43,12 +53,11 @@ const MAX_DATA_LEN: u32 = 1 << 28;
 /// One decoded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// [`OP_STORE`] or [`OP_REMOVE`].
+    /// [`OP_STORE`], [`OP_REMOVE`] or [`OP_CHECKIN`].
     pub op: u8,
     /// The repository key.
     pub key: String,
-    /// Payload (revision count + `,v` text for stores, empty for
-    /// tombstones).
+    /// Payload (see the module docs).
     pub data: Vec<u8>,
     /// Total encoded length of this frame in bytes.
     pub len: usize,
@@ -122,7 +131,7 @@ pub fn decode(buf: &[u8]) -> Result<Frame, FrameError> {
         return Err(FrameError::BadMagic);
     }
     let op = buf[1];
-    if op != OP_STORE && op != OP_REMOVE {
+    if !(OP_STORE..=OP_CHECKIN).contains(&op) {
         return Err(FrameError::BadOp);
     }
     let key_len = read_u32(buf, 2);
@@ -189,6 +198,89 @@ pub fn split_payload(data: &[u8]) -> Result<(u32, &str), FrameError> {
     Ok((revisions, text))
 }
 
+/// A decoded check-in frame payload: the revision one check-in added.
+///
+/// ```text
+/// u32 revision | u32 base_emit_len | u32 emit_len | u64 date
+/// u32 len + author | u32 len + log | u32 len + reverse delta | head text
+/// ```
+///
+/// Integers are little-endian; the reverse delta is in RCS `diff -n`
+/// text and recovers the previous head from `head_text`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckinFrame<'a> {
+    /// The new head's metadata (`text_len` is `head_text.len()`).
+    pub meta: RevisionMeta,
+    /// `,v` length of the archive the check-in was made from: a load
+    /// replays the frame only onto an archive of this length (and of
+    /// `meta.id - 1` revisions), else reports the key corrupt.
+    pub base_emit_len: u32,
+    /// `,v` length after the check-in.
+    pub emit_len: u32,
+    /// The reverse delta, in RCS text.
+    pub delta: &'a str,
+    /// The new head's full text.
+    pub head_text: &'a str,
+}
+
+/// Builds the payload of a check-in frame.
+pub fn checkin_payload(
+    base_emit_len: u32,
+    emit_len: u32,
+    meta: &RevisionMeta,
+    delta: &str,
+    head_text: &str,
+) -> Vec<u8> {
+    let mut data =
+        Vec::with_capacity(32 + meta.author.len() + meta.log.len() + delta.len() + head_text.len());
+    data.extend_from_slice(&meta.id.0.to_le_bytes());
+    data.extend_from_slice(&base_emit_len.to_le_bytes());
+    data.extend_from_slice(&emit_len.to_le_bytes());
+    data.extend_from_slice(&meta.date.0.to_le_bytes());
+    for field in [meta.author.as_str(), meta.log.as_str(), delta] {
+        data.extend_from_slice(&(field.len() as u32).to_le_bytes());
+        data.extend_from_slice(field.as_bytes());
+    }
+    data.extend_from_slice(head_text.as_bytes());
+    data
+}
+
+/// Splits a check-in frame's payload.
+pub fn split_checkin(data: &[u8]) -> Result<CheckinFrame<'_>, FrameError> {
+    let text = |bytes| std::str::from_utf8(bytes).map_err(|_| FrameError::BadKey);
+    if data.len() < 20 {
+        return Err(FrameError::Truncated);
+    }
+    let mut date = [0u8; 8];
+    date.copy_from_slice(&data[12..20]);
+    let mut rest = &data[20..];
+    let mut fields = [""; 3];
+    for field in &mut fields {
+        if rest.len() < 4 {
+            return Err(FrameError::Truncated);
+        }
+        let len = read_u32(rest, 0) as usize;
+        let body = rest.get(4..4 + len).ok_or(FrameError::Truncated)?;
+        *field = text(body)?;
+        rest = &rest[4 + len..];
+    }
+    let head_text = text(rest)?;
+    let [author, log, delta] = fields;
+    Ok(CheckinFrame {
+        meta: RevisionMeta {
+            id: aide_rcs::archive::RevId(read_u32(data, 0)),
+            date: aide_util::time::Timestamp(u64::from_le_bytes(date)),
+            author: author.to_string(),
+            log: log.to_string(),
+            text_len: head_text.len(),
+        },
+        base_emit_len: read_u32(data, 4),
+        emit_len: read_u32(data, 8),
+        delta,
+        head_text,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,6 +342,36 @@ mod tests {
         assert_eq!(frames.len(), 1);
         assert_eq!(clean, first);
         assert_eq!(err, Some(FrameError::Truncated));
+    }
+
+    #[test]
+    fn checkin_payloads_roundtrip() {
+        let meta = RevisionMeta {
+            id: aide_rcs::archive::RevId(12),
+            date: aide_util::time::Timestamp(816_000_000),
+            author: "douglis@research.att.com".into(),
+            log: "".into(),
+            text_len: 9,
+        };
+        let data = checkin_payload(900, 1_020, &meta, "d2 1\na2 1\nold @\n", "new @ body");
+        let f = decode(&encode(OP_CHECKIN, "http://h/p", &data)).unwrap();
+        assert_eq!(f.op, OP_CHECKIN);
+        let c = split_checkin(&f.data).unwrap();
+        assert_eq!(
+            c.meta,
+            RevisionMeta {
+                text_len: 10,
+                ..meta
+            }
+        );
+        assert_eq!((c.base_emit_len, c.emit_len), (900, 1_020));
+        assert_eq!(
+            (c.delta, c.head_text),
+            ("d2 1\na2 1\nold @\n", "new @ body")
+        );
+        for cut in 0..data.len() - "new @ body".len() {
+            assert!(split_checkin(&data[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

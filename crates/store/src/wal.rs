@@ -1,6 +1,6 @@
 //! The write-ahead log: a single append-only file with group commit.
 //!
-//! Every mutation (store or remove) is one [`frame`](crate::frame)
+//! Every mutation (store, check-in or remove) is one [`frame`](crate::frame)
 //! appended to the WAL and fsynced *before* the in-memory index reflects
 //! it — the classic WAL rule, which is what makes recovery a pure replay.
 //!

@@ -288,3 +288,258 @@ fn lying_fsync_still_recovers_to_a_consistent_store() {
     let repo = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "st", tiny_opts()).unwrap();
     let _ = recovered_state(&repo);
 }
+
+/// One step of the check-in workload.
+#[derive(Debug, Clone, Copy)]
+enum MixOp {
+    /// A new one-revision archive, stored whole.
+    Create(u8),
+    /// Load, clone, check in, `store_checkin`: one check-in frame.
+    Checkin(u8),
+    /// A two-revision archive stored whole over whatever the key held.
+    Store(u8),
+    Remove(u8),
+    Checkpoint,
+    CompactAll,
+}
+
+/// Check-in frames on WAL-resident and segment-resident records, full
+/// stores over keys with pending frames, a remove and re-create of key
+/// 1 (and later key 0) between two WAL truncations with check-ins after
+/// it, and checkpoints and compactions between them, explicit and
+/// triggered by the thresholds.
+fn mix_workload() -> Vec<MixOp> {
+    use MixOp::*;
+    vec![
+        Create(0),
+        Create(1),
+        Create(2),
+        Checkin(0),
+        Checkin(0),
+        Checkin(1),
+        Checkpoint,
+        Checkin(0), // frames on a segment-resident record
+        Checkin(2),
+        Remove(1),
+        Create(1), // re-created before the WAL is truncated
+        Checkin(1),
+        Checkin(1),
+        Store(2), // a whole archive over a key with a pending frame
+        Checkin(2),
+        Checkpoint,
+        CompactAll,
+        Checkin(0),
+        Checkin(1),
+        Remove(0),
+        Create(0),
+        Checkin(0),
+        Checkin(0),
+        Checkpoint,
+        Checkin(2),
+        Checkin(1),
+        CompactAll,
+        Checkin(2),
+        Checkin(0),
+    ]
+}
+
+fn mix_opts() -> StoreOptions {
+    StoreOptions {
+        checkpoint_wal_bytes: 2_000,
+        compact_min_dead_bytes: 250,
+        max_segments: 2,
+        cache_entries: 2,
+    }
+}
+
+fn mix_text(k: u8, step: usize) -> String {
+    format!("doc {k}\nstep {step}\nshared body line\nrevised at step {step} @ site\n")
+}
+
+/// Applies op `step` of the workload to `archives`; returns the archive
+/// a Create, Checkin or Store leaves under its key.
+fn mix_apply(archives: &mut BTreeMap<u8, Archive>, step: usize, op: MixOp) {
+    let date = Timestamp(10_000 + step as u64 * 60);
+    match op {
+        MixOp::Create(k) => {
+            let a = Archive::create(
+                "tracked page",
+                &mix_text(k, step),
+                "w3newer",
+                "initial",
+                date,
+            );
+            archives.insert(k, a);
+        }
+        MixOp::Checkin(k) => {
+            let a = archives.get_mut(&k).expect("check-in of a live key");
+            assert!(a
+                .checkin(&mix_text(k, step), "w3newer@att", "update @", date)
+                .unwrap()
+                .is_new());
+        }
+        MixOp::Store(k) => {
+            let mut a = Archive::create("replaced", &mix_text(k, step), "u", "whole", date);
+            a.checkin(&mix_text(k, step + 1000), "u", "whole", date)
+                .unwrap();
+            archives.insert(k, a);
+        }
+        MixOp::Remove(k) => {
+            archives.remove(&k);
+        }
+        MixOp::Checkpoint | MixOp::CompactAll => {}
+    }
+}
+
+/// Model states: `snap[i]` is the key→`,v` map after the first `i` ops.
+fn mix_models(ops: &[MixOp]) -> Vec<BTreeMap<String, String>> {
+    let mut archives = BTreeMap::new();
+    let render = |archives: &BTreeMap<u8, Archive>| {
+        archives
+            .iter()
+            .map(|(k, a)| (key_for(*k), emit(a)))
+            .collect::<BTreeMap<_, _>>()
+    };
+    let mut snaps = vec![render(&archives)];
+    for (step, op) in ops.iter().enumerate() {
+        mix_apply(&mut archives, step, *op);
+        snaps.push(render(&archives));
+    }
+    snaps
+}
+
+/// Runs the check-in workload until the first error; returns how many
+/// ops were acknowledged. Check-ins go the way a Remember goes: load,
+/// check in on a clone, `store_checkin`.
+fn run_mix_until_failure(repo: &DiskRepository, ops: &[MixOp]) -> usize {
+    for (step, op) in ops.iter().enumerate() {
+        let result = match *op {
+            MixOp::Create(k) | MixOp::Store(k) => {
+                let mut one = BTreeMap::new();
+                mix_apply(&mut one, step, *op);
+                repo.store(&key_for(k), &one[&k])
+            }
+            MixOp::Checkin(k) => {
+                let base = repo.load(&key_for(k)).unwrap().expect("live key loads");
+                let mut one = BTreeMap::from([(k, (*base).clone())]);
+                mix_apply(&mut one, step, *op);
+                let archive = Arc::new(one.remove(&k).unwrap());
+                repo.store_checkin(&key_for(k), &base, archive)
+            }
+            MixOp::Remove(k) => repo.remove(&key_for(k)).map(|_| ()),
+            MixOp::Checkpoint => repo.checkpoint(),
+            MixOp::CompactAll => (0..STORE_SHARDS).try_for_each(|si| repo.compact_shard(si)),
+        };
+        if result.is_err() {
+            return step;
+        }
+    }
+    ops.len()
+}
+
+/// True if the durable files show a checkpoint cut between a segment
+/// sync and the WAL truncate, in the way that matters to check-ins:
+/// replaying the segments, then the WAL, meets a check-in frame whose
+/// revision the key already holds.
+fn in_fold_window(vfs: &FaultVfs) -> bool {
+    use aide_store::frame;
+    let Ok(wal) = vfs.read("st/wal") else {
+        return false;
+    };
+    let mut files: Vec<Vec<u8>> = Vec::new();
+    for si in 0..STORE_SHARDS {
+        let dir = format!("st/shard_{si:02}");
+        let mut names = vfs.list(&dir).unwrap();
+        names.sort();
+        files.extend(
+            names
+                .iter()
+                .map(|n| vfs.read(&format!("{dir}/{n}")).unwrap()),
+        );
+    }
+    files.push(wal);
+    // Key → revisions held, as replay sees it.
+    let mut revisions: BTreeMap<String, u32> = BTreeMap::new();
+    for file in &files {
+        for (_, f) in frame::scan(file).0 {
+            match f.op {
+                frame::OP_STORE => {
+                    let held = frame::split_payload(&f.data).map_or(0, |(r, _)| r);
+                    revisions.insert(f.key, held);
+                }
+                frame::OP_REMOVE => {
+                    revisions.remove(&f.key);
+                }
+                _ => {
+                    let id = frame::split_checkin(&f.data).unwrap().meta.id.0;
+                    if let Some(held) = revisions.get_mut(&f.key) {
+                        if id <= *held {
+                            return true;
+                        }
+                        *held = id;
+                    }
+                }
+            }
+        }
+    }
+    false
+}
+
+#[test]
+fn checkin_frames_recover_prefix_consistently_at_every_kill_point() {
+    let ops = mix_workload();
+    let snaps = mix_models(&ops);
+    let total = {
+        let vfs = FaultVfs::shared(FaultScript::honest(SEED));
+        let repo = DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "st", mix_opts()).unwrap();
+        assert_eq!(run_mix_until_failure(&repo, &ops), ops.len());
+        assert_eq!(recovered_state(&repo), snaps[ops.len()], "honest run");
+        let (wal, _, _) = aide_store::frame::scan(&vfs.read("st/wal").unwrap());
+        assert!(
+            wal.iter()
+                .any(|(_, f)| f.op == aide_store::frame::OP_CHECKIN),
+            "check-ins were stored whole, not logged as check-in frames"
+        );
+        vfs.durability_ops()
+    };
+    assert!(total > 40, "workload too small: {total} ops");
+
+    let mut fold_windows = 0;
+    for torn in [false, true] {
+        for kill in 0..total {
+            let script = FaultScript::honest(SEED).crash_after(kill);
+            let vfs = FaultVfs::shared(if torn { script.torn() } else { script });
+            let acked = {
+                let repo =
+                    DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "st", mix_opts()).unwrap();
+                run_mix_until_failure(&repo, &ops)
+            };
+            assert!(acked < ops.len(), "kill point {kill} never fired");
+            vfs.crash_and_revive();
+            fold_windows += usize::from(in_fold_window(&vfs));
+            let state = {
+                let repo =
+                    DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "st", mix_opts()).unwrap();
+                recovered_state(&repo)
+            };
+            assert!(
+                state == snaps[acked] || state == snaps[acked + 1],
+                "kill={kill} torn={torn}: recovered state matches neither model[{acked}] \
+                 nor model[{}]",
+                acked + 1
+            );
+            // A second recovery finds the same state.
+            let again =
+                DiskRepository::open(vfs.clone() as Arc<dyn Vfs>, "st", mix_opts()).unwrap();
+            assert_eq!(
+                recovered_state(&again),
+                state,
+                "kill={kill} torn={torn}: reopen"
+            );
+        }
+    }
+    assert!(
+        fold_windows > 0,
+        "no kill point fell between a checkpoint's segment sync and its WAL truncate"
+    );
+}
